@@ -28,7 +28,6 @@ from .gf2 import (
     mat_vec_mul,
     min_distance,
     rank,
-    solve,
 )
 from .netmodel import (
     Connection,

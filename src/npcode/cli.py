@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from pathlib import Path
 
@@ -35,19 +35,7 @@ class ScenarioConfig:
     out: str | None = None
 
 
-_CONFIG_KEYS = {
-    "code_family",
-    "n",
-    "mu",
-    "design_t",
-    "code_file",
-    "rounds",
-    "failure_model",
-    "failed",
-    "t",
-    "seed",
-    "out",
-}
+_CONFIG_KEYS = {f.name for f in fields(ScenarioConfig)}
 _INT_KEYS = {"n", "mu", "design_t", "rounds", "t", "seed"}
 
 
@@ -153,55 +141,49 @@ def cmd_verify(args) -> int:
     return 1
 
 
-def render_report(records, n: int, rounds: int) -> str:
+def _ratio(q: Fraction) -> str:
+    return f"{q.numerator}/{q.denominator}"
+
+
+def render_report(records, sched: protocol.Schedule) -> str:
     """Fixed-order CSV: one row per round, then a summary line.
 
     Capacities travel as reduced ``p/q`` strings so the file stays exact;
-    the summary aggregates are plain sums of the row values.
+    the summary is the run's :class:`~npcode.protocol.SimulationMetrics`,
+    folded from the same records as the rows.
     """
     lines = ["round,failed,outcome,queries,xor_ops,transmissions,capacity"]
-    queries = xor_ops = transmissions = 0
-    outcomes = {o: 0 for o in protocol.Outcome}
-    capacity_sum = Fraction(0)
+    metrics = protocol.SimulationMetrics(sched)
+    capacity = _ratio(Fraction(sched.n - sched.m, sched.n))
     for rec in records:
+        metrics.add(rec)
         report = rec.report
-        data_count = sum(
-            1 for p in rec.sent if p.kind is netmodel.PacketKind.DATA
-        )
-        capacity = Fraction(data_count, n)
         failed = ";".join(str(c) for c in sorted(rec.scenario.failed)) or "-"
         lines.append(
             f"{rec.index},{failed},{report.outcome.value},{report.queries_sent},"
-            f"{report.xor_operations},{report.transmissions},"
-            f"{capacity.numerator}/{capacity.denominator}"
+            f"{report.xor_operations},{report.transmissions},{capacity}"
         )
-        queries += report.queries_sent
-        xor_ops += report.xor_operations
-        transmissions += report.transmissions
-        outcomes[report.outcome] += 1
-        capacity_sum += capacity
-    avg = capacity_sum / rounds
-    rate = Fraction(
-        outcomes[protocol.Outcome.FULL_RECOVERY] + outcomes[protocol.Outcome.NO_ACTION_NEEDED],
-        rounds,
-    )
     lines.append(
         "summary,"
-        f"rounds={rounds},"
-        f"transmissions={transmissions},"
-        f"queries={queries},"
-        f"xor_ops={xor_ops},"
-        f"full_recovery={outcomes[protocol.Outcome.FULL_RECOVERY]},"
-        f"no_action={outcomes[protocol.Outcome.NO_ACTION_NEEDED]},"
-        f"unrecoverable={outcomes[protocol.Outcome.UNRECOVERABLE]},"
-        f"avg_capacity={avg.numerator}/{avg.denominator},"
-        f"recovery_rate={rate.numerator}/{rate.denominator}"
+        f"rounds={metrics.rounds},"
+        f"transmissions={metrics.total_transmissions},"
+        f"queries={metrics.queries},"
+        f"xor_ops={metrics.xor_operations},"
+        f"full_recovery={metrics.outcomes[protocol.Outcome.FULL_RECOVERY]},"
+        f"no_action={metrics.outcomes[protocol.Outcome.NO_ACTION_NEEDED]},"
+        f"unrecoverable={metrics.outcomes[protocol.Outcome.UNRECOVERABLE]},"
+        f"avg_capacity={_ratio(metrics.avg_capacity)},"
+        f"recovery_rate={_ratio(metrics.recovery_rate)}"
     )
     return "\n".join(lines) + "\n"
 
 
 def cmd_simulate(args) -> int:
-    cfg = parse_config(Path(args.config).read_text())
+    config = Path(args.config)
+    cfg = parse_config(config.read_text())
+    if cfg.code_file is not None:
+        # a relative code_file is relative to the config, not the working directory
+        cfg.code_file = str(config.parent / cfg.code_file)
     code = build_code(
         cfg.code_family,
         n=cfg.n,
@@ -225,7 +207,7 @@ def cmd_simulate(args) -> int:
     records = protocol.simulate_rounds(
         net, code, sched, model, cfg.rounds, seed=cfg.seed
     )
-    text = render_report(records, code.n, cfg.rounds)
+    text = render_report(records, sched)
     out = args.out or cfg.out
     if out:
         Path(out).write_text(text)

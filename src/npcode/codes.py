@@ -255,7 +255,7 @@ def bch_code(n: int, design_t: int) -> ProtectionCode:
     k = n - (g.bit_length() - 1)
     # Rows x^i * g(x) have their leading term on the diagonal, so reduction
     # always lands in systematic form.
-    words, pivots = gf2._eliminate([g << i for i in range(k)], n)
+    words, pivots, _ = gf2._eliminate([g << i for i in range(k)], n)
     if list(pivots) != list(range(k)):
         raise RuntimeError("cyclic generator rows did not reduce to systematic form")
     parity_rows = [w >> k for w in words]
@@ -419,7 +419,11 @@ def format_code_file(code: ProtectionCode) -> str:
 
 
 def parse_code_file(text: str) -> ProtectionCode:
-    """Parse :func:`format_code_file` output, rejecting mismatched dimensions."""
+    """Parse :func:`format_code_file` output, rejecting mismatched dimensions.
+
+    The header's distance is measured whenever k fits the enumeration bound,
+    and a ``verified`` flag above that bound is rejected.
+    """
     lines = text.splitlines()
     if not lines:
         raise ValueError("empty code file")
@@ -436,6 +440,13 @@ def parse_code_file(text: str) -> ProtectionCode:
         raise ValueError(
             f"header claims {k} x {n} but the matrix is {gen.rows} x {gen.cols}"
         )
+    verified = head[4] == "verified"
     parity_rows = [gen.row_word(i) >> k for i in range(k)]
     _, chk = _assemble(parity_rows, k, n - k)
-    return ProtectionCode(n, k, n - k, gen, chk, d_min, head[4] == "verified")
+    code = ProtectionCode(n, k, n - k, gen, chk, d_min, verified)
+    measured = _measured_distance(parity_rows, k, n - k)
+    if measured is None and verified:
+        raise ValueError(f"k = {k} is too large to verify the distance by enumeration")
+    if measured is not None and measured != d_min:
+        raise ValueError(f"header claims d_min = {d_min} but the code has d_min = {measured}")
+    return code

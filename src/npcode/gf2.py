@@ -273,10 +273,13 @@ def mat_mul(a: BitMatrix, b: BitMatrix) -> BitMatrix:
     return BitMatrix.from_row_words(words, b.cols)
 
 
-def _eliminate(words: list[int], cols: int) -> tuple[list[int], list[int]]:
-    """In-place Gauss-Jordan on packed rows; pivots go leftmost column first,
-    topmost row first. Returns (words, pivot column list)."""
+def _eliminate(words: list[int], cols: int) -> tuple[list[int], list[int], int]:
+    """In-place Gauss-Jordan on packed rows, pivoting on columns below ``cols``
+    only (higher bits ride along as an augmented right-hand side); pivots go
+    leftmost column first, topmost row first. Returns (words, pivot column
+    list, number of row combinations executed)."""
     pivots: list[int] = []
+    ops = 0
     r = 0
     for col in range(cols):
         mask = 1 << col
@@ -287,22 +290,23 @@ def _eliminate(words: list[int], cols: int) -> tuple[list[int], list[int]]:
         for i in range(len(words)):
             if i != r and words[i] & mask:
                 words[i] ^= words[r]
+                ops += 1
         pivots.append(col)
         r += 1
         if r == len(words):
             break
-    return words, pivots
+    return words, pivots, ops
 
 
 def row_reduce(m: BitMatrix) -> tuple[BitMatrix, tuple[int, ...]]:
     """Reduced row echelon form and the pivot columns."""
-    words, pivots = _eliminate(list(m.row_word(i) for i in range(m.rows)), m.cols)
+    words, pivots, _ = _eliminate(list(m.row_word(i) for i in range(m.rows)), m.cols)
     return BitMatrix.from_row_words(words, m.cols), tuple(pivots)
 
 
 def rank(m: BitMatrix) -> int:
     """Row rank over the two-element field."""
-    _, pivots = _eliminate(list(m.row_word(i) for i in range(m.rows)), m.cols)
+    _, pivots, _ = _eliminate(list(m.row_word(i) for i in range(m.rows)), m.cols)
     return len(pivots)
 
 
@@ -322,25 +326,12 @@ def solve_with_cost(a: BitMatrix, b: BitVector | Sequence[int]) -> tuple[BitVect
         raise DimensionMismatch(f"rhs length {len(vec)} != matrix rows {a.rows}")
     cols = a.cols
     rhs_bit = 1 << cols
-    rows_aug = [a.row_word(i) | (rhs_bit if vec[i] else 0) for i in range(a.rows)]
-    ops = 0
-    r = 0
-    for col in range(cols):
-        mask = 1 << col
-        pivot = next((i for i in range(r, len(rows_aug)) if rows_aug[i] & mask), None)
-        if pivot is None:
-            continue
-        rows_aug[r], rows_aug[pivot] = rows_aug[pivot], rows_aug[r]
-        for i in range(len(rows_aug)):
-            if i != r and rows_aug[i] & mask:
-                rows_aug[i] ^= rows_aug[r]
-                ops += 1
-        r += 1
-        if r == len(rows_aug):
-            break
-    for i in range(r, len(rows_aug)):
-        if rows_aug[i] & rhs_bit:
-            raise Inconsistent("contradictory equations: no solution exists")
+    rows_aug, pivots, ops = _eliminate(
+        [a.row_word(i) | (rhs_bit if vec[i] else 0) for i in range(a.rows)], cols
+    )
+    r = len(pivots)
+    if any(w & rhs_bit for w in rows_aug[r:]):
+        raise Inconsistent("contradictory equations: no solution exists")
     if r < cols:
         raise NoUniqueSolution(f"{cols - r} free unknown(s): solution is not unique")
     x = 0
@@ -348,12 +339,6 @@ def solve_with_cost(a: BitMatrix, b: BitVector | Sequence[int]) -> tuple[BitVect
         if rows_aug[i] & rhs_bit:
             x |= 1 << i
     return BitVector.from_int(x, cols), ops
-
-
-def solve(a: BitMatrix, b: BitVector | Sequence[int]) -> BitVector:
-    """Solve ``a @ x = b``; see :func:`solve_with_cost` for the error contract."""
-    x, _ = solve_with_cost(a, b)
-    return x
 
 
 def _span_words(rows: list[int]) -> list[int]:

@@ -20,13 +20,12 @@ class PacketKind(enum.Enum):
 
 @dataclass(frozen=True)
 class Packet:
-    """One symbol in flight: sender, payload (None once erased), round stamp.
+    """One symbol in flight: payload (None once erased), round stamp, kind.
 
     The stamp is a (cycle, step) pair; its lexicographic order is the global
     transmission order.
     """
 
-    sender_id: Hashable
     payload: int | None
     round_stamp: tuple[int, int]
     kind: PacketKind
@@ -60,8 +59,8 @@ class Connection:
 class Network:
     """n pairwise edge-disjoint connections with a per-link active flag.
 
-    Only the active flags mutate after construction; the protocol driver
-    flips them between rounds.
+    Only the active flags mutate after construction, through ``set_active``,
+    ``fail`` and ``repair``.
     """
 
     def __init__(self, connections: Iterable[Connection]):

@@ -6,6 +6,10 @@ payloads in flight (positions are known to receivers); recovery solves the
 parity equations for the lost data symbols and accounts for the queries,
 XORs, and transmissions spent doing so.
 
+A round is one codeword packed into an int (bit j = coordinate j), and
+:func:`recover_codeword` is the one recovery path; :func:`encode_round`,
+:func:`inject_failures` and :func:`recover` view a round as n packets.
+
 Coordinate layout per round r: parity coordinate k+j rides connection
 (r + j) mod n, and the data coordinates 0..k-1 fill the remaining
 connections in ascending index order. For m = 1 this puts the parity
@@ -17,8 +21,9 @@ from __future__ import annotations
 import dataclasses
 import enum
 import random
+from collections import Counter
 from collections.abc import Callable, Iterable, Iterator, Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import codes
@@ -69,11 +74,9 @@ class FailureScenario:
     always known to the receivers; that is the failure model."""
 
     failed: frozenset[int]
-    known_to_receivers: bool = True
 
-    def __init__(self, failed: Iterable[int], known_to_receivers: bool = True):
+    def __init__(self, failed: Iterable[int]):
         object.__setattr__(self, "failed", frozenset(failed))
-        object.__setattr__(self, "known_to_receivers", known_to_receivers)
 
 
 @dataclass
@@ -90,9 +93,55 @@ class RecoveryReport:
 def connection_of_coordinate(sched: Schedule, r: int) -> tuple[int, ...]:
     """Entry j: the connection that carries codeword coordinate j in round r."""
     scheduled = sched.scheduled(r)
-    taken = set(scheduled)
-    data_conns = tuple(c for c in range(sched.n) if c not in taken)
-    return data_conns + scheduled
+    return tuple(c for c in range(sched.n) if c not in scheduled) + scheduled
+
+
+def _require_fit(code: ProtectionCode, sched: Schedule) -> None:
+    if code.n != sched.n or code.m != sched.m:
+        raise DimensionMismatch(
+            f"code [{code.n},{code.k}] does not fit schedule (n={sched.n}, m={sched.m})"
+        )
+
+
+def recover_codeword(
+    code: ProtectionCode, offset: int, failed: frozenset[int], codeword: int
+) -> RecoveryReport:
+    """Rebuild the data symbols lost in one round and account for the work.
+
+    ``offset`` is the round's rotation offset r mod n, ``failed`` the failed
+    connections and ``codeword`` the sent codeword packed into an int (bit j
+    = coordinate j); the bits on failed connections are never read.
+
+    Failures confined to parity connections need no action. Otherwise a
+    receiver gathers the surviving symbols and solves for the lost ones:
+    under the single-parity rotation the failed receiver itself queries the
+    other n-1 receivers, while with a wider parity budget a surviving
+    parity-side receiver sends n-t-1 queries. Only lost data symbols appear
+    in the report; lost parity is not worth rebuilding.
+    """
+    n, k = code.n, code.k
+    conn_of = connection_of_coordinate(Schedule(n, code.m, n), offset)
+    erased = {j for j, c in enumerate(conn_of) if c in failed}
+    if len(erased) != len(failed):
+        raise ValueError(f"failed connections {sorted(failed)} reach outside [0, {n})")
+    if min(erased, default=k) >= k:
+        return RecoveryReport({}, 0, 0, n, Outcome.NO_ACTION_NEEDED)
+
+    t = len(failed)
+    if code.m == 1 and t == 1:
+        queries = n - 1
+    else:
+        queries = max(0, n - t - 1)
+
+    received = [None if j in erased else (codeword >> j) & 1 for j in range(n)]
+    try:
+        message, xor_ops = codes.erasure_decode_with_cost(
+            code, received, ErasurePattern(n, erased)
+        )
+    except AmbiguousErasure:
+        return RecoveryReport({}, queries, 0, n, Outcome.UNRECOVERABLE)
+    recovered = {conn_of[j]: message[j] for j in sorted(erased) if j < k}
+    return RecoveryReport(recovered, queries, xor_ops, n, Outcome.FULL_RECOVERY)
 
 
 def encode_round(
@@ -100,27 +149,14 @@ def encode_round(
 ) -> list[Packet]:
     """Emit the n packets of round r: k data symbols in connection order on
     the unscheduled connections, parity symbols on the scheduled ones."""
-    if code.n != sched.n or code.m != sched.m:
-        raise DimensionMismatch(
-            f"code [{code.n},{code.k}] does not fit schedule (n={sched.n}, m={sched.m})"
-        )
+    _require_fit(code, sched)
     codeword = codes.encode(code, data)
-    conn_of = connection_of_coordinate(sched, r)
-    stamp = (r // sched.n, r % sched.n)
-    payload_at = [0] * sched.n
-    is_parity = [False] * sched.n
-    for j, conn in enumerate(conn_of):
-        payload_at[conn] = codeword[j]
-        is_parity[conn] = j >= code.k
-    return [
-        Packet(
-            sender_id=c,
-            payload=payload_at[c],
-            round_stamp=stamp,
-            kind=PacketKind.ENCODED if is_parity[c] else PacketKind.DATA,
-        )
-        for c in range(sched.n)
-    ]
+    stamp = divmod(r, sched.n)
+    packets = [None] * sched.n
+    for j, c in enumerate(connection_of_coordinate(sched, r)):
+        kind = PacketKind.ENCODED if j >= code.k else PacketKind.DATA
+        packets[c] = Packet(codeword[j], stamp, kind)
+    return packets
 
 
 def inject_failures(packets: Sequence[Packet], scenario: FailureScenario) -> list[Packet]:
@@ -141,52 +177,24 @@ def recover(
     sched: Schedule,
     r: int,
 ) -> RecoveryReport:
-    """Rebuild the data symbols lost in round r and account for the work.
-
-    Failures confined to parity connections need no action. Otherwise a
-    receiver gathers the surviving symbols and solves for the lost ones:
-    under the single-parity rotation the failed receiver itself queries the
-    other n-1 receivers, while with a wider parity budget a surviving
-    parity-side receiver sends n-t-1 queries. Only lost data symbols appear
-    in the report; lost parity is not worth rebuilding.
-    """
-    n = sched.n
-    if code.n != n or code.m != sched.m:
-        raise DimensionMismatch(
-            f"code [{code.n},{code.k}] does not fit schedule (n={n}, m={sched.m})"
-        )
-    if len(surviving) != n:
-        raise DimensionMismatch(f"expected {n} packets, got {len(surviving)}")
-    scheduled_set = sched.assignment(r)
-    for c, pkt in enumerate(surviving):
-        expected = PacketKind.ENCODED if c in scheduled_set else PacketKind.DATA
+    """Packet view of :func:`recover_codeword` for round r: checks each packet
+    against the schedule and the scenario, then packs the survivors."""
+    _require_fit(code, sched)
+    if len(surviving) != sched.n:
+        raise DimensionMismatch(f"expected {sched.n} packets, got {len(surviving)}")
+    codeword = 0
+    for j, c in enumerate(connection_of_coordinate(sched, r)):
+        pkt = surviving[c]
+        expected = PacketKind.ENCODED if j >= code.k else PacketKind.DATA
         if pkt.kind is not expected:
             raise ValueError(f"packet {c} kind {pkt.kind} does not match the schedule")
         if (pkt.payload is None) != (c in scenario.failed):
             raise ValueError(f"packet {c} erasure does not match the scenario")
-
-    t = len(scenario.failed)
-    data_failed = sorted(scenario.failed - scheduled_set)
-    if not data_failed:
-        return RecoveryReport({}, 0, 0, n, Outcome.NO_ACTION_NEEDED)
-
-    if code.m == 1 and t == 1:
-        queries = n - 1
-    else:
-        queries = max(0, n - t - 1)
-
-    conn_of = connection_of_coordinate(sched, r)
-    coord_of = [0] * n
-    for j, conn in enumerate(conn_of):
-        coord_of[conn] = j
-    received = [surviving[conn].payload for conn in conn_of]
-    pattern = ErasurePattern(n, (coord_of[c] for c in scenario.failed))
-    try:
-        message, xor_ops = codes.erasure_decode_with_cost(code, received, pattern)
-    except AmbiguousErasure:
-        return RecoveryReport({}, queries, 0, n, Outcome.UNRECOVERABLE)
-    recovered = {c: message[coord_of[c]] for c in data_failed}
-    return RecoveryReport(recovered, queries, xor_ops, n, Outcome.FULL_RECOVERY)
+        if pkt.payload not in (None, 0, 1):
+            raise ValueError(f"packet {c} payload must be 0, 1, or None, got {pkt.payload!r}")
+        if pkt.payload:
+            codeword |= 1 << j
+    return recover_codeword(code, r % sched.n, scenario.failed, codeword)
 
 
 def no_failures() -> Callable[[int], FailureScenario]:
@@ -213,21 +221,53 @@ def random_failures(n: int, t: int, seed: int) -> Callable[[int], FailureScenari
 
 @dataclass
 class RoundRecord:
-    """Everything observable about one simulated round."""
+    """One simulated round: its sent codeword (bit j = coordinate j), scenario and report."""
 
     index: int
-    sent: list[Packet]
-    delivered: list[Packet]
+    codeword: int
     scenario: FailureScenario
     report: RecoveryReport
 
 
-@dataclass(frozen=True)
+@dataclass
 class SimulationMetrics:
-    avg_capacity: Fraction
-    recovery_rate: Fraction
-    total_transmissions: int
-    per_connection_encoded_counts: tuple[int, ...]
+    """Totals over the rounds of a run, folded in one record at a time.
+
+    A connection contributes working capacity in a round exactly when the
+    schedule gives it a data symbol, so the average capacity is (n - m)/n.
+    Failed links still transmit (erasure happens in flight), so transmissions
+    total rounds * n.
+    """
+
+    sched: Schedule
+    rounds: int = 0
+    total_transmissions: int = 0
+    queries: int = 0
+    xor_operations: int = 0
+    outcomes: Counter[Outcome] = field(default_factory=Counter)
+    encoded: Counter[int] = field(default_factory=Counter)
+
+    def add(self, record: RoundRecord) -> None:
+        self.encoded.update(self.sched.scheduled(record.index))
+        report = record.report
+        self.rounds += 1
+        self.total_transmissions += report.transmissions
+        self.queries += report.queries_sent
+        self.xor_operations += report.xor_operations
+        self.outcomes[report.outcome] += 1
+
+    @property
+    def per_connection_encoded_counts(self) -> tuple[int, ...]:
+        return tuple(self.encoded[c] for c in range(self.sched.n))
+
+    @property
+    def avg_capacity(self) -> Fraction:
+        slots = self.rounds * self.sched.n
+        return Fraction(slots - self.encoded.total(), slots)
+
+    @property
+    def recovery_rate(self) -> Fraction:
+        return Fraction(self.rounds - self.outcomes[Outcome.UNRECOVERABLE], self.rounds)
 
 
 def simulate_rounds(
@@ -238,45 +278,24 @@ def simulate_rounds(
     rounds: int,
     *,
     seed: int = 0,
-    cross_round: bool = False,
 ) -> Iterator[RoundRecord]:
     """Drive encode -> fail -> recover one round at a time.
 
     Data symbols come from a stream seeded by ``seed``, so identical
-    arguments replay identical rounds. With ``cross_round`` (single-parity
-    rotation only) every source advances through its own symbol stream and
-    skips a turn while it serves parity, mirroring the diagonal rotation
-    where the parity row mixes neighbouring generations; the wire contents
-    and the recovery arithmetic are unchanged.
+    arguments replay identical rounds. Each round is one packed codeword
+    handed to :func:`recover_codeword`.
     """
-    if not (net.n == code.n == sched.n):
-        raise DimensionMismatch(
-            f"sizes disagree: network {net.n}, code {code.n}, schedule {sched.n}"
-        )
+    _require_fit(code, sched)
+    if net.n != code.n:
+        raise DimensionMismatch(f"network has {net.n} connections, code has n = {code.n}")
     if not 1 <= rounds <= sched.rounds:
         raise ValueError(f"rounds must be in [1, {sched.rounds}]")
-    if cross_round and code.m != 1:
-        raise ValueError("cross-round encoding is defined for the single-parity rotation only")
     rng = random.Random(seed)
-    streams = [random.Random(f"npc:{seed}:{c}") for c in range(net.n)] if cross_round else None
     for r in range(rounds):
         scenario = failure_model(r)
-        for i in scenario.failed:
-            if not 0 <= i < net.n:
-                raise ValueError(f"failure model produced out-of-range connection {i}")
-        for i in range(net.n):
-            net.set_active(i, i not in scenario.failed)
-        if streams is None:
-            data = [rng.randrange(2) for _ in range(code.k)]
-        else:
-            # data coordinate j belongs to the j-th unscheduled connection,
-            # which draws the next symbol of its own stream
-            data_conns = connection_of_coordinate(sched, r)[: code.k]
-            data = [streams[c].randrange(2) for c in data_conns]
-        sent = encode_round(sched, r, code, data)
-        delivered = inject_failures(sent, scenario)
-        report = recover(code, delivered, scenario, sched, r)
-        yield RoundRecord(r, sent, delivered, scenario, report)
+        codeword = codes.encode(code, [rng.randrange(2) for _ in range(code.k)]).bits
+        report = recover_codeword(code, r % code.n, scenario.failed, codeword)
+        yield RoundRecord(r, codeword, scenario, report)
 
 
 def run_simulation(
@@ -287,33 +306,9 @@ def run_simulation(
     rounds: int,
     *,
     seed: int = 0,
-    cross_round: bool = False,
 ) -> SimulationMetrics:
-    """Aggregate a full run into the capacity and bookkeeping metrics.
-
-    A connection contributes working capacity in a round exactly when it
-    carried a data packet, so with every link up the average capacity is
-    (n - m)/n. Failed links still transmit (erasure happens in flight), so
-    transmissions always total rounds * n.
-    """
-    data_packets = 0
-    ok_rounds = 0
-    transmissions = 0
-    encoded_counts = [0] * net.n
-    for record in simulate_rounds(
-        net, code, sched, failure_model, rounds, seed=seed, cross_round=cross_round
-    ):
-        transmissions += len(record.sent)
-        for c, pkt in enumerate(record.sent):
-            if pkt.kind is PacketKind.DATA:
-                data_packets += 1
-            else:
-                encoded_counts[c] += 1
-        if record.report.outcome is not Outcome.UNRECOVERABLE:
-            ok_rounds += 1
-    return SimulationMetrics(
-        avg_capacity=Fraction(data_packets, transmissions),
-        recovery_rate=Fraction(ok_rounds, rounds),
-        total_transmissions=transmissions,
-        per_connection_encoded_counts=tuple(encoded_counts),
-    )
+    """Fold a full run into its :class:`SimulationMetrics`."""
+    metrics = SimulationMetrics(sched)
+    for record in simulate_rounds(net, code, sched, failure_model, rounds, seed=seed):
+        metrics.add(record)
+    return metrics

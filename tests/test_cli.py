@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 
 from npcode import codes
@@ -20,6 +22,28 @@ failure_model = random
 t = 2
 seed = 1
 """
+
+# sha256 of the simulate report for each config; a refactor of the round
+# path must keep every byte
+GOLDEN_REPORTS = {
+    "hamming-random-t2": (
+        HAMMING_RANDOM_CONFIG,
+        "de8fe0d75655834e8b6731e433c3bec978e3368585c246b0c03558cb241b7deb",
+    ),
+    "parity-fixed": (
+        "code_family = parity\nn = 5\nrounds = 5\nfailure_model = fixed\nfailed = 2\n",
+        "34d8b3428ab5eab02c8bf117bab2bdedccc9bbe0dc5b96b4ae59df95d366b3c8",
+    ),
+    "parity-all-unrecoverable": (
+        "code_family = parity\nn = 6\nrounds = 30\nfailure_model = random\nt = 2\nseed = 4\n",
+        "814416c3607ce192967082ab968d271385a7e4084e9b1e7ede35466546508634",
+    ),
+    "bch15-random-t5": (
+        "code_family = bch\nn = 15\ndesign_t = 2\nrounds = 60\n"
+        "failure_model = random\nt = 5\nseed = 9\n",
+        "66f673192b157f03259cb95bb990e431da29822cb4650f4b17b761c21cde77a4",
+    ),
+}
 
 
 def write_config(tmp_path, text, name="scenario.cfg"):
@@ -57,6 +81,21 @@ class TestCodegen:
     def test_missing_family_parameter(self, tmp_path, capsys):
         rc = main(["codegen", "--family", "bch", "--n", "15", "--out", str(tmp_path / "x")])
         assert rc == 2
+
+    @pytest.mark.parametrize(
+        "params",
+        [["parity", "--n", "5"]]
+        + [["hamming", "--mu", str(mu)] for mu in range(2, 7)]
+        + [["bch", "--n", str(n), "--design-t", str(t)] for n in (7, 15, 31, 63) for t in (1, 2)],
+        ids=" ".join,
+    )
+    def test_written_file_loads(self, tmp_path, capsys, params):
+        out = tmp_path / "c.npc"
+        assert main(["codegen", "--family", *params, "--out", str(out)]) == 0
+        n, k, d_min, flag = capsys.readouterr().out.split()
+        code = codes.parse_code_file(out.read_text())
+        assert (code.n, code.k, code.d_min) == (int(n), int(k), int(d_min))
+        assert code.d_min_verified == (flag == "verified")
 
     def test_default_output_name(self, tmp_path, monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)
@@ -107,6 +146,17 @@ class TestVerify:
                 for line in captured.out.splitlines()
             ]
             assert got == list(report.failing_patterns)
+
+    def test_false_distance_claim_exits_2(self, tmp_path, capsys):
+        # the [7,4,3] generator under a header that claims d_min = 5
+        path = self.make_code_file(tmp_path, "hamming", mu=3)
+        lines = path.read_text().splitlines()
+        path.write_text("\n".join(["NPC 7 4 5 verified"] + lines[1:]) + "\n")
+        capsys.readouterr()
+        assert main(["verify", str(path), "--t", "4"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:")
 
     def test_bad_file_exits_2(self, tmp_path):
         bad = tmp_path / "bad.npc"
@@ -234,3 +284,22 @@ class TestSimulate:
         out = tmp_path / "r.csv"
         assert main(["simulate", str(cfg), "--out", str(out)]) == 0
         assert "avg_capacity=4/7" in out.read_text().splitlines()[-1]
+
+    def test_code_file_relative_to_config(self, tmp_path, monkeypatch):
+        sub = tmp_path / "sub"
+        sub.mkdir()
+        assert main(["codegen", "--family", "hamming", "--mu", "3", "--out", str(sub / "h.npc")]) == 0
+        write_config(
+            sub, "code_family = file\ncode_file = h.npc\nrounds = 7\nfailure_model = none\n", "s.cfg"
+        )
+        monkeypatch.chdir(tmp_path)
+        out = tmp_path / "r.csv"
+        assert main(["simulate", "sub/s.cfg", "--out", str(out)]) == 0
+        assert "avg_capacity=4/7" in out.read_text().splitlines()[-1]
+
+    @pytest.mark.parametrize("name", sorted(GOLDEN_REPORTS))
+    def test_report_bytes_pinned(self, tmp_path, name):
+        text, sha256 = GOLDEN_REPORTS[name]
+        out = tmp_path / "r.csv"
+        assert main(["simulate", str(write_config(tmp_path, text)), "--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == sha256

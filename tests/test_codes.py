@@ -382,12 +382,22 @@ class TestCodeFile:
             lambda lines: ["NPC 5 3 2 verified"] + lines[1:],
             lambda lines: ["NPC 5 4 2 maybe"] + lines[1:],
             lambda lines: lines[:2] + lines[3:],
+            # distances the [5,4,2] generator does not have
+            lambda lines: ["NPC 5 4 3 verified"] + lines[1:],
+            lambda lines: ["NPC 5 4 1 declared"] + lines[1:],
         ],
     )
     def test_rejects_corrupted(self, mutate):
         lines = format_code_file(single_parity_code(5)).splitlines()
         with pytest.raises(ValueError):
             parse_code_file("\n".join(mutate(lines)) + "\n")
+
+    def test_rejects_verified_flag_above_enumeration_bound(self):
+        text = format_code_file(bch_code(63, 2))
+        assert text.startswith("NPC 63 51 5 declared\n")
+        assert parse_code_file(text).d_min == 5
+        with pytest.raises(ValueError):
+            parse_code_file(text.replace("declared", "verified", 1))
 
     def test_rejects_non_systematic_matrix(self):
         text = "NPC 3 2 2 declared\n2 3\n011\n101\n"

@@ -129,10 +129,10 @@ class TestNodeDegree:
 
 class TestPacket:
     def test_stamp_orders_lexicographically(self):
-        early = Packet("s0", 1, (0, 4), PacketKind.DATA)
-        late = Packet("s0", 1, (1, 0), PacketKind.DATA)
+        early = Packet(1, (0, 4), PacketKind.DATA)
+        late = Packet(1, (1, 0), PacketKind.DATA)
         assert early.round_stamp < late.round_stamp
 
     def test_erased_payload_is_none(self):
-        p = Packet("s1", None, (0, 0), PacketKind.ENCODED)
+        p = Packet(None, (0, 0), PacketKind.ENCODED)
         assert p.payload is None and p.kind is PacketKind.ENCODED
