@@ -145,25 +145,26 @@ def _ratio(q: Fraction) -> str:
     return f"{q.numerator}/{q.denominator}"
 
 
-def render_report(records, sched: protocol.Schedule) -> str:
-    """Fixed-order CSV: one row per round, then a summary line.
+def render_report(records, sched: protocol.Schedule, out) -> None:
+    """Write a fixed-order CSV to ``out``: one row per round as its record
+    arrives, then a summary line.
 
     Capacities travel as reduced ``p/q`` strings so the file stays exact;
     the summary is the run's :class:`~npcode.protocol.SimulationMetrics`,
     folded from the same records as the rows.
     """
-    lines = ["round,failed,outcome,queries,xor_ops,transmissions,capacity"]
+    out.write("round,failed,outcome,queries,xor_ops,transmissions,capacity\n")
     metrics = protocol.SimulationMetrics(sched)
     capacity = _ratio(Fraction(sched.n - sched.m, sched.n))
     for rec in records:
         metrics.add(rec)
         report = rec.report
         failed = ";".join(str(c) for c in sorted(rec.scenario.failed)) or "-"
-        lines.append(
+        out.write(
             f"{rec.index},{failed},{report.outcome.value},{report.queries_sent},"
-            f"{report.xor_operations},{report.transmissions},{capacity}"
+            f"{report.xor_operations},{report.transmissions},{capacity}\n"
         )
-    lines.append(
+    out.write(
         "summary,"
         f"rounds={metrics.rounds},"
         f"transmissions={metrics.total_transmissions},"
@@ -173,9 +174,8 @@ def render_report(records, sched: protocol.Schedule) -> str:
         f"no_action={metrics.outcomes[protocol.Outcome.NO_ACTION_NEEDED]},"
         f"unrecoverable={metrics.outcomes[protocol.Outcome.UNRECOVERABLE]},"
         f"avg_capacity={_ratio(metrics.avg_capacity)},"
-        f"recovery_rate={_ratio(metrics.recovery_rate)}"
+        f"recovery_rate={_ratio(metrics.recovery_rate)}\n"
     )
-    return "\n".join(lines) + "\n"
 
 
 def cmd_simulate(args) -> int:
@@ -207,12 +207,13 @@ def cmd_simulate(args) -> int:
     records = protocol.simulate_rounds(
         net, code, sched, model, cfg.rounds, seed=cfg.seed
     )
-    text = render_report(records, sched)
+    # the report file is opened only once every input has been checked
     out = args.out or cfg.out
     if out:
-        Path(out).write_text(text)
+        with Path(out).open("w") as f:
+            render_report(records, sched, f)
     else:
-        sys.stdout.write(text)
+        render_report(records, sched, sys.stdout)
     return 0
 
 

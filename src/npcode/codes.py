@@ -255,7 +255,7 @@ def bch_code(n: int, design_t: int) -> ProtectionCode:
     k = n - (g.bit_length() - 1)
     # Rows x^i * g(x) have their leading term on the diagonal, so reduction
     # always lands in systematic form.
-    words, pivots, _ = gf2._eliminate([g << i for i in range(k)], n)
+    words, pivots, _ = gf2._eliminate([g << i for i in range(k)], range(n))
     if list(pivots) != list(range(k)):
         raise RuntimeError("cyclic generator rows did not reduce to systematic form")
     parity_rows = [w >> k for w in words]
@@ -303,17 +303,17 @@ def erasure_decode_with_cost(
 ) -> tuple[BitVector, int]:
     """Recover the message from a word with erased slots, counting symbol XORs.
 
-    The count covers the XORs that accumulate the parity sums of the
-    surviving symbols plus those spent combining right-hand sides while
+    Decoding is one solve of the parity-check rows with the erased positions
+    as the unknowns. The count covers the XORs that accumulate the parity
+    sums of the surviving symbols plus those spent combining equations while
     solving for the lost symbols; it depends only on the code and the
     pattern, never on the data.
     """
-    n, k, m = code.n, code.k, code.m
+    n, k = code.n, code.k
     if pattern.n != n:
         raise DimensionMismatch(f"pattern length {pattern.n} != n = {n}")
     if len(received) != n:
         raise DimensionMismatch(f"received length {len(received)} != n = {n}")
-    known_word = 0
     value_word = 0
     for j, sym in enumerate(received):
         if sym is None:
@@ -322,50 +322,19 @@ def erasure_decode_with_cost(
         elif j in pattern.erased:
             raise ValueError(f"slot {j} is in the pattern but carries a value")
         elif sym == 1:
-            known_word |= 1 << j
             value_word |= 1 << j
-        elif sym == 0:
-            known_word |= 1 << j
-        else:
+        elif sym != 0:
             raise ValueError(f"symbols must be 0, 1, or None, got {sym!r}")
 
-    ops = 0
-    syndrome = []
-    for i in range(m):
-        h = code.parity_check.row_word(i)
-        terms = (h & known_word).bit_count()
-        if terms > 1:
-            ops += terms - 1
-        syndrome.append((h & value_word).bit_count() & 1)
-
     erased = sorted(pattern.erased)
-    if not erased:
-        if any(syndrome):
-            raise Inconsistent("surviving symbols violate the parity checks")
-        return BitVector.from_int(value_word & ((1 << k) - 1), k), ops
-
-    restricted = []
-    for i in range(m):
-        h = code.parity_check.row_word(i)
-        w = 0
-        for t_idx, pos in enumerate(erased):
-            if (h >> pos) & 1:
-                w |= 1 << t_idx
-        restricted.append(w)
+    rows = [code.parity_check.row_word(i) for i in range(code.m)]
     try:
-        x, cost = gf2.solve_with_cost(
-            BitMatrix.from_row_words(restricted, len(erased)), syndrome
-        )
+        word, ops = gf2.solve_with_cost(rows, erased, value_word)
     except gf2.NoUniqueSolution as exc:
         raise AmbiguousErasure(
             f"erasures at {tuple(erased)} are not uniquely decodable"
         ) from exc
-    ops += cost
-    full = value_word
-    for t_idx, pos in enumerate(erased):
-        if x[t_idx]:
-            full |= 1 << pos
-    return BitVector.from_int(full & ((1 << k) - 1), k), ops
+    return BitVector.from_int(word & ((1 << k) - 1), k), ops
 
 
 def erasure_decode(

@@ -273,15 +273,15 @@ def mat_mul(a: BitMatrix, b: BitMatrix) -> BitMatrix:
     return BitMatrix.from_row_words(words, b.cols)
 
 
-def _eliminate(words: list[int], cols: int) -> tuple[list[int], list[int], int]:
-    """In-place Gauss-Jordan on packed rows, pivoting on columns below ``cols``
-    only (higher bits ride along as an augmented right-hand side); pivots go
-    leftmost column first, topmost row first. Returns (words, pivot column
-    list, number of row combinations executed)."""
+def _eliminate(words: list[int], columns: Iterable[int]) -> tuple[list[int], list[int], int]:
+    """In-place Gauss-Jordan on packed rows, pivoting on ``columns`` in the
+    given order (all other bits ride along); each pivot is the topmost
+    remaining row with the column set. Returns (words, pivot column list,
+    number of row combinations executed)."""
     pivots: list[int] = []
     ops = 0
     r = 0
-    for col in range(cols):
+    for col in columns:
         mask = 1 << col
         pivot = next((i for i in range(r, len(words)) if words[i] & mask), None)
         if pivot is None:
@@ -293,52 +293,52 @@ def _eliminate(words: list[int], cols: int) -> tuple[list[int], list[int], int]:
                 ops += 1
         pivots.append(col)
         r += 1
-        if r == len(words):
-            break
     return words, pivots, ops
 
 
 def row_reduce(m: BitMatrix) -> tuple[BitMatrix, tuple[int, ...]]:
     """Reduced row echelon form and the pivot columns."""
-    words, pivots, _ = _eliminate(list(m.row_word(i) for i in range(m.rows)), m.cols)
+    words, pivots, _ = _eliminate([m.row_word(i) for i in range(m.rows)], range(m.cols))
     return BitMatrix.from_row_words(words, m.cols), tuple(pivots)
 
 
 def rank(m: BitMatrix) -> int:
     """Row rank over the two-element field."""
-    _, pivots, _ = _eliminate(list(m.row_word(i) for i in range(m.rows)), m.cols)
+    _, pivots, _ = _eliminate([m.row_word(i) for i in range(m.rows)], range(m.cols))
     return len(pivots)
 
 
-def solve_with_cost(a: BitMatrix, b: BitVector | Sequence[int]) -> tuple[BitVector, int]:
-    """Solve ``a @ x = b`` for the unique x, counting right-hand-side work.
+def solve_with_cost(
+    rows: Sequence[int], unknowns: Sequence[int], word: int
+) -> tuple[int, int]:
+    """Fill the ``unknowns`` bits of a packed word so that every row has even
+    overlap with it: each row is a parity equation over the word's bits.
 
-    The second return value is the number of XOR operations applied to
-    right-hand-side symbols while eliminating (one per executed row
-    combination); it depends only on the matrix, never on b.
+    The bits of ``word`` at the (distinct) unknown positions are ignored.
+    The second return value counts symbol XORs: per row, one for each known
+    term after the first (accumulating the row's known sum), plus one per
+    row combination while eliminating. It depends only on the rows and the
+    unknowns, never on the word.
 
     Raises:
-        Inconsistent: no x satisfies the system.
-        NoUniqueSolution: the system is consistent but has free unknowns.
+        Inconsistent: no filling satisfies every row.
+        NoUniqueSolution: the rows are consistent but leave unknowns free.
     """
-    vec = b if isinstance(b, BitVector) else BitVector(b)
-    if len(vec) != a.rows:
-        raise DimensionMismatch(f"rhs length {len(vec)} != matrix rows {a.rows}")
-    cols = a.cols
-    rhs_bit = 1 << cols
-    rows_aug, pivots, ops = _eliminate(
-        [a.row_word(i) | (rhs_bit if vec[i] else 0) for i in range(a.rows)], cols
-    )
-    r = len(pivots)
-    if any(w & rhs_bit for w in rows_aug[r:]):
+    mask = 0
+    for j in unknowns:
+        mask |= 1 << j
+    known = ~mask
+    word &= known
+    ops = sum(max(0, (row & known).bit_count() - 1) for row in rows)
+    eqs, pivots, combos = _eliminate(list(rows), unknowns)
+    if any((w & word).bit_count() & 1 for w in eqs[len(pivots):]):
         raise Inconsistent("contradictory equations: no solution exists")
-    if r < cols:
-        raise NoUniqueSolution(f"{cols - r} free unknown(s): solution is not unique")
-    x = 0
-    for i in range(cols):
-        if rows_aug[i] & rhs_bit:
-            x |= 1 << i
-    return BitVector.from_int(x, cols), ops
+    if len(pivots) < len(unknowns):
+        free = len(unknowns) - len(pivots)
+        raise NoUniqueSolution(f"{free} free unknown(s): solution is not unique")
+    for w, col in zip(eqs, pivots):
+        word |= ((w & word).bit_count() & 1) << col
+    return word, ops + combos
 
 
 def _span_words(rows: list[int]) -> list[int]:

@@ -293,7 +293,7 @@ def simulate_rounds(
     rng = random.Random(seed)
     for r in range(rounds):
         scenario = failure_model(r)
-        codeword = codes.encode(code, [rng.randrange(2) for _ in range(code.k)]).bits
+        codeword = codes.encode(code, BitVector.from_int(rng.getrandbits(code.k), code.k)).bits
         report = recover_codeword(code, r % code.n, scenario.failed, codeword)
         yield RoundRecord(r, codeword, scenario, report)
 

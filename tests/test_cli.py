@@ -1,9 +1,10 @@
 import hashlib
+import io
 
 import pytest
 
-from npcode import codes
-from npcode.cli import ConfigError, main, parse_config
+from npcode import codes, netmodel, protocol
+from npcode.cli import ConfigError, main, parse_config, render_report
 
 PARITY_CONFIG = """\
 # five connections, one parity, no failures
@@ -273,6 +274,36 @@ class TestSimulate:
             "code_family = parity\nn = 5\nrounds = 1\nfailure_model = fixed\nfailed = 9\n",
         )
         assert main(["simulate", str(cfg)]) == 2
+
+    def test_bad_config_writes_no_report(self, tmp_path):
+        cfg = write_config(
+            tmp_path,
+            "code_family = parity\nn = 5\nrounds = 1\nfailure_model = fixed\nfailed = 9\n",
+        )
+        out = tmp_path / "r.csv"
+        assert main(["simulate", str(cfg), "--out", str(out)]) == 2
+        assert not out.exists()
+
+    def test_report_streams_rows(self):
+        code = codes.hamming_code(3)
+        sched = protocol.build_schedule(code.n, code.m, 20)
+        records = protocol.simulate_rounds(
+            netmodel.Network.direct(code.n), code, sched,
+            protocol.random_failures(code.n, 2, 1), 20, seed=1,
+        )
+        out = io.StringIO()
+
+        def pulled():
+            for rec in records:
+                if rec.index > 0:
+                    # row i-1 is written before record i is pulled
+                    assert out.getvalue().splitlines()[-1].startswith(f"{rec.index - 1},")
+                yield rec
+
+        render_report(pulled(), sched, out)
+        lines = out.getvalue().splitlines()
+        assert len(lines) == 22  # header + 20 rounds + summary
+        assert lines[-1].startswith("summary,rounds=20,")
 
     def test_code_file_family(self, tmp_path):
         code_path = tmp_path / "c.npc"

@@ -251,6 +251,28 @@ class TestErasureDecode:
                 got = erasure_decode(code, received, ErasurePattern(7, pat))
                 assert got.to_tuple() == msg
 
+    def test_hamming_every_received_word_matches_agreement_oracle(self):
+        # each slot is 0, 1 or erased: all 3^7 words, consistent or not
+        code = hamming_code(3)
+        g_lists = as_lists(code.generator)
+        split = {"decoded": 0, "ambiguous": 0, "inconsistent": 0}
+        for received in itertools.product((0, 1, None), repeat=7):
+            received = list(received)
+            pattern = ErasurePattern(7, (j for j in range(7) if received[j] is None))
+            agreeing = agreeing_messages(g_lists, received)
+            if not agreeing:
+                with pytest.raises(Inconsistent):
+                    erasure_decode(code, received, pattern)
+                split["inconsistent"] += 1
+            elif len(agreeing) == 1:
+                assert erasure_decode(code, received, pattern).to_tuple() == agreeing[0]
+                split["decoded"] += 1
+            else:
+                with pytest.raises(AmbiguousErasure):
+                    erasure_decode(code, received, pattern)
+                split["ambiguous"] += 1
+        assert split == {"decoded": 912, "ambiguous": 435, "inconsistent": 840}
+
     def test_xor_cost_single_parity(self):
         for n in (3, 5, 9, 17):
             code = single_parity_code(n)
@@ -271,6 +293,30 @@ class TestErasureDecode:
             _, ops = erasure_decode_with_cost(code, received, pat)
             costs.add(ops)
         assert len(costs) == 1
+
+    @pytest.mark.parametrize(
+        "family, t, total, ambiguous",
+        [
+            ("bch15", 0, 30, 0),
+            ("bch15", 1, 435, 0),
+            ("bch15", 2, 2967, 0),
+            ("bch15", 3, 12664, 0),
+            ("bch15", 4, 37962, 0),
+            ("bch15", 5, 84406, 18),
+            ("hamming4", 3, 10574, 35),
+        ],
+    )
+    def test_xor_totals_over_every_pattern(self, family, t, total, ambiguous):
+        code = bch_code(15, 2) if family == "bch15" else hamming_code(4)
+        cw = list(encode(code, [1] * code.k))
+        ops_sum = failures = 0
+        for pat in itertools.combinations(range(code.n), t):
+            received = [None if j in pat else cw[j] for j in range(code.n)]
+            try:
+                ops_sum += erasure_decode_with_cost(code, received, ErasurePattern(code.n, pat))[1]
+            except AmbiguousErasure:
+                failures += 1
+        assert (ops_sum, failures) == (total, ambiguous)
 
 
 class TestVerifyProtection:

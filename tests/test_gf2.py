@@ -138,25 +138,41 @@ class TestRank:
         assert reduced == BitMatrix([[0, 1, 0], [0, 0, 1]])
 
 
+def solve_system(a, b):
+    """Solve ``a @ x = b`` through the packed solve: row i is a_i | b_i << cols,
+    coordinate ``cols`` is a known 1 and columns 0..cols-1 are the unknowns."""
+    cols = a.cols
+    rows = [a.row_word(i) | (b[i] << cols) for i in range(a.rows)]
+    word, ops = solve_with_cost(rows, range(cols), 1 << cols)
+    return BitVector.from_int(word & ((1 << cols) - 1), cols), ops
+
+
 class TestSolve:
     def test_identity_system(self):
-        x, ops = solve_with_cost(BitMatrix.identity(3), BitVector([1, 0, 1]))
+        x, ops = solve_system(BitMatrix.identity(3), BitVector([1, 0, 1]))
         assert x == BitVector([1, 0, 1])
         assert ops == 0
 
     def test_inconsistent(self):
         a = BitMatrix([[1, 1], [1, 1]])
         with pytest.raises(Inconsistent):
-            solve_with_cost(a, BitVector([1, 0]))
+            solve_system(a, BitVector([1, 0]))
 
     def test_free_variable(self):
         a = BitMatrix([[1, 1], [0, 0]])
         with pytest.raises(NoUniqueSolution):
-            solve_with_cost(a, BitVector([1, 0]))
+            solve_system(a, BitVector([1, 0]))
 
-    def test_rhs_length_checked(self):
-        with pytest.raises(DimensionMismatch):
-            solve_with_cost(BitMatrix.identity(2), BitVector([1, 0, 0]))
+    def test_unknown_bits_of_word_ignored(self):
+        rows = [0b1011, 0b1110, 0b0100]  # x0 + x1 = 1, x1 + x2 = 1, x2 = 0
+        clean = solve_with_cost(rows, range(3), 1 << 3)
+        assert clean == (0b1010, 3)
+        assert solve_with_cost(rows, range(3), (1 << 3) | 0b111) == clean
+
+    def test_no_unknowns_checks_consistency(self):
+        assert solve_with_cost([0b011, 0b110], [], 0b111) == (0b111, 2)
+        with pytest.raises(Inconsistent):
+            solve_with_cost([0b011, 0b110], [], 0b011)
 
     def test_roundtrip_random_full_column_rank(self):
         rng = random.Random(15)
@@ -169,7 +185,7 @@ class TestSolve:
                 continue
             x0 = BitVector([rng.randrange(2) for _ in range(cols)])
             b = mat_vec_mul(a.transpose(), x0)  # a @ x0 as a column system
-            assert solve_with_cost(a, b)[0] == x0
+            assert solve_system(a, b)[0] == x0
             done += 1
 
 
