@@ -283,13 +283,17 @@ def _eliminate(words: list[int], columns: Iterable[int]) -> tuple[list[int], lis
     r = 0
     for col in columns:
         mask = 1 << col
-        pivot = next((i for i in range(r, len(words)) if words[i] & mask), None)
-        if pivot is None:
+        for pivot in range(r, len(words)):
+            if words[pivot] & mask:
+                break
+        else:
             continue
-        words[r], words[pivot] = words[pivot], words[r]
-        for i in range(len(words)):
-            if i != r and words[i] & mask:
-                words[i] ^= words[r]
+        top = words[pivot]
+        words[pivot] = words[r]
+        words[r] = top
+        for i, w in enumerate(words):
+            if w & mask and i != r:
+                words[i] = w ^ top
                 ops += 1
         pivots.append(col)
         r += 1
@@ -308,6 +312,56 @@ def rank(m: BitMatrix) -> int:
     return len(pivots)
 
 
+class SolvePlan:
+    """The part of :func:`solve_with_cost` that depends only on the rows and
+    the (distinct) unknown positions, worked out once by one elimination so
+    that :meth:`apply` can solve any number of words without eliminating again.
+
+    Attributes:
+        known: mask of the bits that are not unknowns.
+        ops: the XOR count that :func:`solve_with_cost` reports.
+        residual: the eliminated rows left without a pivot; every solvable
+            word has even overlap with each of them.
+        pivots: (mask, position) per pinned unknown: the XOR of the word's
+            bits under ``mask``, all of them known, is the unknown's value.
+        free: the number of unknowns that no row pins down.
+    """
+
+    __slots__ = ("known", "ops", "residual", "pivots", "free")
+
+    def __init__(self, rows: Sequence[int], unknowns: Sequence[int]):
+        mask = 0
+        for j in unknowns:
+            mask |= 1 << j
+        known = ~mask
+        eqs, cols, combos = _eliminate(list(rows), unknowns)
+        pinned = len(cols)
+        self.known = known
+        self.ops = sum(max(0, (row & known).bit_count() - 1) for row in rows) + combos
+        self.residual = tuple(eqs[pinned:])
+        self.pivots = tuple(zip([w & known for w in eqs[:pinned]], cols))
+        self.free = len(unknowns) - pinned
+
+    def apply(self, word: int) -> tuple[int, int]:
+        """Fill the unknown bits of ``word``; its bits there are ignored.
+        Returns the filled word and :attr:`ops`.
+
+        Raises:
+            Inconsistent: no filling satisfies every row.
+            NoUniqueSolution: the rows are consistent but leave unknowns free.
+        """
+        word &= self.known
+        for w in self.residual:
+            if (w & word).bit_count() & 1:
+                raise Inconsistent("contradictory equations: no solution exists")
+        if self.free:
+            raise NoUniqueSolution(f"{self.free} free unknown(s): solution is not unique")
+        filled = word
+        for w, col in self.pivots:
+            filled |= ((w & word).bit_count() & 1) << col
+        return filled, self.ops
+
+
 def solve_with_cost(
     rows: Sequence[int], unknowns: Sequence[int], word: int
 ) -> tuple[int, int]:
@@ -318,27 +372,14 @@ def solve_with_cost(
     The second return value counts symbol XORs: per row, one for each known
     term after the first (accumulating the row's known sum), plus one per
     row combination while eliminating. It depends only on the rows and the
-    unknowns, never on the word.
+    unknowns, never on the word: it is the :class:`SolvePlan` of
+    (rows, unknowns) applied to ``word``.
 
     Raises:
         Inconsistent: no filling satisfies every row.
         NoUniqueSolution: the rows are consistent but leave unknowns free.
     """
-    mask = 0
-    for j in unknowns:
-        mask |= 1 << j
-    known = ~mask
-    word &= known
-    ops = sum(max(0, (row & known).bit_count() - 1) for row in rows)
-    eqs, pivots, combos = _eliminate(list(rows), unknowns)
-    if any((w & word).bit_count() & 1 for w in eqs[len(pivots):]):
-        raise Inconsistent("contradictory equations: no solution exists")
-    if len(pivots) < len(unknowns):
-        free = len(unknowns) - len(pivots)
-        raise NoUniqueSolution(f"{free} free unknown(s): solution is not unique")
-    for w, col in zip(eqs, pivots):
-        word |= ((w & word).bit_count() & 1) << col
-    return word, ops + combos
+    return SolvePlan(rows, unknowns).apply(word)
 
 
 def _span_words(rows: list[int]) -> list[int]:

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import dataclasses
 import enum
+import functools
 import random
 from collections import Counter
 from collections.abc import Callable, Iterable, Iterator, Sequence
@@ -27,8 +28,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import codes
-from .codes import AmbiguousErasure, ErasurePattern, ProtectionCode
-from .gf2 import BitVector, DimensionMismatch
+from .codes import ProtectionCode
+from .gf2 import BitVector, DimensionMismatch, NoUniqueSolution
 from .netmodel import Network, Packet, PacketKind
 
 
@@ -96,6 +97,20 @@ def connection_of_coordinate(sched: Schedule, r: int) -> tuple[int, ...]:
     return tuple(c for c in range(sched.n) if c not in scheduled) + scheduled
 
 
+# Coordinate layouts kept by :func:`_layout`: room for every rotation offset
+# of a code of length up to 64 (the longest constructions have n = 63).
+LAYOUT_MEMO_SIZE = 64
+
+
+@functools.lru_cache(maxsize=LAYOUT_MEMO_SIZE)
+def _layout(n: int, m: int, offset: int) -> tuple[tuple[int, ...], dict[int, int]]:
+    """The coordinate layout of rotation offset ``offset``: the connection of
+    each coordinate, and each connection's coordinate as a one-bit mask. The
+    dict is shared by every caller and never changed."""
+    conn_of = connection_of_coordinate(Schedule(n, m, n), offset)
+    return conn_of, {c: 1 << j for j, c in enumerate(conn_of)}
+
+
 def _require_fit(code: ProtectionCode, sched: Schedule) -> None:
     if code.n != sched.n or code.m != sched.m:
         raise DimensionMismatch(
@@ -116,15 +131,17 @@ def recover_codeword(
     receiver gathers the surviving symbols and solves for the lost ones:
     under the single-parity rotation the failed receiver itself queries the
     other n-1 receivers, while with a wider parity budget a surviving
-    parity-side receiver sends n-t-1 queries. Only lost data symbols appear
+    parity-side receiver sends n-t-1 queries. The solve applies the erased
+    set's :func:`~npcode.codes.repair_plan`. Only lost data symbols appear
     in the report; lost parity is not worth rebuilding.
     """
     n, k = code.n, code.k
-    conn_of = connection_of_coordinate(Schedule(n, code.m, n), offset)
-    erased = {j for j, c in enumerate(conn_of) if c in failed}
-    if len(erased) != len(failed):
-        raise ValueError(f"failed connections {sorted(failed)} reach outside [0, {n})")
-    if min(erased, default=k) >= k:
+    conn_of, bit_of = _layout(n, code.m, offset)
+    try:
+        erased = sum(bit_of[c] for c in failed)
+    except KeyError:
+        raise ValueError(f"failed connections {sorted(failed)} reach outside [0, {n})") from None
+    if not erased & ((1 << k) - 1):
         return RecoveryReport({}, 0, 0, n, Outcome.NO_ACTION_NEEDED)
 
     t = len(failed)
@@ -133,14 +150,12 @@ def recover_codeword(
     else:
         queries = max(0, n - t - 1)
 
-    received = [None if j in erased else (codeword >> j) & 1 for j in range(n)]
+    plan = codes.repair_plan(code.parity_check, erased)
     try:
-        message, xor_ops = codes.erasure_decode_with_cost(
-            code, received, ErasurePattern(n, erased)
-        )
-    except AmbiguousErasure:
+        word, xor_ops = plan.apply(codeword)
+    except NoUniqueSolution:
         return RecoveryReport({}, queries, 0, n, Outcome.UNRECOVERABLE)
-    recovered = {conn_of[j]: message[j] for j in sorted(erased) if j < k}
+    recovered = {conn_of[j]: word >> j & 1 for _, j in plan.pivots if j < k}
     return RecoveryReport(recovered, queries, xor_ops, n, Outcome.FULL_RECOVERY)
 
 

@@ -79,6 +79,13 @@ class TestCodegen:
         assert rc == 2
         assert "error" in capsys.readouterr().err
 
+    def test_oversize_n_exits_2(self, tmp_path, capsys):
+        # 2**64 does not fit an index, so this fails before any allocation
+        rc = main(["codegen", "--family", "parity", "--n", str(2**64), "--out", str(tmp_path / "x")])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("error:")
+        assert not (tmp_path / "x").exists()
+
     def test_missing_family_parameter(self, tmp_path, capsys):
         rc = main(["codegen", "--family", "bch", "--n", "15", "--out", str(tmp_path / "x")])
         assert rc == 2
@@ -267,6 +274,24 @@ class TestSimulate:
         cfg = write_config(tmp_path, "code_family = parity\nn = 5\nrounds = 0\n")
         assert main(["simulate", str(cfg)]) == 2
         assert "error" in capsys.readouterr().err
+
+    def test_oversize_n_exits_2(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, f"code_family = parity\nn = {2**64}\nrounds = 2\n")
+        assert main(["simulate", str(cfg), "--out", str(tmp_path / "r.csv")]) == 2
+        assert capsys.readouterr().err.startswith("error:")
+
+    def test_rerun_with_a_fresh_code_adds_no_plans(self, tmp_path):
+        # each command builds its own code object; plans are keyed by the
+        # code's content, so the second command finds every plan it needs
+        cfg = write_config(tmp_path, GOLDEN_REPORTS["bch15-random-t5"][0])
+        codes.repair_plan.cache_clear()
+        assert main(["simulate", str(cfg), "--out", str(tmp_path / "a.csv")]) == 0
+        first = codes.repair_plan.cache_info()
+        assert main(["simulate", str(cfg), "--out", str(tmp_path / "b.csv")]) == 0
+        second = codes.repair_plan.cache_info()
+        assert first.currsize > 0
+        assert (second.currsize, second.misses) == (first.currsize, first.misses)
+        assert (tmp_path / "a.csv").read_text() == (tmp_path / "b.csv").read_text()
 
     def test_bad_fixed_index_exits_2(self, tmp_path):
         cfg = write_config(

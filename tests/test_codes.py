@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from npcode import gf2
+from npcode import codes, gf2
 from npcode.codes import (
     AmbiguousErasure,
     ErasurePattern,
@@ -61,6 +61,12 @@ class TestSingleParity:
     def test_rejects_small_n(self):
         with pytest.raises(ValueError):
             single_parity_code(1)
+
+    def test_rejects_n_beyond_an_index(self):
+        # fails before any allocation; a large n that still fits an index
+        # would try to allocate its n - 1 generator rows
+        with pytest.raises(ValueError, match="too many rows"):
+            single_parity_code(2**64)
 
     def test_distance_matches_exhaustive_search(self):
         for n in range(2, 12):
@@ -336,6 +342,12 @@ class TestVerifyProtection:
         # exactly the 3-subsets whose parity-check columns are dependent
         assert len(report.failing_patterns) == 7
         assert (0, 1, 2) in report.failing_patterns
+
+    def test_leaves_the_plan_memo_empty(self):
+        codes.repair_plan.cache_clear()
+        assert not verify_protection(hamming_code(3), 3).recoverable
+        assert verify_protection(bch_code(15, 2), 4).recoverable
+        assert codes.repair_plan.cache_info().currsize == 0
 
     def test_pattern_bound(self):
         with pytest.raises(TooManyPatterns):

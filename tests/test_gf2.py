@@ -9,6 +9,7 @@ from npcode.gf2 import (
     DimensionMismatch,
     Inconsistent,
     NoUniqueSolution,
+    SolvePlan,
     TooLarge,
     mat_mul,
     mat_vec_mul,
@@ -187,6 +188,25 @@ class TestSolve:
             b = mat_vec_mul(a.transpose(), x0)  # a @ x0 as a column system
             assert solve_system(a, b)[0] == x0
             done += 1
+
+
+    def test_one_plan_serves_every_word(self):
+        # a plan applied to word after word gives what a fresh solve gives
+        # each word, errors included: applying never changes the plan
+        rng = random.Random(41)
+        for _ in range(40):
+            width = rng.randrange(2, 8)
+            rows = [rng.randrange(1 << width) for _ in range(rng.randrange(1, 5))]
+            unknowns = rng.sample(range(width), rng.randrange(width + 1))
+            plan = SolvePlan(rows, unknowns)
+            for word in range(1 << width):
+                try:
+                    fresh = solve_with_cost(rows, unknowns, word)
+                except (Inconsistent, NoUniqueSolution) as exc:
+                    with pytest.raises(type(exc)):
+                        plan.apply(word)
+                else:
+                    assert plan.apply(word) == fresh
 
 
 class TestMinDistance:

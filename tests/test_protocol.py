@@ -5,8 +5,17 @@ from fractions import Fraction
 
 import pytest
 
-from npcode.codes import bch_code, encode, hamming_code, single_parity_code
-from npcode.gf2 import BitVector, DimensionMismatch
+from npcode import codes
+from npcode.codes import (
+    AmbiguousErasure,
+    ErasurePattern,
+    bch_code,
+    encode,
+    erasure_decode_with_cost,
+    hamming_code,
+    single_parity_code,
+)
+from npcode.gf2 import BitVector, DimensionMismatch, Inconsistent
 from npcode.netmodel import Network, PacketKind
 from npcode.protocol import (
     FailureScenario,
@@ -21,6 +30,7 @@ from npcode.protocol import (
     no_failures,
     random_failures,
     recover,
+    recover_codeword,
     run_simulation,
     simulate_rounds,
 )
@@ -284,6 +294,114 @@ class TestRecover:
             recover(code, inject_failures(sent, FailureScenario({2})), scenario, sched, 0)
         with pytest.raises(ValueError):
             next(simulate_rounds(Network.direct(5), code, sched, lambda r: scenario, 1))
+
+
+def uncached_report(code, offset, failed, codeword):
+    """One round's report from the uncached decoder: the round core as it was
+    before repair plans, kept as the reference for the memoised one."""
+    n, k = code.n, code.k
+    conn_of = connection_of_coordinate(Schedule(n, code.m, n), offset)
+    erased = [j for j, c in enumerate(conn_of) if c in failed]
+    if all(j >= k for j in erased):
+        return RecoveryReport({}, 0, 0, n, Outcome.NO_ACTION_NEEDED)
+    t = len(failed)
+    queries = n - 1 if code.m == 1 and t == 1 else max(0, n - t - 1)
+    received = [None if j in erased else codeword >> j & 1 for j in range(n)]
+    try:
+        message, xor_ops = erasure_decode_with_cost(code, received, ErasurePattern(n, erased))
+    except AmbiguousErasure:
+        return RecoveryReport({}, queries, 0, n, Outcome.UNRECOVERABLE)
+    recovered = {conn_of[j]: message[j] for j in erased if j < k}
+    return RecoveryReport(recovered, queries, xor_ops, n, Outcome.FULL_RECOVERY)
+
+
+def corrupt(packets, c):
+    flipped = list(packets)
+    flipped[c] = dataclasses.replace(packets[c], payload=1 - packets[c].payload)
+    return flipped
+
+
+class TestRepairPlanMemo:
+    @pytest.mark.parametrize(
+        "code, offsets, max_failures",
+        [
+            (single_parity_code(5), range(5), 5),
+            (hamming_code(3), range(7), 7),
+            (bch_code(15, 2), (0, 8), 5),
+        ],
+        ids=["parity5", "hamming3", "bch15"],
+    )
+    def test_agrees_with_uncached_decoder(self, code, offsets, max_failures):
+        # every failure set of up to max_failures connections at each offset,
+        # each recovered twice so that the second run reads its plan from the memo
+        rng = random.Random(code.n)
+        codes.repair_plan.cache_clear()
+        decoded = 0
+        outcomes = set()
+        for offset in offsets:
+            for t in range(max_failures + 1):
+                for failed in itertools.combinations(range(code.n), t):
+                    failed = frozenset(failed)
+                    word = encode(code, BitVector.from_int(rng.getrandbits(code.k), code.k)).bits
+                    expected = uncached_report(code, offset, failed, word)
+                    assert recover_codeword(code, offset, failed, word) == expected
+                    assert recover_codeword(code, offset, failed, word) == expected
+                    decoded += expected.outcome is not Outcome.NO_ACTION_NEEDED
+                    outcomes.add(expected.outcome)
+        assert codes.repair_plan.cache_info().hits >= decoded
+        assert outcomes == set(Outcome)
+
+    def test_corrupted_survivor_is_inconsistent_cold_and_warm(self):
+        code = hamming_code(3)
+        sched = build_schedule(7, 3, 7)
+        r = 3
+        sent = encode_round(sched, r, code, [1, 0, 1, 1])
+        lost = connection_of_coordinate(sched, r)[1]  # a data connection
+        scenario = FailureScenario({lost})
+        delivered = inject_failures(sent, scenario)
+        codes.repair_plan.cache_clear()
+        for survivor in (c for c in range(7) if c != lost):
+            with pytest.raises(Inconsistent):
+                recover(code, corrupt(delivered, survivor), scenario, sched, r)
+        info = codes.repair_plan.cache_info()
+        assert (info.misses, info.hits) == (1, 5)  # one cold miss, then the memo
+        report = recover(code, delivered, scenario, sched, r)
+        assert report.recovered == {lost: sent[lost].payload}
+
+    def test_inconsistent_comes_before_unrecoverable(self):
+        # three lost coordinates whose parity-check columns are dependent:
+        # the clean word is Unrecoverable, a corrupted survivor Inconsistent
+        code = hamming_code(3)
+        sched = build_schedule(7, 3, 7)
+        r = 5
+        conn_of = connection_of_coordinate(sched, r)
+        h_cols = [sum(code.parity_check[i, j] << i for i in range(code.m)) for j in range(7)]
+        coords = next(
+            trio for trio in itertools.combinations(range(7), 3)
+            if trio[0] < code.k and h_cols[trio[0]] ^ h_cols[trio[1]] == h_cols[trio[2]]
+        )
+        scenario = FailureScenario(conn_of[j] for j in coords)
+        delivered = inject_failures(encode_round(sched, r, code, [0, 1, 1, 0]), scenario)
+        survivor = next(c for c in range(7) if c not in scenario.failed)
+        codes.repair_plan.cache_clear()
+        for _ in range(2):  # cold, then from the memo
+            with pytest.raises(Inconsistent):
+                recover(code, corrupt(delivered, survivor), scenario, sched, r)
+            report = recover(code, delivered, scenario, sched, r)
+            assert report.outcome is Outcome.UNRECOVERABLE
+        assert codes.repair_plan.cache_info().misses == 1
+
+    def test_memo_holds_at_most_its_bound(self):
+        code = bch_code(31, 2)
+        codes.repair_plan.cache_clear()
+        rounds = 2500  # about 2,400 distinct erased sets of the C(31, 4) = 31,465
+        run_simulation(
+            Network.direct(31), code, build_schedule(31, code.m, rounds),
+            random_failures(31, 4, seed=12), rounds,
+        )
+        info = codes.repair_plan.cache_info()
+        assert info.misses > codes.PLAN_MEMO_SIZE
+        assert info.currsize == codes.PLAN_MEMO_SIZE
 
 
 class TestEndToEnd:
