@@ -101,14 +101,11 @@ class ProtectionCode:
         if not 1 <= self.d_min <= self.n:
             raise ValueError("d_min out of range")
         ident = (1 << self.k) - 1
-        for i in range(self.k):
-            if self.generator.row_word(i) & ident != 1 << i:
-                raise ValueError("generator is not in systematic form")
-        for i in range(self.k):
-            g = self.generator.row_word(i)
-            for j in range(self.m):
-                if (g & self.parity_check.row_word(j)).bit_count() & 1:
-                    raise ValueError("generator and parity check are not orthogonal")
+        gen, chk = self.generator.row_words, self.parity_check.row_words
+        if any(g & ident != 1 << i for i, g in enumerate(gen)):
+            raise ValueError("generator is not in systematic form")
+        if any((g & h).bit_count() & 1 for g in gen for h in chk):
+            raise ValueError("generator and parity check are not orthogonal")
 
     def __str__(self) -> str:
         flag = "verified" if self.d_min_verified else "declared"
@@ -337,9 +334,8 @@ def erasure_decode_with_cost(
             raise ValueError(f"symbols must be 0, 1, or None, got {sym!r}")
 
     erased = sorted(pattern.erased)
-    rows = [code.parity_check.row_word(i) for i in range(code.m)]
     try:
-        word, ops = gf2.solve_with_cost(rows, erased, value_word)
+        word, ops = gf2.solve_with_cost(code.parity_check.row_words, erased, value_word)
     except gf2.NoUniqueSolution as exc:
         raise AmbiguousErasure(
             f"erasures at {tuple(erased)} are not uniquely decodable"
@@ -356,12 +352,12 @@ def repair_plan(parity_check: BitMatrix, erased: int) -> gf2.SolvePlan:
     Plans are memoised by the matrix's content and the mask, so every code
     object with the same parity check shares them; what the memo holds
     changes how long a call takes, never what it returns.
-    :func:`erasure_decode_with_cost` builds its plan without the memo:
-    :func:`verify_protection` decodes each pattern once, so a memo would
-    only cost it time and memory.
+    :func:`erasure_decode_with_cost` and :func:`verify_protection` build
+    their plans without the memo: verify solves each pattern once, so a memo
+    would only cost it time and memory.
     """
-    rows = [parity_check.row_word(i) for i in range(parity_check.rows)]
-    return gf2.SolvePlan(rows, [j for j in range(parity_check.cols) if erased >> j & 1])
+    unknowns = [j for j in range(parity_check.cols) if erased >> j & 1]
+    return gf2.SolvePlan(parity_check.row_words, unknowns)
 
 
 def erasure_decode(
@@ -388,22 +384,17 @@ def verify_protection(code: ProtectionCode, t: int) -> ProtectionReport:
         raise TooManyPatterns(
             f"C({code.n}, {t}) = {total} exceeds {PATTERN_ENUMERATION_LIMIT}"
         )
-    # Decodability never depends on the data, so one generic probe word is
-    # enough; comparing the decoded message guards the decoder itself.
+    # Decodability never depends on the data, so one generic probe codeword is
+    # enough. A pattern fails when its plan leaves an unknown free; giving
+    # back the probe is the round-trip guard on the solver itself.
     rng = random.Random(0x4E5043)
-    message = BitVector([rng.randrange(2) for _ in range(code.k)])
-    base = list(encode(code, message))
+    message = sum(rng.randrange(2) << i for i in range(code.k))
+    probe = gf2.xor_rows(code.generator.row_words, message)
+    rows = code.parity_check.row_words
     failing = []
     for pat in itertools.combinations(range(code.n), t):
-        received = base.copy()
-        for p in pat:
-            received[p] = None
-        try:
-            decoded = erasure_decode(code, received, ErasurePattern(code.n, pat))
-        except AmbiguousErasure:
-            failing.append(pat)
-            continue
-        if decoded != message:
+        plan = gf2.SolvePlan(rows, pat)
+        if plan.free or plan.apply(probe)[0] != probe:
             failing.append(pat)
     return ProtectionReport(not failing, tuple(failing), total)
 
@@ -437,7 +428,7 @@ def parse_code_file(text: str) -> ProtectionCode:
             f"header claims {k} x {n} but the matrix is {gen.rows} x {gen.cols}"
         )
     verified = head[4] == "verified"
-    parity_rows = [gen.row_word(i) >> k for i in range(k)]
+    parity_rows = [w >> k for w in gen.row_words]
     _, chk = _assemble(parity_rows, k, n - k)
     code = ProtectionCode(n, k, n - k, gen, chk, d_min, verified)
     measured = _measured_distance(parity_rows, k, n - k)

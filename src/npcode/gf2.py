@@ -170,6 +170,11 @@ class BitMatrix:
     def cols(self) -> int:
         return self._ncols
 
+    @property
+    def row_words(self) -> tuple[int, ...]:
+        """Every packed row word, in row order."""
+        return self._words
+
     def row_word(self, i: int) -> int:
         return self._words[i]
 
@@ -239,6 +244,17 @@ class BitMatrix:
         return f"<BitMatrix {self._nrows}x{self._ncols}>"
 
 
+def xor_rows(words: Sequence[int], selector: int) -> int:
+    """XOR of the row words picked by the set bits of ``selector`` (bit i
+    picks ``words[i]``): the row vector ``selector`` times the matrix."""
+    acc = 0
+    while selector:
+        low = selector & -selector
+        acc ^= words[low.bit_length() - 1]
+        selector ^= low
+    return acc
+
+
 def mat_vec_mul(m: BitMatrix, v: BitVector | Sequence[int]) -> BitVector:
     """Row-vector times matrix: ``v @ m`` over the two-element field.
 
@@ -248,29 +264,14 @@ def mat_vec_mul(m: BitMatrix, v: BitVector | Sequence[int]) -> BitVector:
     vec = v if isinstance(v, BitVector) else BitVector(v)
     if len(vec) != m.rows:
         raise DimensionMismatch(f"vector length {len(vec)} != matrix rows {m.rows}")
-    acc = 0
-    word = vec.bits
-    while word:
-        low = word & -word
-        acc ^= m.row_word(low.bit_length() - 1)
-        word ^= low
-    return BitVector.from_int(acc, m.cols)
+    return BitVector.from_int(xor_rows(m.row_words, vec.bits), m.cols)
 
 
 def mat_mul(a: BitMatrix, b: BitMatrix) -> BitMatrix:
     """Matrix product ``a @ b`` over the two-element field."""
     if a.cols != b.rows:
         raise DimensionMismatch(f"inner dimensions differ: {a.cols} != {b.rows}")
-    words = []
-    for i in range(a.rows):
-        acc = 0
-        w = a.row_word(i)
-        while w:
-            low = w & -w
-            acc ^= b.row_word(low.bit_length() - 1)
-            w ^= low
-        words.append(acc)
-    return BitMatrix.from_row_words(words, b.cols)
+    return BitMatrix.from_row_words((xor_rows(b.row_words, w) for w in a.row_words), b.cols)
 
 
 def _eliminate(words: list[int], columns: Iterable[int]) -> tuple[list[int], list[int], int]:
@@ -302,13 +303,13 @@ def _eliminate(words: list[int], columns: Iterable[int]) -> tuple[list[int], lis
 
 def row_reduce(m: BitMatrix) -> tuple[BitMatrix, tuple[int, ...]]:
     """Reduced row echelon form and the pivot columns."""
-    words, pivots, _ = _eliminate([m.row_word(i) for i in range(m.rows)], range(m.cols))
+    words, pivots, _ = _eliminate(list(m.row_words), range(m.cols))
     return BitMatrix.from_row_words(words, m.cols), tuple(pivots)
 
 
 def rank(m: BitMatrix) -> int:
     """Row rank over the two-element field."""
-    _, pivots, _ = _eliminate([m.row_word(i) for i in range(m.rows)], range(m.cols))
+    _, pivots, _ = _eliminate(list(m.row_words), range(m.cols))
     return len(pivots)
 
 
@@ -382,7 +383,7 @@ def solve_with_cost(
     return SolvePlan(rows, unknowns).apply(word)
 
 
-def _span_words(rows: list[int]) -> list[int]:
+def _span_words(rows: Sequence[int]) -> list[int]:
     """All XOR combinations of the given rows, indexed by subset mask."""
     span = [0]
     for row in rows:
@@ -419,8 +420,8 @@ def min_distance(g: BitMatrix) -> int:
     if rank(g) != k:
         raise ValueError("generator matrix must have full row rank")
     n_words = (g.cols + 63) // 64
-    low = _pack(_span_words([g.row_word(i) for i in range(k // 2)]), n_words)
-    high = _span_words([g.row_word(i) for i in range(k // 2, k)])
+    low = _pack(_span_words(g.row_words[: k // 2]), n_words)
+    high = _span_words(g.row_words[k // 2 :])
     best = g.cols + 1
     for idx, word in enumerate(high):
         if n_words == 1:

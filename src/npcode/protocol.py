@@ -27,7 +27,7 @@ from collections.abc import Callable, Iterable, Iterator, Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from . import codes
+from . import codes, gf2
 from .codes import ProtectionCode
 from .gf2 import BitVector, DimensionMismatch, NoUniqueSolution
 from .netmodel import Network, Packet, PacketKind
@@ -249,9 +249,10 @@ class SimulationMetrics:
     """Totals over the rounds of a run, folded in one record at a time.
 
     A connection contributes working capacity in a round exactly when the
-    schedule gives it a data symbol, so the average capacity is (n - m)/n.
-    Failed links still transmit (erasure happens in flight), so transmissions
-    total rounds * n.
+    schedule gives it a data symbol, so the average capacity is (n - m)/n;
+    which connections carry parity depends only on the rotation offset
+    r mod n, so the fold counts rounds per offset. Failed links still
+    transmit (erasure happens in flight), so transmissions total rounds * n.
     """
 
     sched: Schedule
@@ -260,10 +261,13 @@ class SimulationMetrics:
     queries: int = 0
     xor_operations: int = 0
     outcomes: Counter[Outcome] = field(default_factory=Counter)
-    encoded: Counter[int] = field(default_factory=Counter)
+    per_offset: list[int] = field(init=False)
+
+    def __post_init__(self):
+        self.per_offset = [0] * self.sched.n
 
     def add(self, record: RoundRecord) -> None:
-        self.encoded.update(self.sched.scheduled(record.index))
+        self.per_offset[record.index % self.sched.n] += 1
         report = record.report
         self.rounds += 1
         self.total_transmissions += report.transmissions
@@ -273,12 +277,17 @@ class SimulationMetrics:
 
     @property
     def per_connection_encoded_counts(self) -> tuple[int, ...]:
-        return tuple(self.encoded[c] for c in range(self.sched.n))
+        counts = [0] * self.sched.n
+        for offset, rounds in enumerate(self.per_offset):
+            if rounds:  # an offset no round reached may lie past a short schedule
+                for c in self.sched.scheduled(offset):
+                    counts[c] += rounds
+        return tuple(counts)
 
     @property
     def avg_capacity(self) -> Fraction:
         slots = self.rounds * self.sched.n
-        return Fraction(slots - self.encoded.total(), slots)
+        return Fraction(slots - sum(self.per_connection_encoded_counts), slots)
 
     @property
     def recovery_rate(self) -> Fraction:
@@ -306,9 +315,10 @@ def simulate_rounds(
     if not 1 <= rounds <= sched.rounds:
         raise ValueError(f"rounds must be in [1, {sched.rounds}]")
     rng = random.Random(seed)
+    generator = code.generator.row_words
     for r in range(rounds):
         scenario = failure_model(r)
-        codeword = codes.encode(code, BitVector.from_int(rng.getrandbits(code.k), code.k)).bits
+        codeword = gf2.xor_rows(generator, rng.getrandbits(code.k))
         report = recover_codeword(code, r % code.n, scenario.failed, codeword)
         yield RoundRecord(r, codeword, scenario, report)
 

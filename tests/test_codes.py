@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 
 import pytest
@@ -325,7 +326,58 @@ class TestErasureDecode:
         assert (ops_sum, failures) == (total, ambiguous)
 
 
+def per_pattern_failing(code, t):
+    """The failing t-subsets found the slow way: erase each subset from a
+    codeword and decode it; an ambiguous pattern or a wrong message fails."""
+    rng = random.Random(code.n * 100 + t)
+    message = BitVector([rng.randrange(2) for _ in range(code.k)])
+    word = list(encode(code, message))
+    failing = []
+    for pat in itertools.combinations(range(code.n), t):
+        received = [None if j in pat else b for j, b in enumerate(word)]
+        try:
+            ok = erasure_decode(code, received, ErasurePattern(code.n, pat)) == message
+        except AmbiguousErasure:
+            ok = False
+        if not ok:
+            failing.append(pat)
+    return tuple(failing)
+
+
 class TestVerifyProtection:
+    @pytest.mark.parametrize(
+        "code, max_t",
+        [
+            (single_parity_code(6), 6),
+            (hamming_code(3), 7),
+            (bch_code(15, 2), 5),
+            (hamming_code(4), 5),
+        ],
+        ids=["parity6", "hamming3", "bch15", "hamming4"],
+    )
+    def test_matches_per_pattern_decoder(self, code, max_t):
+        failed_somewhere = False
+        for t in range(max_t + 1):
+            expected = per_pattern_failing(code, t)
+            report = verify_protection(code, t)
+            assert report.failing_patterns == expected, t
+            assert report.recoverable == (not expected)
+            assert report.patterns_checked == math.comb(code.n, t)
+            failed_somewhere |= bool(expected)
+        assert failed_somewhere
+
+    def test_round_trip_guard_catches_a_wrong_solver(self, monkeypatch):
+        apply = gf2.SolvePlan.apply
+
+        def flip_bit_0(plan, word):
+            filled, ops = apply(plan, word)
+            return filled ^ 1, ops
+
+        monkeypatch.setattr(gf2.SolvePlan, "apply", flip_bit_0)
+        for code, t in ((hamming_code(3), 2), (bch_code(15, 2), 4), (single_parity_code(6), 0)):
+            report = verify_protection(code, t)
+            assert report.failing_patterns == tuple(itertools.combinations(range(code.n), t))
+
     def test_parity_single_failure(self):
         report = verify_protection(single_parity_code(8), 1)
         assert report.recoverable

@@ -537,6 +537,19 @@ class TestRunSimulation:
 
         assert run() == run()
 
+    @pytest.mark.parametrize("rounds", [1, 3, 7, 10, 22])
+    def test_encoded_counts_match_the_schedule(self, rounds):
+        # rounds below, at and off a multiple of n = 7, against a direct count
+        code = hamming_code(3)
+        sched = build_schedule(7, 3, rounds)
+        metrics = run_simulation(Network.direct(7), code, sched, no_failures(), rounds)
+        expected = [0] * 7
+        for r in range(rounds):
+            for c in sched.scheduled(r):
+                expected[c] += 1
+        assert metrics.per_connection_encoded_counts == tuple(expected)
+        assert metrics.avg_capacity == Fraction(4, 7)
+
     def test_size_mismatch_rejected(self):
         with pytest.raises(DimensionMismatch):
             run_simulation(
@@ -546,3 +559,23 @@ class TestRunSimulation:
                 no_failures(),
                 5,
             )
+
+
+class TestPackedEncode:
+    @pytest.mark.parametrize(
+        "code", [single_parity_code(5), hamming_code(3), bch_code(15, 2)],
+        ids=["parity5", "hamming3", "bch15"],
+    )
+    def test_every_round_sends_the_codeword_of_its_data(self, code):
+        rounds = 3 * code.n
+        sched = build_schedule(code.n, code.m, rounds)
+        checks = code.parity_check.row_words
+        sent = set()
+        for rec in simulate_rounds(
+            Network.direct(code.n), code, sched, random_failures(code.n, 1, seed=4), rounds, seed=4
+        ):
+            assert all((rec.codeword & h).bit_count() % 2 == 0 for h in checks)
+            data = [rec.codeword >> j & 1 for j in range(code.k)]
+            assert rec.codeword == encode(code, data).bits
+            sent.add(rec.codeword)
+        assert len(sent) > rounds // 2  # the payloads really vary
