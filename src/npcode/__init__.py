@@ -34,10 +34,6 @@ from .netmodel import (
     Network,
     Packet,
     PacketKind,
-    average_capacity,
-    link_capacity,
-    node_degree,
-    node_degrees,
 )
 from .protocol import (
     FailureScenario,

@@ -42,9 +42,10 @@ __all__ = [
 PATTERN_ENUMERATION_LIMIT = 10**6
 
 # Repair plans kept by :func:`repair_plan`, least recently used dropped
-# first: room for each of the C(31, 2) = 465 double-erasure sets of [31,21,5]
-# twice over. A plan of that code takes 0.8 KB (2 erasures) to 0.95 KB (5).
-PLAN_MEMO_SIZE = 1024
+# first: room for all 1,941 sets of at most 4 erasures of [15,7,5], and for
+# the C(31, 2) = 465 double-erasure sets of [31,21,5] four times over. A plan
+# of that code takes 0.8 KB (2 erasures) to 1 KB (5), so at most about 2 MiB.
+PLAN_MEMO_SIZE = 2048
 
 
 class AmbiguousErasure(ValueError):
@@ -303,46 +304,6 @@ def encode(code: ProtectionCode, message: BitVector | Sequence[int]) -> BitVecto
     return gf2.mat_vec_mul(code.generator, vec)
 
 
-def erasure_decode_with_cost(
-    code: ProtectionCode,
-    received: Sequence[int | None],
-    pattern: ErasurePattern,
-) -> tuple[BitVector, int]:
-    """Recover the message from a word with erased slots, counting symbol XORs.
-
-    Decoding is one solve of the parity-check rows with the erased positions
-    as the unknowns. The count covers the XORs that accumulate the parity
-    sums of the surviving symbols plus those spent combining equations while
-    solving for the lost symbols; it depends only on the code and the
-    pattern, never on the data.
-    """
-    n, k = code.n, code.k
-    if pattern.n != n:
-        raise DimensionMismatch(f"pattern length {pattern.n} != n = {n}")
-    if len(received) != n:
-        raise DimensionMismatch(f"received length {len(received)} != n = {n}")
-    value_word = 0
-    for j, sym in enumerate(received):
-        if sym is None:
-            if j not in pattern.erased:
-                raise ValueError(f"slot {j} is erased but not in the pattern")
-        elif j in pattern.erased:
-            raise ValueError(f"slot {j} is in the pattern but carries a value")
-        elif sym == 1:
-            value_word |= 1 << j
-        elif sym != 0:
-            raise ValueError(f"symbols must be 0, 1, or None, got {sym!r}")
-
-    erased = sorted(pattern.erased)
-    try:
-        word, ops = gf2.solve_with_cost(code.parity_check.row_words, erased, value_word)
-    except gf2.NoUniqueSolution as exc:
-        raise AmbiguousErasure(
-            f"erasures at {tuple(erased)} are not uniquely decodable"
-        ) from exc
-    return BitVector.from_int(word & ((1 << k) - 1), k), ops
-
-
 @functools.lru_cache(maxsize=PLAN_MEMO_SIZE)
 def repair_plan(parity_check: BitMatrix, erased: int) -> gf2.SolvePlan:
     """The solve plan of the parity-check rows for the coordinates set in the
@@ -351,13 +312,54 @@ def repair_plan(parity_check: BitMatrix, erased: int) -> gf2.SolvePlan:
 
     Plans are memoised by the matrix's content and the mask, so every code
     object with the same parity check shares them; what the memo holds
-    changes how long a call takes, never what it returns.
-    :func:`erasure_decode_with_cost` and :func:`verify_protection` build
-    their plans without the memo: verify solves each pattern once, so a memo
-    would only cost it time and memory.
+    changes how long a call takes, never what it returns. The decoder and
+    the simulator share it; only :func:`verify_protection` builds its plans
+    without the memo: it solves each pattern once, so a memo would only cost
+    it time and memory.
     """
     unknowns = [j for j in range(parity_check.cols) if erased >> j & 1]
     return gf2.SolvePlan(parity_check.row_words, unknowns)
+
+
+def erasure_decode_with_cost(
+    code: ProtectionCode,
+    received: Sequence[int | None],
+    pattern: ErasurePattern,
+) -> tuple[BitVector, int]:
+    """Recover the message from a word with erased slots, counting symbol XORs.
+
+    Decoding applies the erased set's :func:`repair_plan`: one solve of the
+    parity-check rows with the erased positions as the unknowns. The count
+    covers the XORs that accumulate the parity sums of the surviving symbols
+    plus those spent combining equations while solving for the lost symbols;
+    it depends only on the code and the pattern, never on the data.
+    """
+    n, k = code.n, code.k
+    if pattern.n != n:
+        raise DimensionMismatch(f"pattern length {pattern.n} != n = {n}")
+    if len(received) != n:
+        raise DimensionMismatch(f"received length {len(received)} != n = {n}")
+    value_word = erased = 0
+    for j, sym in enumerate(received):
+        if sym is None:
+            if j not in pattern.erased:
+                raise ValueError(f"slot {j} is erased but not in the pattern")
+            erased |= 1 << j
+        elif j in pattern.erased:
+            raise ValueError(f"slot {j} is in the pattern but carries a value")
+        elif sym == 1:
+            value_word |= 1 << j
+        elif sym != 0:
+            raise ValueError(f"symbols must be 0, 1, or None, got {sym!r}")
+
+    plan = repair_plan(code.parity_check, erased)
+    try:
+        word = plan.apply(value_word)
+    except gf2.NoUniqueSolution as exc:
+        raise AmbiguousErasure(
+            f"erasures at {tuple(sorted(pattern.erased))} are not uniquely decodable"
+        ) from exc
+    return BitVector.from_int(word & ((1 << k) - 1), k), plan.ops
 
 
 def erasure_decode(
@@ -394,7 +396,7 @@ def verify_protection(code: ProtectionCode, t: int) -> ProtectionReport:
     failing = []
     for pat in itertools.combinations(range(code.n), t):
         plan = gf2.SolvePlan(rows, pat)
-        if plan.free or plan.apply(probe)[0] != probe:
+        if plan.free or plan.apply(probe) != probe:
             failing.append(pat)
     return ProtectionReport(not failing, tuple(failing), total)
 

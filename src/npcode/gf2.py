@@ -53,10 +53,6 @@ class BitVector:
         self._bits = bits
 
     @classmethod
-    def zeros(cls, length: int) -> "BitVector":
-        return cls.from_int(0, length)
-
-    @classmethod
     def from_int(cls, bits: int, length: int) -> "BitVector":
         """Build a vector of ``length`` entries from a packed word (bit i = entry i)."""
         if length < 1:
@@ -71,10 +67,6 @@ class BitVector:
     @property
     def bits(self) -> int:
         return self._bits
-
-    def weight(self) -> int:
-        """Number of 1-entries."""
-        return self._bits.bit_count()
 
     def to_tuple(self) -> tuple[int, ...]:
         return tuple(self)
@@ -177,9 +169,6 @@ class BitMatrix:
 
     def row_word(self, i: int) -> int:
         return self._words[i]
-
-    def row(self, i: int) -> BitVector:
-        return BitVector.from_int(self._words[i], self._ncols)
 
     def __getitem__(self, ij: tuple[int, int]) -> int:
         i, j = ij
@@ -320,7 +309,6 @@ class SolvePlan:
 
     Attributes:
         known: mask of the bits that are not unknowns.
-        ops: the XOR count that :func:`solve_with_cost` reports.
         residual: the eliminated rows left without a pivot; every solvable
             word has even overlap with each of them.
         pivots: (mask, position) per pinned unknown: the XOR of the word's
@@ -328,7 +316,7 @@ class SolvePlan:
         free: the number of unknowns that no row pins down.
     """
 
-    __slots__ = ("known", "ops", "residual", "pivots", "free")
+    __slots__ = ("known", "residual", "pivots", "free", "_rows", "_combos", "_ops")
 
     def __init__(self, rows: Sequence[int], unknowns: Sequence[int]):
         mask = 0
@@ -338,14 +326,24 @@ class SolvePlan:
         eqs, cols, combos = _eliminate(list(rows), unknowns)
         pinned = len(cols)
         self.known = known
-        self.ops = sum(max(0, (row & known).bit_count() - 1) for row in rows) + combos
         self.residual = tuple(eqs[pinned:])
         self.pivots = tuple(zip([w & known for w in eqs[:pinned]], cols))
         self.free = len(unknowns) - pinned
+        self._rows = tuple(rows)
+        self._combos = combos
+        self._ops = None
 
-    def apply(self, word: int) -> tuple[int, int]:
+    @property
+    def ops(self) -> int:
+        """The XOR count that :func:`solve_with_cost` reports, worked out the
+        first time it is read and then kept."""
+        if self._ops is None:
+            known = self.known
+            self._ops = sum(max(0, (row & known).bit_count() - 1) for row in self._rows) + self._combos
+        return self._ops
+
+    def apply(self, word: int) -> int:
         """Fill the unknown bits of ``word``; its bits there are ignored.
-        Returns the filled word and :attr:`ops`.
 
         Raises:
             Inconsistent: no filling satisfies every row.
@@ -360,7 +358,7 @@ class SolvePlan:
         filled = word
         for w, col in self.pivots:
             filled |= ((w & word).bit_count() & 1) << col
-        return filled, self.ops
+        return filled
 
 
 def solve_with_cost(
@@ -373,14 +371,15 @@ def solve_with_cost(
     The second return value counts symbol XORs: per row, one for each known
     term after the first (accumulating the row's known sum), plus one per
     row combination while eliminating. It depends only on the rows and the
-    unknowns, never on the word: it is the :class:`SolvePlan` of
-    (rows, unknowns) applied to ``word``.
+    unknowns, never on the word: it is the :attr:`SolvePlan.ops` of
+    (rows, unknowns).
 
     Raises:
         Inconsistent: no filling satisfies every row.
         NoUniqueSolution: the rows are consistent but leave unknowns free.
     """
-    return SolvePlan(rows, unknowns).apply(word)
+    plan = SolvePlan(rows, unknowns)
+    return plan.apply(word), plan.ops
 
 
 def _span_words(rows: Sequence[int]) -> list[int]:

@@ -1,4 +1,4 @@
-"""Sources, receivers, disjoint connection paths, packets, and capacity.
+"""Sources, receivers, disjoint connection paths, and packets.
 
 The topology is declared rather than routed: each connection is an opaque
 channel along a fixed edge path, and the only constraint checked is that no
@@ -8,9 +8,8 @@ two connections share an edge.
 from __future__ import annotations
 
 import enum
-from collections.abc import Hashable, Iterable, Sequence
+from collections.abc import Hashable, Iterable
 from dataclasses import dataclass
-from fractions import Fraction
 
 
 class PacketKind(enum.Enum):
@@ -59,8 +58,7 @@ class Connection:
 class Network:
     """n pairwise edge-disjoint connections with a per-link active flag.
 
-    Only the active flags mutate after construction, through ``set_active``,
-    ``fail`` and ``repair``.
+    Only the active flags mutate after construction, through ``set_active``.
     """
 
     def __init__(self, connections: Iterable[Connection]):
@@ -111,37 +109,3 @@ class Network:
     def set_active(self, i: int, active: bool) -> None:
         self._check_index(i)
         self._active[i] = bool(active)
-
-    def fail(self, i: int) -> None:
-        self.set_active(i, False)
-
-    def repair(self, i: int) -> None:
-        self.set_active(i, True)
-
-
-def link_capacity(net: Network, i: int) -> int:
-    """1 while connection i is active, 0 while it is down."""
-    return 1 if net.is_active(i) else 0
-
-
-def average_capacity(net: Network) -> Fraction:
-    """Active links over total links, as an exact fraction."""
-    return Fraction(sum(link_capacity(net, i) for i in range(net.n)), net.n)
-
-
-def node_degrees(net: Network) -> dict[Hashable, int]:
-    """Distinct-neighbor count for every node that appears in the network."""
-    neighbors: dict[Hashable, set[Hashable]] = {}
-    for c in net.connections:
-        for u, v in c.link:
-            neighbors.setdefault(u, set()).add(v)
-            neighbors.setdefault(v, set()).add(u)
-    return {node: len(adj) for node, adj in neighbors.items()}
-
-
-def node_degree(net: Network, u: Hashable) -> int:
-    """Number of nodes with a direct edge to u; KeyError for unknown nodes."""
-    degrees = node_degrees(net)
-    if u not in degrees:
-        raise KeyError(f"unknown node {u!r}")
-    return degrees[u]

@@ -152,11 +152,11 @@ def recover_codeword(
 
     plan = codes.repair_plan(code.parity_check, erased)
     try:
-        word, xor_ops = plan.apply(codeword)
+        word = plan.apply(codeword)
     except NoUniqueSolution:
         return RecoveryReport({}, queries, 0, n, Outcome.UNRECOVERABLE)
     recovered = {conn_of[j]: word >> j & 1 for _, j in plan.pivots if j < k}
-    return RecoveryReport(recovered, queries, xor_ops, n, Outcome.FULL_RECOVERY)
+    return RecoveryReport(recovered, queries, plan.ops, n, Outcome.FULL_RECOVERY)
 
 
 def encode_round(

@@ -5,17 +5,16 @@ from fractions import Fraction
 
 import pytest
 
-from npcode import codes
+from npcode import codes, gf2
 from npcode.codes import (
-    AmbiguousErasure,
     ErasurePattern,
     bch_code,
     encode,
-    erasure_decode_with_cost,
+    erasure_decode,
     hamming_code,
     single_parity_code,
 )
-from npcode.gf2 import BitVector, DimensionMismatch, Inconsistent
+from npcode.gf2 import BitVector, DimensionMismatch, Inconsistent, NoUniqueSolution
 from npcode.netmodel import Network, PacketKind
 from npcode.protocol import (
     FailureScenario,
@@ -297,8 +296,8 @@ class TestRecover:
 
 
 def uncached_report(code, offset, failed, codeword):
-    """One round's report from the uncached decoder: the round core as it was
-    before repair plans, kept as the reference for the memoised one."""
+    """One round's report from a cold solve plan built outside the memo: the
+    reference for the memoised round core."""
     n, k = code.n, code.k
     conn_of = connection_of_coordinate(Schedule(n, code.m, n), offset)
     erased = [j for j, c in enumerate(conn_of) if c in failed]
@@ -306,13 +305,13 @@ def uncached_report(code, offset, failed, codeword):
         return RecoveryReport({}, 0, 0, n, Outcome.NO_ACTION_NEEDED)
     t = len(failed)
     queries = n - 1 if code.m == 1 and t == 1 else max(0, n - t - 1)
-    received = [None if j in erased else codeword >> j & 1 for j in range(n)]
+    plan = gf2.SolvePlan(code.parity_check.row_words, erased)
     try:
-        message, xor_ops = erasure_decode_with_cost(code, received, ErasurePattern(n, erased))
-    except AmbiguousErasure:
+        word = plan.apply(codeword)
+    except NoUniqueSolution:
         return RecoveryReport({}, queries, 0, n, Outcome.UNRECOVERABLE)
-    recovered = {conn_of[j]: message[j] for j in erased if j < k}
-    return RecoveryReport(recovered, queries, xor_ops, n, Outcome.FULL_RECOVERY)
+    recovered = {conn_of[j]: word >> j & 1 for j in erased if j < k}
+    return RecoveryReport(recovered, queries, plan.ops, n, Outcome.FULL_RECOVERY)
 
 
 def corrupt(packets, c):
@@ -350,6 +349,26 @@ class TestRepairPlanMemo:
                     outcomes.add(expected.outcome)
         assert codes.repair_plan.cache_info().hits >= decoded
         assert outcomes == set(Outcome)
+
+    def test_decoder_and_simulator_share_plans(self):
+        # a plan the decoder built serves the round core, and the other way
+        # round: the second use of each erased set is a memo hit
+        code = hamming_code(4)
+        n, offset = code.n, 3
+        conn_of = connection_of_coordinate(Schedule(n, code.m, n), offset)
+        word = encode(code, BitVector.from_int(0b10110011101, code.k)).bits
+        for erased in ((1, 6), (0, 13)):
+            failed = frozenset(conn_of[j] for j in erased)
+            received = [None if j in erased else word >> j & 1 for j in range(n)]
+            pattern = ErasurePattern(n, erased)
+            decode = lambda: erasure_decode(code, received, pattern)
+            core = lambda: recover_codeword(code, offset, failed, word)
+            for first, second in ((decode, core), (core, decode)):
+                codes.repair_plan.cache_clear()
+                first()
+                assert codes.repair_plan.cache_info()[:2] == (0, 1)  # (hits, misses)
+                second()
+                assert codes.repair_plan.cache_info()[:2] == (1, 1)
 
     def test_corrupted_survivor_is_inconsistent_cold_and_warm(self):
         code = hamming_code(3)
@@ -429,7 +448,7 @@ class TestEndToEnd:
         # every rotation offset of [7,4,3] under every one of the 2^7 failure
         # sets, against brute-force enumeration of the agreeing messages
         code = hamming_code(3)
-        g_rows = [list(code.generator.row(i)) for i in range(code.k)]
+        g_rows = [[w >> j & 1 for j in range(code.n)] for w in code.generator.row_words]
         sched = build_schedule(7, 3, 7)
         outcomes = set()
         for mask in range(1 << 7):
