@@ -313,9 +313,7 @@ def repair_plan(parity_check: BitMatrix, erased: int) -> gf2.SolvePlan:
     Plans are memoised by the matrix's content and the mask, so every code
     object with the same parity check shares them; what the memo holds
     changes how long a call takes, never what it returns. The decoder and
-    the simulator share it; only :func:`verify_protection` builds its plans
-    without the memo: it solves each pattern once, so a memo would only cost
-    it time and memory.
+    the simulator share it; :func:`verify_protection` needs no plans.
     """
     unknowns = [j for j in range(parity_check.cols) if erased >> j & 1]
     return gf2.SolvePlan(parity_check.row_words, unknowns)
@@ -377,8 +375,26 @@ def erasure_decode(
     return message
 
 
+def _leaf_solve(basis: Sequence[tuple[int, int, int]], syndrome: int) -> tuple[int, int]:
+    """The syndrome reduced against the walk's basis, and the mask of the
+    erased positions whose columns XOR to the part the basis explained."""
+    combination = 0
+    for vector, pivot, positions in basis:
+        if syndrome & pivot:
+            syndrome ^= vector
+            combination ^= positions
+    return syndrome, combination
+
+
 def verify_protection(code: ProtectionCode, t: int) -> ProtectionReport:
-    """Try to decode every t-subset of erased positions; list the failures."""
+    """Check every t-subset of erased positions; list the failures in order.
+
+    A pattern is recoverable exactly when its columns of the parity check
+    are independent. The walk goes depth first over a basis of the prefix's
+    columns: a column that reduces to zero fails every extension of its
+    prefix unchecked. At each other leaf the basis must rebuild a probe
+    codeword from its surviving symbols, a round trip that guards the solver.
+    """
     if not 0 <= t <= code.n:
         raise ValueError(f"t must be in [0, {code.n}], got {t}")
     total = math.comb(code.n, t)
@@ -386,19 +402,44 @@ def verify_protection(code: ProtectionCode, t: int) -> ProtectionReport:
         raise TooManyPatterns(
             f"C({code.n}, {t}) = {total} exceeds {PATTERN_ENUMERATION_LIMIT}"
         )
-    # Decodability never depends on the data, so one generic probe codeword is
-    # enough. A pattern fails when its plan leaves an unknown free; giving
-    # back the probe is the round-trip guard on the solver itself.
     rng = random.Random(0x4E5043)
     message = sum(rng.randrange(2) << i for i in range(code.k))
     probe = gf2.xor_rows(code.generator.row_words, message)
-    rows = code.parity_check.row_words
-    failing = []
-    for pat in itertools.combinations(range(code.n), t):
-        plan = gf2.SolvePlan(rows, pat)
-        if plan.free or plan.apply(probe) != probe:
-            failing.append(pat)
-    return ProtectionReport(not failing, tuple(failing), total)
+    n, cols = code.n, code.parity_check.transpose().row_words
+    failing, prefix, basis = [], [], []
+    # Per depth: the syndrome of the probe's surviving symbols and the probe
+    # on the erased positions. The first syndrome, the whole probe's, is zero
+    # for a codeword; any other probe fails every pattern.
+    frames = [(gf2.xor_rows(cols, probe), 0)]
+    j = 0
+    while True:
+        depth = len(prefix)
+        syndrome, expected = frames[-1]
+        if depth < t and n - j >= t - depth:
+            vector, positions = cols[j], 1 << j
+            for w, pivot, c in basis:
+                if vector & pivot:
+                    vector ^= w
+                    positions ^= c
+            if vector:
+                bit = probe & 1 << j
+                frames.append((syndrome ^ cols[j] if bit else syndrome, expected | bit))
+                basis.append((vector, vector & -vector, positions))
+                prefix.append(j)
+            else:
+                rest = itertools.combinations(range(j + 1, n), t - depth - 1)
+                failing.extend((*prefix, j) + tail for tail in rest)
+            j += 1
+            continue
+        if depth == t:
+            residue, combination = _leaf_solve(basis, syndrome)
+            if residue or combination != expected:
+                failing.append(tuple(prefix))
+        if not prefix:
+            return ProtectionReport(not failing, tuple(failing), total)
+        j = prefix.pop() + 1
+        basis.pop()
+        frames.pop()
 
 
 def format_code_file(code: ProtectionCode) -> str:

@@ -109,7 +109,7 @@ class BitVector:
 class BitMatrix:
     """Immutable dense matrix over {0, 1}, one packed word per row."""
 
-    __slots__ = ("_nrows", "_ncols", "_words")
+    __slots__ = ("_nrows", "_ncols", "_words", "_hash")
 
     def __init__(self, rows: Iterable[Iterable[int]]):
         words: list[int] = []
@@ -133,6 +133,7 @@ class BitMatrix:
         self._nrows = len(words)
         self._ncols = ncols
         self._words = tuple(words)
+        self._hash = hash((ncols, self._words))
 
     @classmethod
     def identity(cls, n: int) -> "BitMatrix":
@@ -152,6 +153,7 @@ class BitMatrix:
         m._nrows = len(words)
         m._ncols = cols
         m._words = words
+        m._hash = hash((cols, words))
         return m
 
     @property
@@ -227,7 +229,7 @@ class BitMatrix:
         return self._ncols == other._ncols and self._words == other._words
 
     def __hash__(self) -> int:
-        return hash((self._ncols, self._words))
+        return self._hash
 
     def __repr__(self) -> str:
         return f"<BitMatrix {self._nrows}x{self._ncols}>"

@@ -174,6 +174,18 @@ class TestVerify:
     def test_missing_file_exits_2(self, tmp_path):
         assert main(["verify", str(tmp_path / "absent.npc"), "--t", "1"]) == 2
 
+    def test_bch31_t5_failing_list_pinned(self, tmp_path, capsys):
+        # the benchmark's verify-bch31-t5 command: its 186 failing patterns
+        # are the supports of the weight-5 codewords, listed byte for byte
+        path = self.make_code_file(tmp_path, "bch", n=31, design_t=2)
+        capsys.readouterr()
+        assert main(["verify", str(path), "--t", "5"]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == "failed: 186 of 169911 patterns unrecoverable\n"
+        assert hashlib.sha256(captured.out.encode()).hexdigest() == (
+            "1b380abd4d1cb72615b89bf2006ce5beeeaf6440b6996459dc29071b9a68c86b"
+        )
+
     def test_pattern_bound_exits_2(self, tmp_path):
         path = self.make_code_file(tmp_path, "bch", n=63, design_t=1)
         assert main(["verify", str(path), "--t", "31"]) == 2

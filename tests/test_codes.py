@@ -1,8 +1,11 @@
+import dataclasses
 import itertools
 import math
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from npcode import codes, gf2
 from npcode.codes import (
@@ -361,6 +364,59 @@ def per_pattern_failing(code, t):
     return tuple(failing)
 
 
+def systematic_code(k, m, parity_rows):
+    """The code with generator [I_k | P] for the packed rows of P, built
+    without the library's constructors; d_min is measured naively."""
+    gen = [(1 << i) | p << k for i, p in enumerate(parity_rows)]
+    chk = [
+        1 << (k + j) | sum((p >> j & 1) << i for i, p in enumerate(parity_rows))
+        for j in range(m)
+    ]
+    g_rows = [[w >> j & 1 for j in range(k + m)] for w in gen]
+    return ProtectionCode(
+        k + m, k, m,
+        BitMatrix.from_row_words(gen, k + m),
+        BitMatrix.from_row_words(chk, k + m),
+        min_distance_naive(g_rows),
+        True,
+    )
+
+
+@st.composite
+def systematic_parity_rows(draw):
+    """(k, m, packed rows of P) for k <= 8, m <= 6; zero and repeated
+    columns of H come up often at these widths."""
+    k = draw(st.integers(1, 8))
+    m = draw(st.integers(1, 6))
+    rows = draw(st.lists(st.integers(0, (1 << m) - 1), min_size=k, max_size=k))
+    return k, m, rows
+
+
+def failing_by_codeword_supports(code):
+    """Per t, the t-subsets that contain the support of a nonzero codeword,
+    in lexicographic order: exactly the patterns that erase information.
+    Every codeword is enumerated naively, and a subset is marked when it or
+    one of its subsets one position smaller is."""
+    n = code.n
+    g_rows = as_lists(code.generator)
+    contains_support = bytearray(1 << n)
+    for message in itertools.product((0, 1), repeat=code.k):
+        if any(message):
+            word = encode_naive(g_rows, message)
+            contains_support[sum(b << j for j, b in enumerate(word))] = 1
+    for subset in range(1 << n):
+        if contains_support[subset]:
+            for j in range(n):
+                contains_support[subset | 1 << j] = 1
+    return [
+        tuple(
+            pat for pat in itertools.combinations(range(n), t)
+            if contains_support[sum(1 << j for j in pat)]
+        )
+        for t in range(n + 1)
+    ]
+
+
 class TestVerifyProtection:
     @pytest.mark.parametrize(
         "code, max_t",
@@ -384,14 +440,29 @@ class TestVerifyProtection:
         assert failed_somewhere
 
     def test_round_trip_guard_catches_a_wrong_solver(self, monkeypatch):
-        apply = gf2.SolvePlan.apply
+        leaf_solve = codes._leaf_solve
 
-        def flip_bit_0(plan, word):
-            return apply(plan, word) ^ 1
+        def flip_bit_0(basis, syndrome):
+            residue, combination = leaf_solve(basis, syndrome)
+            return residue, combination ^ 1
 
-        monkeypatch.setattr(gf2.SolvePlan, "apply", flip_bit_0)
+        monkeypatch.setattr(codes, "_leaf_solve", flip_bit_0)
         for code, t in ((hamming_code(3), 2), (bch_code(15, 2), 4), (single_parity_code(6), 0)):
             report = verify_protection(code, t)
+            assert report.failing_patterns == tuple(itertools.combinations(range(code.n), t))
+
+    def test_a_probe_outside_the_code_fails_every_pattern(self):
+        # each generator row moved off the code by its own parity bit: with
+        # k <= m every nonzero probe then has a nonzero syndrome, so no
+        # pattern round-trips, not even the empty one
+        code = bch_code(15, 2)
+        rows = [w ^ 1 << (code.k + i) for i, w in enumerate(code.generator.row_words)]
+        off_code = object.__new__(ProtectionCode)
+        for field in dataclasses.fields(code):
+            object.__setattr__(off_code, field.name, getattr(code, field.name))
+        object.__setattr__(off_code, "generator", BitMatrix.from_row_words(rows, code.n))
+        for t in (0, 2, 4):
+            report = verify_protection(off_code, t)
             assert report.failing_patterns == tuple(itertools.combinations(range(code.n), t))
 
     def test_parity_single_failure(self):
@@ -416,6 +487,33 @@ class TestVerifyProtection:
         assert not verify_protection(hamming_code(3), 3).recoverable
         assert verify_protection(bch_code(15, 2), 4).recoverable
         assert codes.repair_plan.cache_info().currsize == 0
+
+    @pytest.mark.parametrize(
+        "code, a_d",
+        [
+            (bch_code(15, 2), 18),
+            (hamming_code(4), 35),
+            (hamming_code(3), 7),
+            (single_parity_code(6), 15),
+        ],
+        ids=["bch15", "hamming4", "hamming3", "parity6"],
+    )
+    def test_matches_codeword_supports(self, code, a_d):
+        expected = failing_by_codeword_supports(code)
+        for t in range(code.n + 1):
+            assert verify_protection(code, t).failing_patterns == expected[t], t
+        assert len(expected[code.d_min]) == a_d
+
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(systematic_parity_rows())
+    # a zero column of H (position 0), and columns 1, 2 and k equal
+    @example((3, 2, [0, 1, 1]))
+    def test_matches_codeword_supports_on_random_codes(self, drawn):
+        k, m, parity_rows = drawn
+        code = systematic_code(k, m, parity_rows)
+        expected = failing_by_codeword_supports(code)
+        for t in range(code.n + 1):
+            assert verify_protection(code, t).failing_patterns == expected[t], t
 
     def test_pattern_bound(self):
         with pytest.raises(TooManyPatterns):

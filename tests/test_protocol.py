@@ -14,7 +14,7 @@ from npcode.codes import (
     hamming_code,
     single_parity_code,
 )
-from npcode.gf2 import BitVector, DimensionMismatch, Inconsistent, NoUniqueSolution
+from npcode.gf2 import BitMatrix, BitVector, DimensionMismatch, Inconsistent, NoUniqueSolution
 from npcode.netmodel import Network, PacketKind
 from npcode.protocol import (
     FailureScenario,
@@ -409,6 +409,17 @@ class TestRepairPlanMemo:
             report = recover(code, delivered, scenario, sched, r)
             assert report.outcome is Outcome.UNRECOVERABLE
         assert codes.repair_plan.cache_info().misses == 1
+
+    def test_equal_matrices_share_one_plan(self):
+        # one parity check built from 0/1 rows and from packed row words
+        rows = [[1, 1, 0, 1, 1, 0, 0], [1, 0, 1, 1, 0, 1, 0], [0, 1, 1, 1, 0, 0, 1]]
+        by_rows = BitMatrix(rows)
+        by_words = BitMatrix.from_row_words([sum(b << j for j, b in enumerate(r)) for r in rows], 7)
+        assert by_rows == by_words and hash(by_rows) == hash(by_words)
+        codes.repair_plan.cache_clear()
+        assert codes.repair_plan(by_rows, 0b11) is codes.repair_plan(by_words, 0b11)
+        info = codes.repair_plan.cache_info()
+        assert (info.misses, info.hits, info.currsize) == (1, 1, 1)
 
     def test_memo_holds_at_most_its_bound(self):
         code = bch_code(31, 2)
