@@ -17,7 +17,7 @@ from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 
 from . import gf2
-from .gf2 import BitMatrix, BitVector, DimensionMismatch, Inconsistent, TooLarge
+from .gf2 import BitMatrix, BitVector, DimensionMismatch, Inconsistent
 
 __all__ = [
     "AmbiguousErasure",
@@ -137,17 +137,15 @@ def _assemble(parity_rows: Sequence[int], k: int, m: int) -> tuple[BitMatrix, Bi
     return gen, BitMatrix.from_row_words(h_words, k + m)
 
 
-def _build(parity_rows: Sequence[int], k: int, m: int, d_min: int, verified: bool) -> ProtectionCode:
+def _build(
+    parity_rows: Sequence[int], k: int, m: int, d_min: int | None = None, verified: bool = True
+) -> ProtectionCode:
+    """The code with parity part ``parity_rows``; with no ``d_min`` given,
+    the distance is measured by :func:`gf2.min_distance` and flagged verified."""
     gen, chk = _assemble(parity_rows, k, m)
+    if d_min is None:
+        d_min = gf2.min_distance(gen)
     return ProtectionCode(k + m, k, m, gen, chk, d_min, verified)
-
-
-def _measured_distance(parity_rows: Sequence[int], k: int, m: int) -> int | None:
-    """Exhaustive minimum distance, or None above the enumeration bound."""
-    if k > gf2.MIN_DISTANCE_ROW_LIMIT:
-        return None
-    gen, _ = _assemble(parity_rows, k, m)
-    return gf2.min_distance(gen)
 
 
 def single_parity_code(n: int) -> ProtectionCode:
@@ -165,17 +163,13 @@ def hamming_code(mu: int) -> ProtectionCode:
     Parity-check columns enumerate every nonzero mu-bit pattern: the
     weight->=2 patterns in ascending order form the data columns, the
     weight-1 patterns form the identity tail. The distance is confirmed by
-    exhaustive search for mu <= 5 and declared for mu = 6.
+    exhaustive search for every mu, over at most 2^mu words (of the dual).
     """
     if not 2 <= mu <= 6:
         raise ValueError(f"mu must be in [2, 6], got {mu}")
     n = (1 << mu) - 1
     parity_rows = [v for v in range(1, n + 1) if v & (v - 1)]
-    k = len(parity_rows)
-    measured = _measured_distance(parity_rows, k, mu)
-    if measured is None:
-        return _build(parity_rows, k, mu, 3, False)
-    return _build(parity_rows, k, mu, measured, True)
+    return _build(parity_rows, len(parity_rows), mu)
 
 
 # Primitive polynomials for the extension fields backing the BCH constructions,
@@ -250,8 +244,8 @@ def bch_code(n: int, design_t: int) -> ProtectionCode:
     The generator polynomial is the product of the minimal polynomials of
     the first 2*design_t powers of the field generator, which guarantees a
     distance of at least 2*design_t + 1. The stored d_min is the measured
-    distance when the message space fits the enumeration bound, otherwise
-    the declared design value. The message length k falls out of the
+    distance (every supported length has n - k <= 12, well inside the
+    enumeration bound). The message length k falls out of the
     generator-polynomial degree; it is not a free parameter.
     """
     if n not in (7, 15, 31, 63) or design_t not in (1, 2):
@@ -266,11 +260,7 @@ def bch_code(n: int, design_t: int) -> ProtectionCode:
     words, pivots, _ = gf2._eliminate([g << i for i in range(k)], range(n))
     if list(pivots) != list(range(k)):
         raise RuntimeError("cyclic generator rows did not reduce to systematic form")
-    parity_rows = [w >> k for w in words]
-    measured = _measured_distance(parity_rows, k, n - k)
-    if measured is None:
-        return _build(parity_rows, k, n - k, 2 * design_t + 1, False)
-    return _build(parity_rows, k, n - k, measured, True)
+    return _build([w >> k for w in words], k, n - k)
 
 
 def shorten(code: ProtectionCode, drop: Iterable[int]) -> ProtectionCode:
@@ -290,10 +280,9 @@ def shorten(code: ProtectionCode, drop: Iterable[int]) -> ProtectionCode:
     keep = [i for i in range(code.k) if i not in dropped]
     parity_rows = [code.generator.row_word(i) >> code.k for i in keep]
     k2 = len(keep)
-    measured = _measured_distance(parity_rows, k2, code.m)
-    if measured is None:
+    if min(k2, code.m) > gf2.MIN_DISTANCE_ROW_LIMIT:
         return _build(parity_rows, k2, code.m, code.d_min, code.d_min_verified)
-    return _build(parity_rows, k2, code.m, measured, True)
+    return _build(parity_rows, k2, code.m)
 
 
 def encode(code: ProtectionCode, message: BitVector | Sequence[int]) -> BitVector:
@@ -451,8 +440,8 @@ def format_code_file(code: ProtectionCode) -> str:
 def parse_code_file(text: str) -> ProtectionCode:
     """Parse :func:`format_code_file` output, rejecting mismatched dimensions.
 
-    The header's distance is measured whenever k fits the enumeration bound,
-    and a ``verified`` flag above that bound is rejected.
+    The header's distance is measured whenever min(k, n - k) fits the
+    enumeration bound, and a ``verified`` flag above that bound is rejected.
     """
     lines = text.splitlines()
     if not lines:
@@ -471,12 +460,12 @@ def parse_code_file(text: str) -> ProtectionCode:
             f"header claims {k} x {n} but the matrix is {gen.rows} x {gen.cols}"
         )
     verified = head[4] == "verified"
-    parity_rows = [w >> k for w in gen.row_words]
-    _, chk = _assemble(parity_rows, k, n - k)
+    _, chk = _assemble([w >> k for w in gen.row_words], k, n - k)
     code = ProtectionCode(n, k, n - k, gen, chk, d_min, verified)
-    measured = _measured_distance(parity_rows, k, n - k)
-    if measured is None and verified:
-        raise ValueError(f"k = {k} is too large to verify the distance by enumeration")
-    if measured is not None and measured != d_min:
-        raise ValueError(f"header claims d_min = {d_min} but the code has d_min = {measured}")
+    if min(k, n - k) <= gf2.MIN_DISTANCE_ROW_LIMIT:
+        measured = gf2.min_distance(gen)
+        if measured != d_min:
+            raise ValueError(f"header claims d_min = {d_min} but the code has d_min = {measured}")
+    elif verified:
+        raise ValueError(f"min(k, n - k) = {min(k, n - k)} is too large to verify the distance by enumeration")
     return code

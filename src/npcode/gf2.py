@@ -8,13 +8,12 @@ safe to share between threads.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Sequence
+import math
+from collections.abc import Iterable, Iterator, Sequence
 
-import numpy as np
-
-# Exhaustive minimum-distance search enumerates 2^rows codewords; this bound
-# keeps the largest supported search (rows = 26) under a few seconds.
-MIN_DISTANCE_ROW_LIMIT = 26
+# The minimum-distance search enumerates 2^min(k, n - k) words, of the code
+# or of its dual; at the bound of 20 that is about 0.2 s of pure Python.
+MIN_DISTANCE_ROW_LIMIT = 20
 
 
 class DimensionMismatch(ValueError):
@@ -384,61 +383,70 @@ def solve_with_cost(
     return plan.apply(word), plan.ops
 
 
-def _span_words(rows: Sequence[int]) -> list[int]:
-    """All XOR combinations of the given rows, indexed by subset mask."""
-    span = [0]
-    for row in rows:
-        span.extend([t ^ row for t in span])
-    return span
+def _span_weights(rows: Sequence[int], n: int) -> list[int]:
+    """Weight histogram (index 0..n) of every XOR combination of the rows,
+    walked in Gray-code order: each word is one XOR away from the last."""
+    hist = [1] + [0] * n
+    word = 0
+    for i in range(1, 1 << len(rows)):
+        word ^= rows[(i & -i).bit_length() - 1]
+        hist[word.bit_count()] += 1
+    return hist
 
 
-def _pack(span: list[int], n_words: int) -> np.ndarray:
-    if n_words == 1:
-        return np.fromiter(span, dtype=np.uint64, count=len(span))
-    mask = (1 << 64) - 1
-    return np.array(
-        [[(x >> (64 * w)) & mask for w in range(n_words)] for x in span],
-        dtype=np.uint64,
-    )
+def _weight_counts(g: BitMatrix) -> Iterator[int]:
+    """Yield A_0, A_1, ..., A_n, the number of codewords of each weight in
+    the code spanned by the k rows of g, enumerating the code if k <= n - k
+    and its dual otherwise. From the dual's counts B_j, each A_w is the
+    MacWilliams sum 2^-m * sum_j B_j K_w(j), m = n - k, with the Krawtchouk
+    value K_w(j) = sum_s (-1)^s C(j, s) C(n - j, w - s).
+
+    Raises:
+        TooLarge: both k and n - k exceed MIN_DISTANCE_ROW_LIMIT.
+        ValueError: g does not have full row rank.
+        RuntimeError: a MacWilliams sum is negative or not a multiple of 2^m.
+    """
+    k, n = g.rows, g.cols
+    m = n - k
+    if min(k, m) > MIN_DISTANCE_ROW_LIMIT:
+        raise TooLarge(f"enumeration supports min(k, n - k) <= {MIN_DISTANCE_ROW_LIMIT}, got {k}, {m}")
+    words, pivots, _ = _eliminate(list(g.row_words), range(n))
+    if len(pivots) != k:
+        raise ValueError("generator matrix must have full row rank")
+    if k <= m:
+        yield from _span_weights(words, n)
+        return
+    # The dual word of non-pivot column c: bit c plus the pivot of every row with bit c set.
+    dual = [
+        (1 << c) | sum(1 << p for row, p in zip(words, pivots) if (row >> c) & 1)
+        for c in range(n)
+        if c not in pivots
+    ]
+    dual_counts = [(j, b) for j, b in enumerate(_span_weights(dual, n)) if b]
+    for w in range(n + 1):
+        total = sum(
+            b * sum((-1) ** s * math.comb(j, s) * math.comb(n - j, w - s) for s in range(min(j, w) + 1))
+            for j, b in dual_counts
+        )
+        count, rest = divmod(total, 1 << m)
+        if rest or count < 0:
+            raise RuntimeError(f"MacWilliams sum {total} for weight {w} is not 2^{m} times a count")
+        yield count
+
+
+def _weight_distribution(g: BitMatrix) -> list[int]:
+    """A_0..A_n of the code spanned by the rows of g (see :func:`_weight_counts`)."""
+    return list(_weight_counts(g))
 
 
 def min_distance(g: BitMatrix) -> int:
-    """True minimum distance of the code generated by the rows of g.
-
-    Enumerates every nonzero message exactly once (meet-in-the-middle over
-    the two halves of the message space) and returns the smallest codeword
-    weight found.
+    """True minimum distance of the code spanned by the rows of g: the first
+    w >= 1 with A_w > 0 (see :func:`_weight_counts`; later A_w are not summed).
 
     Raises:
-        TooLarge: g has more than MIN_DISTANCE_ROW_LIMIT rows.
+        TooLarge: both k and n - k exceed MIN_DISTANCE_ROW_LIMIT.
         ValueError: g does not have full row rank.
     """
-    k = g.rows
-    if k > MIN_DISTANCE_ROW_LIMIT:
-        raise TooLarge(
-            f"exhaustive search supports at most {MIN_DISTANCE_ROW_LIMIT} rows, got {k}"
-        )
-    if rank(g) != k:
-        raise ValueError("generator matrix must have full row rank")
-    n_words = (g.cols + 63) // 64
-    low = _pack(_span_words(g.row_words[: k // 2]), n_words)
-    high = _span_words(g.row_words[k // 2 :])
-    best = g.cols + 1
-    for idx, word in enumerate(high):
-        if n_words == 1:
-            weights = np.bitwise_count(low ^ np.uint64(word))
-        else:
-            chunk = np.array(
-                [(word >> (64 * w)) & ((1 << 64) - 1) for w in range(n_words)],
-                dtype=np.uint64,
-            )
-            weights = np.bitwise_count(low ^ chunk[None, :]).sum(axis=1)
-        if idx == 0:
-            if len(weights) == 1:
-                continue  # only the all-zero message in this slice
-            w = int(weights[1:].min())
-        else:
-            w = int(weights.min())
-        if w < best:
-            best = w
-    return best
+    counts = _weight_counts(g)
+    next(counts)  # A_0, the zero word
+    return next(w for w, count in enumerate(counts, 1) if count)

@@ -1,5 +1,9 @@
 import hashlib
 import io
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -68,11 +72,33 @@ class TestCodegen:
         assert rc == 0
         assert capsys.readouterr().out.strip() == "7 4 3 verified"
 
-    def test_bch_declared(self, tmp_path, capsys):
+    def test_bch63_verified(self, tmp_path, capsys):
         out = tmp_path / "b.npc"
         rc = main(["codegen", "--family", "bch", "--n", "63", "--design-t", "2", "--out", str(out)])
         assert rc == 0
-        assert capsys.readouterr().out.strip() == "63 51 5 declared"
+        assert capsys.readouterr().out.strip() == "63 51 5 verified"
+        code = codes.parse_code_file(out.read_text())
+        assert (code.n, code.k, code.d_min, code.d_min_verified) == (63, 51, 5, True)
+
+    def test_runtime_does_not_import_numpy(self, tmp_path):
+        # Building and measuring a code and writing its file run in pure
+        # Python, in a fresh interpreter that sees only this checkout's src/.
+        out = str(tmp_path / "b.npc")
+        script = (
+            "import sys\n"
+            "import npcode.cli\n"
+            "from npcode import codes\n"
+            "codes.bch_code(31, 2)\n"
+            f"assert npcode.cli.main(['codegen', '--family', 'bch', '--n', '31', '--design-t', '2', '--out', {out!r}]) == 0\n"
+            "assert 'numpy' not in sys.modules, 'numpy was imported'\n"
+        )
+        src = Path(__file__).resolve().parent.parent / "src"
+        done = subprocess.run(
+            [sys.executable, "-c", script], env={**os.environ, "PYTHONPATH": str(src)},
+            capture_output=True, text=True, timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == "31 21 5 verified"
 
     def test_invalid_length_fails(self, tmp_path, capsys):
         rc = main(["codegen", "--family", "parity", "--n", "1", "--out", str(tmp_path / "x")])

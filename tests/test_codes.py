@@ -110,15 +110,16 @@ class TestHamming:
             assert len(cols) == code.n  # all distinct, all nonzero
 
     def test_mu5_still_verified(self):
-        # k = 26 sits exactly at the enumeration bound
+        # k = 26 is measured through the 2^5 words of the dual
         code = hamming_code(5)
         assert (code.n, code.k) == (31, 26)
         assert code.d_min == 3 and code.d_min_verified
 
-    def test_mu6_declared(self):
+    def test_mu6_verified(self):
+        # k = 57 is far above the enumeration bound, but m = 6 is not
         code = hamming_code(6)
         assert (code.n, code.k) == (63, 57)
-        assert code.d_min == 3 and not code.d_min_verified
+        assert code.d_min == 3 and code.d_min_verified
 
     @pytest.mark.parametrize("mu", [1, 7, 0])
     def test_rejects_out_of_range(self, mu):
@@ -149,10 +150,10 @@ class TestBCH:
         assert (code.n, code.k) == (31, 21)
         assert code.d_min == 5 and code.d_min_verified
 
-    def test_63_2_declared(self):
+    def test_63_2_verified(self):
         code = bch_code(63, 2)
         assert (code.n, code.k) == (63, 51)
-        assert code.d_min == 5 and not code.d_min_verified
+        assert code.d_min == 5 and code.d_min_verified
 
     @pytest.mark.parametrize("n,t", [(8, 1), (15, 3), (3, 1), (127, 1), (15, 0)])
     def test_rejects_unsupported(self, n, t):
@@ -524,6 +525,30 @@ class TestVerifyProtection:
             assert verify_protection(code, code.d_min - 1).recoverable
             assert not verify_protection(code, code.d_min).recoverable
 
+    # A_d of each code: a d-erasure pattern fails exactly when a weight-d
+    # codeword lives on it, and no two share a support.
+    @pytest.mark.parametrize(
+        "build, params, a_d, run_verify",
+        [
+            (bch_code, (15, 2), 18, True),
+            (bch_code, (15, 1), 35, True),
+            (bch_code, (31, 2), 186, True),
+            (hamming_code, (5,), 155, True),
+            (hamming_code, (6,), 651, True),
+            # C(63, 5) patterns exceed the enumeration bound of verify
+            (bch_code, (63, 2), 1890, False),
+        ],
+        ids=["15-7-5", "15-11-3", "31-21-5", "31-26-3", "63-57-3", "63-51-5"],
+    )
+    def test_lowest_weight_count_is_the_failing_count(self, build, params, a_d, run_verify):
+        code = build(*params)
+        dist = gf2._weight_distribution(code.generator)
+        assert dist[: code.d_min] == [1] + [0] * (code.d_min - 1)
+        assert dist[code.d_min] == a_d
+        assert sum(dist) == 1 << code.k
+        if run_verify:
+            assert len(verify_protection(code, code.d_min).failing_patterns) == a_d
+
 
 class TestShorten:
     def test_noop(self):
@@ -617,11 +642,26 @@ class TestCodeFile:
             parse_code_file("\n".join(mutate(lines)) + "\n")
 
     def test_rejects_verified_flag_above_enumeration_bound(self):
-        text = format_code_file(bch_code(63, 2))
-        assert text.startswith("NPC 63 51 5 declared\n")
-        assert parse_code_file(text).d_min == 5
-        with pytest.raises(ValueError):
+        # [I_21 | I_21]: k = m = 21, both above the bound, and d_min = 2
+        k = gf2.MIN_DISTANCE_ROW_LIMIT + 1
+        rows = ["".join("1" if j % k == i else "0" for j in range(2 * k)) for i in range(k)]
+        text = f"NPC {2 * k} {k} 2 declared\n{k} {2 * k}\n" + "\n".join(rows) + "\n"
+        code = parse_code_file(text)
+        assert (code.n, code.k, code.d_min, code.d_min_verified) == (2 * k, k, 2, False)
+        assert format_code_file(code) == text
+        with pytest.raises(ValueError, match="too large to verify"):
             parse_code_file(text.replace("declared", "verified", 1))
+
+    def test_63_51_file_is_measured(self):
+        # k = 51 but m = 12: the file is measured, so a verified header loads
+        # and a wrong distance is caught
+        text = format_code_file(bch_code(63, 2))
+        assert text.startswith("NPC 63 51 5 verified\n")
+        code = parse_code_file(text)
+        assert code.d_min == 5 and code.d_min_verified
+        for bad in ("NPC 63 51 4 verified", "NPC 63 51 6 declared"):
+            with pytest.raises(ValueError, match="the code has d_min = 5"):
+                parse_code_file(text.replace("NPC 63 51 5 verified", bad, 1))
 
     def test_rejects_non_systematic_matrix(self):
         text = "NPC 3 2 2 declared\n2 3\n011\n101\n"

@@ -1,3 +1,5 @@
+import itertools
+import math
 import random
 
 import pytest
@@ -19,7 +21,7 @@ from npcode.gf2 import (
     solve_with_cost,
 )
 
-from oracles import mat_vec_naive, min_distance_naive, rank_naive
+from oracles import encode_naive, mat_vec_naive, min_distance_naive, rank_naive
 
 
 def parity_generator(n):
@@ -31,6 +33,25 @@ def parity_generator(n):
 
 def random_bit_matrix(rng, rows, cols):
     return BitMatrix([[rng.randrange(2) for _ in range(cols)] for _ in range(rows)])
+
+
+def as_lists(m):
+    return [[m[i, j] for j in range(m.cols)] for i in range(m.rows)]
+
+
+def weight_histogram_naive(g_rows):
+    """Codewords of each weight 0..n, by encoding every message."""
+    hist = [0] * (len(g_rows[0]) + 1)
+    for u in itertools.product((0, 1), repeat=len(g_rows)):
+        hist[sum(encode_naive(g_rows, u))] += 1
+    return hist
+
+
+def random_full_rank(rng, rows, cols):
+    while True:
+        m = random_bit_matrix(rng, rows, cols)
+        if rank(m) == rows:
+            return m
 
 
 class TestConstruction:
@@ -221,10 +242,29 @@ class TestMinDistance:
         for n in (1, 2, 5, 70):
             assert min_distance(BitMatrix([[1] * n])) == n
 
-    def test_too_large(self):
-        big = BitMatrix.identity(gf2.MIN_DISTANCE_ROW_LIMIT + 1)
+    def test_too_large(self, monkeypatch):
+        # [I_21 | 21 random columns]: k and n - k both exceed the bound, and
+        # the bound is checked before any elimination or enumeration
+        k = gf2.MIN_DISTANCE_ROW_LIMIT + 1
+        rng = random.Random(22)
+        big = BitMatrix.from_row_words([(1 << i) | (rng.getrandbits(k) << k) for i in range(k)], 2 * k)
+        assert rank(big) == k
+
+        def forbidden(*args):
+            raise AssertionError("enumeration started above the bound")
+
+        monkeypatch.setattr(gf2, "_eliminate", forbidden)
+        monkeypatch.setattr(gf2, "_span_weights", forbidden)
         with pytest.raises(TooLarge):
             min_distance(big)
+        with pytest.raises(TooLarge):
+            gf2._weight_distribution(big)
+
+    def test_one_small_side_is_enough(self):
+        # k = 40 is twice the bound, but the dual has only 2^4 words
+        k = 2 * gf2.MIN_DISTANCE_ROW_LIMIT
+        rows = [(1 << i) | (((i % 15) + 1) << k) for i in range(k)]
+        assert min_distance(BitMatrix.from_row_words(rows, k + 4)) == 2
 
     def test_rank_deficient_rejected(self):
         with pytest.raises(ValueError):
@@ -255,6 +295,84 @@ class TestMinDistance:
                 continue
             assert min_distance(m) == min_distance_naive(lists)
             done += 1
+
+    def test_matches_naive_on_both_sides(self):
+        # k <= n - k enumerates the code, k > n - k goes through the dual;
+        # a few all-zero leading columns keep the pivots off the diagonal
+        rng = random.Random(23)
+        routes = {True: 0, False: 0}
+        for _ in range(120):
+            k = rng.randrange(1, 9)
+            m = rng.randrange(0, 9)
+            lead = rng.randrange(0, 3)
+            g = random_full_rank(rng, k, k + m)
+            g = BitMatrix.from_row_words([w << lead for w in g.row_words], k + m + lead)
+            routes[k <= m + lead] += 1
+            assert min_distance(g) == min_distance_naive(as_lists(g))
+        assert min(routes.values()) >= 30
+
+    def test_non_leading_pivots(self):
+        rng = random.Random(24)
+        checked = 0
+        for _ in range(40):
+            k, n = rng.randrange(2, 8), rng.randrange(9, 14)
+            g = random_full_rank(rng, k, n)
+            cols = list(range(n))
+            rng.shuffle(cols)
+            g = BitMatrix([[g[i, c] for c in cols] + [0] for i in range(k)][::-1])
+            if row_reduce(g)[1] == tuple(range(k)):
+                continue
+            assert min_distance(g) == min_distance_naive(as_lists(g))
+            checked += 1
+        assert checked >= 30
+
+    def test_weight_distribution_matches_naive_histogram(self):
+        rng = random.Random(25)
+        for _ in range(60):
+            k = rng.randrange(1, 8)
+            g = random_full_rank(rng, k, k + rng.randrange(0, 7))
+            dist = gf2._weight_distribution(g)
+            assert sum(dist) == 1 << k
+            assert dist == weight_histogram_naive(as_lists(g))
+
+    def test_wide_dual_side_direct_sum(self):
+        # Six [12, 9] blocks on disjoint columns: n = 72 spans two 64-bit
+        # words and k = 54 > m = 18, so only the dual side is enumerable. The
+        # weight distribution of a direct sum is the convolution of the
+        # blocks' distributions; rows are mixed and columns shuffled so that
+        # nothing is systematic.
+        rng = random.Random(26)
+        n_block, k_block, blocks = 12, 9, 6
+        n = n_block * blocks
+        cols = list(range(n))
+        rng.shuffle(cols)
+        rows, want, d_min = [], [1], n
+        for b in range(blocks):
+            block = random_full_rank(rng, k_block, n_block)
+            hist = weight_histogram_naive(as_lists(block))
+            want = [sum(want[i] * hist[w - i] for i in range(len(want)) if 0 <= w - i < len(hist))
+                    for w in range(len(want) + n_block)]
+            d_min = min(d_min, min_distance_naive(as_lists(block)))
+            for w in block.row_words:
+                rows.append(sum(1 << cols[b * n_block + j] for j in range(n_block) if (w >> j) & 1))
+        mixed = [rows[i] ^ rows[(i + 1) % len(rows)] if i % 2 else rows[i] for i in range(len(rows))]
+        g = BitMatrix.from_row_words(mixed, n)
+        assert rank(g) == len(rows)
+        assert gf2._weight_distribution(g) == want
+        assert min_distance(g) == d_min
+
+    def test_corrupt_dual_count_is_caught(self, monkeypatch):
+        # one word too many on the dual side cannot give whole counts
+        real = gf2._span_weights
+
+        def off_by_one(rows, n):
+            hist = real(rows, n)
+            hist[1] += 1
+            return hist
+
+        monkeypatch.setattr(gf2, "_span_weights", off_by_one)
+        with pytest.raises(RuntimeError, match="MacWilliams"):
+            min_distance(BitMatrix(parity_generator(6)))
 
     def test_bounded_by_min_row_weight(self):
         rng = random.Random(17)
