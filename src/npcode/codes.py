@@ -308,6 +308,21 @@ def repair_plan(parity_check: BitMatrix, erased: int) -> gf2.SolvePlan:
     return gf2.SolvePlan(parity_check.row_words, unknowns)
 
 
+def _reject_first_bad_slot(received: Sequence[int | None], erased: frozenset[int]) -> None:
+    """Raise for the first slot that is blank off the pattern, filled on it,
+    or holds something other than 0, 1 or None."""
+    for j, sym in enumerate(received):
+        if sym is None:
+            if j not in erased:
+                raise ValueError(f"slot {j} is erased but not in the pattern")
+        elif j in erased:
+            raise ValueError(f"slot {j} is in the pattern but carries a value")
+        elif sym == 1:
+            continue
+        elif sym != 0:
+            raise ValueError(f"symbols must be 0, 1, or None, got {sym!r}")
+
+
 def erasure_decode_with_cost(
     code: ProtectionCode,
     received: Sequence[int | None],
@@ -326,18 +341,20 @@ def erasure_decode_with_cost(
         raise DimensionMismatch(f"pattern length {pattern.n} != n = {n}")
     if len(received) != n:
         raise DimensionMismatch(f"received length {len(received)} != n = {n}")
-    value_word = erased = 0
+    erased = 0
+    for j in pattern.erased:
+        erased |= 1 << j
+    value_word = blank = 0
     for j, sym in enumerate(received):
         if sym is None:
-            if j not in pattern.erased:
-                raise ValueError(f"slot {j} is erased but not in the pattern")
-            erased |= 1 << j
-        elif j in pattern.erased:
-            raise ValueError(f"slot {j} is in the pattern but carries a value")
+            blank |= 1 << j
         elif sym == 1:
             value_word |= 1 << j
         elif sym != 0:
-            raise ValueError(f"symbols must be 0, 1, or None, got {sym!r}")
+            blank = -1
+            break
+    if blank != erased:
+        _reject_first_bad_slot(received, pattern.erased)
 
     plan = repair_plan(code.parity_check, erased)
     try:
@@ -364,25 +381,33 @@ def erasure_decode(
     return message
 
 
-def _leaf_solve(basis: Sequence[tuple[int, int, int]], syndrome: int) -> tuple[int, int]:
-    """The syndrome reduced against the walk's basis, and the mask of the
-    erased positions whose columns XOR to the part the basis explained."""
-    combination = 0
-    for vector, pivot, positions in basis:
-        if syndrome & pivot:
-            syndrome ^= vector
-            combination ^= positions
-    return syndrome, combination
+def _leaf(syndrome: int, column: int, erased_bit: int) -> int:
+    """A leaf's probe state from its parent's, for the guard: the reduced
+    syndrome of the surviving symbols below bit m, the mask of the positions
+    whose columns explained the rest above it.
+
+    Erasing the last position takes its column out of the syndrome when the
+    probe's bit there, ``erased_bit`` (placed in the mask), is set; that
+    column, already reduced against the prefix, then reduces the syndrome by
+    one more step.
+    """
+    if erased_bit:
+        syndrome ^= column ^ erased_bit
+    return syndrome ^ column if syndrome & column & -column else syndrome
 
 
 def verify_protection(code: ProtectionCode, t: int) -> ProtectionReport:
     """Check every t-subset of erased positions; list the failures in order.
 
     A pattern is recoverable exactly when its columns of the parity check
-    are independent. The walk goes depth first over a basis of the prefix's
-    columns: a column that reduces to zero fails every extension of its
-    prefix unchecked. At each other leaf the basis must rebuild a probe
-    codeword from its surviving symbols, a round trip that guards the solver.
+    are independent. The walk goes depth first, and each node keeps the
+    columns after its prefix reduced against the prefix's columns, one step
+    per column per push: a column that reduces to zero fails every extension
+    of its prefix unchecked, and the last level is one flat pass over the
+    reduced columns. At each other leaf the columns must rebuild a probe
+    codeword from its surviving symbols, a round trip that guards the
+    reduction; reduction is linear, so each node derives the probe's state
+    from its parent's in one step.
     """
     if not 0 <= t <= code.n:
         raise ValueError(f"t must be in [0, {code.n}], got {t}")
@@ -394,41 +419,55 @@ def verify_protection(code: ProtectionCode, t: int) -> ProtectionReport:
     rng = random.Random(0x4E5043)
     message = sum(rng.randrange(2) << i for i in range(code.k))
     probe = gf2.xor_rows(code.generator.row_words, message)
-    n, cols = code.n, code.parity_check.transpose().row_words
-    failing, prefix, basis = [], [], []
-    # Per depth: the syndrome of the probe's surviving symbols and the probe
-    # on the erased positions. The first syndrome, the whole probe's, is zero
-    # for a codeword; any other probe fails every pattern.
-    frames = [(gf2.xor_rows(cols, probe), 0)]
+    n, m = code.n, code.m
+    syndrome_bits = (1 << m) - 1
+    # Column j of H below bit m and bit j of a position mask above it, so an
+    # XOR of such words is a sum of columns beside the positions summed.
+    cols = [c | 1 << m + j for j, c in enumerate(code.parity_check.transpose().row_words)]
+    erased_bits = [1 << m + j if probe >> j & 1 else 0 for j in range(n)]
+    # The probe's state starts as the syndrome of the whole probe with an
+    # empty mask. It is zero for a codeword; any other probe fails every
+    # pattern, the empty one included (a leaf with no last column).
+    root = gf2.xor_rows(cols, probe) & syndrome_bits
+    if t == 0:
+        failing = [] if _leaf(root, 0, 0) == 0 else [()]
+        return ProtectionReport(not failing, tuple(failing), total)
+    failing, prefix = [], []
+    # Per depth: the probe's state, the probe's erased bits (above bit m) as
+    # the mask it must come out with, and the columns after the prefix
+    # reduced against it (each zero at every pivot of the prefix).
+    stack = [(root, 0, cols)]
     j = 0
     while True:
+        syndrome, expected, rest = stack[-1]
         depth = len(prefix)
-        syndrome, expected = frames[-1]
-        if depth < t and n - j >= t - depth:
-            vector, positions = cols[j], 1 << j
-            for w, pivot, c in basis:
-                if vector & pivot:
-                    vector ^= w
-                    positions ^= c
-            if vector:
-                bit = probe & 1 << j
-                frames.append((syndrome ^ cols[j] if bit else syndrome, expected | bit))
-                basis.append((vector, vector & -vector, positions))
+        start = n - len(rest)
+        if depth == t - 1:
+            for j, column in enumerate(rest, start):
+                bit = erased_bits[j]
+                if not column & syndrome_bits or _leaf(syndrome, column, bit) != expected | bit:
+                    failing.append((*prefix, j))
+        elif n - j >= t - depth:
+            column = rest[j - start]
+            if column & syndrome_bits:
+                pivot = column & -column
+                bit = erased_bits[j]
+                # the step `_leaf` takes, inline: that seam is the leaves' alone
+                child = syndrome ^ column ^ bit if bit else syndrome
+                if child & pivot:
+                    child ^= column
+                later = [w ^ column if w & pivot else w for w in rest[j - start + 1 :]]
+                stack.append((child, expected | bit, later))
                 prefix.append(j)
             else:
-                rest = itertools.combinations(range(j + 1, n), t - depth - 1)
-                failing.extend((*prefix, j) + tail for tail in rest)
+                tails = itertools.combinations(range(j + 1, n), t - depth - 1)
+                failing.extend(map((*prefix, j).__add__, tails))
             j += 1
             continue
-        if depth == t:
-            residue, combination = _leaf_solve(basis, syndrome)
-            if residue or combination != expected:
-                failing.append(tuple(prefix))
         if not prefix:
             return ProtectionReport(not failing, tuple(failing), total)
         j = prefix.pop() + 1
-        basis.pop()
-        frames.pop()
+        stack.pop()
 
 
 def format_code_file(code: ProtectionCode) -> str:

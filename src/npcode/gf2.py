@@ -291,12 +291,6 @@ def _eliminate(words: list[int], columns: Iterable[int]) -> tuple[list[int], lis
     return words, pivots, ops
 
 
-def row_reduce(m: BitMatrix) -> tuple[BitMatrix, tuple[int, ...]]:
-    """Reduced row echelon form and the pivot columns."""
-    words, pivots, _ = _eliminate(list(m.row_words), range(m.cols))
-    return BitMatrix.from_row_words(words, m.cols), tuple(pivots)
-
-
 def rank(m: BitMatrix) -> int:
     """Row rank over the two-element field."""
     _, pivots, _ = _eliminate(list(m.row_words), range(m.cols))

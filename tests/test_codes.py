@@ -267,6 +267,23 @@ class TestErasureDecode:
         with pytest.raises(ValueError):
             erasure_decode(code, [1, 1, 1, 0], ErasurePattern(4, {2}))
 
+    @pytest.mark.parametrize(
+        "received, erased, message",
+        [
+            ([1, None, 1, 0], {2}, "slot 1 is erased but not in the pattern"),
+            ([1, 1, 1, 0], {2}, "slot 2 is in the pattern but carries a value"),
+            ([1, 2, 1, None], {3}, "symbols must be 0, 1, or None, got 2"),
+            ([None, 2, 1, 0], (), "slot 0 is erased but not in the pattern"),
+            ([1, "x", None, 0], (), "symbols must be 0, 1, or None, got 'x'"),
+            ([0, 1, 0, 7], {0}, "slot 0 is in the pattern but carries a value"),
+            ([0, 1, None, 7], {2}, "symbols must be 0, 1, or None, got 7"),
+        ],
+    )
+    def test_the_first_bad_slot_is_named(self, received, erased, message):
+        with pytest.raises(ValueError) as info:
+            erasure_decode(single_parity_code(4), received, ErasurePattern(4, erased))
+        assert str(info.value) == message
+
     def test_hamming_all_double_erasures_match_agreement_oracle(self):
         code = hamming_code(3)
         g_lists = as_lists(code.generator)
@@ -441,16 +458,35 @@ class TestVerifyProtection:
         assert failed_somewhere
 
     def test_round_trip_guard_catches_a_wrong_solver(self, monkeypatch):
-        leaf_solve = codes._leaf_solve
-
-        def flip_bit_0(basis, syndrome):
-            residue, combination = leaf_solve(basis, syndrome)
-            return residue, combination ^ 1
-
-        monkeypatch.setattr(codes, "_leaf_solve", flip_bit_0)
+        leaf = codes._leaf
         for code, t in ((hamming_code(3), 2), (bch_code(15, 2), 4), (single_parity_code(6), 0)):
+            # bit m of a leaf's state is bit 0 of its combination mask
+            def flip_bit_0(syndrome, column, erased_bit, m=code.m):
+                return leaf(syndrome, column, erased_bit) ^ 1 << m
+
+            monkeypatch.setattr(codes, "_leaf", flip_bit_0)
             report = verify_protection(code, t)
             assert report.failing_patterns == tuple(itertools.combinations(range(code.n), t))
+
+    @pytest.mark.parametrize("t", [59, 60])
+    def test_prune_lists_every_pattern_past_the_rank(self, t):
+        # m = 6, so every prefix longer than 6 is dependent: the prune lists
+        # all C(63, t) patterns before any last level is reached
+        report = verify_protection(hamming_code(6), t)
+        assert report.patterns_checked == len(report.failing_patterns) == math.comb(63, t)
+        everything = itertools.combinations(range(63), t)
+        assert all(map(tuple.__eq__, report.failing_patterns, everything))
+
+    @pytest.mark.parametrize(
+        "code, t",
+        [(hamming_code(3), 3), (hamming_code(3), 4), (bch_code(15, 2), 8), (bch_code(15, 2), 9)],
+        ids=["hamming3-t3", "hamming3-t4", "bch15-t8", "bch15-t9"],
+    )
+    def test_deepest_walk_at_the_rank(self, code, t):
+        # t = m and t = m + 1: the deepest prefixes whose columns can still
+        # be independent
+        assert code.m in (t, t - 1)
+        assert verify_protection(code, t).failing_patterns == per_pattern_failing(code, t)
 
     def test_a_probe_outside_the_code_fails_every_pattern(self):
         # each generator row moved off the code by its own parity bit: with
