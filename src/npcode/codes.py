@@ -278,7 +278,7 @@ def shorten(code: ProtectionCode, drop: Iterable[int]) -> ProtectionCode:
     if len(dropped) >= code.k:
         raise ValueError("at least one message position must remain")
     keep = [i for i in range(code.k) if i not in dropped]
-    parity_rows = [code.generator.row_word(i) >> code.k for i in keep]
+    parity_rows = [code.generator.row_words[i] >> code.k for i in keep]
     k2 = len(keep)
     if min(k2, code.m) > gf2.MIN_DISTANCE_ROW_LIMIT:
         return _build(parity_rows, k2, code.m, code.d_min, code.d_min_verified)
@@ -308,21 +308,6 @@ def repair_plan(parity_check: BitMatrix, erased: int) -> gf2.SolvePlan:
     return gf2.SolvePlan(parity_check.row_words, unknowns)
 
 
-def _reject_first_bad_slot(received: Sequence[int | None], erased: frozenset[int]) -> None:
-    """Raise for the first slot that is blank off the pattern, filled on it,
-    or holds something other than 0, 1 or None."""
-    for j, sym in enumerate(received):
-        if sym is None:
-            if j not in erased:
-                raise ValueError(f"slot {j} is erased but not in the pattern")
-        elif j in erased:
-            raise ValueError(f"slot {j} is in the pattern but carries a value")
-        elif sym == 1:
-            continue
-        elif sym != 0:
-            raise ValueError(f"symbols must be 0, 1, or None, got {sym!r}")
-
-
 def erasure_decode_with_cost(
     code: ProtectionCode,
     received: Sequence[int | None],
@@ -341,22 +326,21 @@ def erasure_decode_with_cost(
         raise DimensionMismatch(f"pattern length {pattern.n} != n = {n}")
     if len(received) != n:
         raise DimensionMismatch(f"received length {len(received)} != n = {n}")
-    erased = 0
-    for j in pattern.erased:
-        erased |= 1 << j
-    value_word = blank = 0
+    erased = pattern.erased
+    blank = value_word = 0
     for j, sym in enumerate(received):
         if sym is None:
+            if j not in erased:
+                raise ValueError(f"slot {j} is erased but not in the pattern")
             blank |= 1 << j
+        elif j in erased:
+            raise ValueError(f"slot {j} is in the pattern but carries a value")
         elif sym == 1:
             value_word |= 1 << j
         elif sym != 0:
-            blank = -1
-            break
-    if blank != erased:
-        _reject_first_bad_slot(received, pattern.erased)
+            raise ValueError(f"symbols must be 0, 1, or None, got {sym!r}")
 
-    plan = repair_plan(code.parity_check, erased)
+    plan = repair_plan(code.parity_check, blank)
     try:
         word = plan.apply(value_word)
     except gf2.NoUniqueSolution as exc:
@@ -381,33 +365,17 @@ def erasure_decode(
     return message
 
 
-def _leaf(syndrome: int, column: int, erased_bit: int) -> int:
-    """A leaf's probe state from its parent's, for the guard: the reduced
-    syndrome of the surviving symbols below bit m, the mask of the positions
-    whose columns explained the rest above it.
-
-    Erasing the last position takes its column out of the syndrome when the
-    probe's bit there, ``erased_bit`` (placed in the mask), is set; that
-    column, already reduced against the prefix, then reduces the syndrome by
-    one more step.
-    """
-    if erased_bit:
-        syndrome ^= column ^ erased_bit
-    return syndrome ^ column if syndrome & column & -column else syndrome
-
-
 def verify_protection(code: ProtectionCode, t: int) -> ProtectionReport:
     """Check every t-subset of erased positions; list the failures in order.
 
     A pattern is recoverable exactly when its columns of the parity check
-    are independent. The walk goes depth first, and each node keeps the
-    columns after its prefix reduced against the prefix's columns, one step
-    per column per push: a column that reduces to zero fails every extension
-    of its prefix unchecked, and the last level is one flat pass over the
-    reduced columns. At each other leaf the columns must rebuild a probe
-    codeword from its surviving symbols, a round trip that guards the
-    reduction; reduction is linear, so each node derives the probe's state
-    from its parent's in one step.
+    are independent. The walk goes depth first over an explicit stack, and
+    each node keeps the columns after its prefix reduced against the
+    prefix's columns, one step per column per push: a column that reduces
+    to zero fails every extension of its prefix unchecked. At every other
+    leaf the columns must rebuild a probe codeword from its surviving
+    symbols, a round trip that guards the reduction; reduction is linear,
+    so each node derives the probe's state from its parent's in one step.
     """
     if not 0 <= t <= code.n:
         raise ValueError(f"t must be in [0, {code.n}], got {t}")
@@ -427,47 +395,45 @@ def verify_protection(code: ProtectionCode, t: int) -> ProtectionReport:
     erased_bits = [1 << m + j if probe >> j & 1 else 0 for j in range(n)]
     # The probe's state starts as the syndrome of the whole probe with an
     # empty mask. It is zero for a codeword; any other probe fails every
-    # pattern, the empty one included (a leaf with no last column).
+    # pattern, the empty one included.
     root = gf2.xor_rows(cols, probe) & syndrome_bits
-    if t == 0:
-        failing = [] if _leaf(root, 0, 0) == 0 else [()]
-        return ProtectionReport(not failing, tuple(failing), total)
-    failing, prefix = [], []
-    # Per depth: the probe's state, the probe's erased bits (above bit m) as
-    # the mask it must come out with, and the columns after the prefix
-    # reduced against it (each zero at every pivot of the prefix).
-    stack = [(root, 0, cols)]
-    j = 0
-    while True:
-        syndrome, expected, rest = stack[-1]
-        depth = len(prefix)
+    failing = [()] if t == 0 and root else []
+    # A frame: the prefix; the probe's state (the reduced syndrome of the
+    # surviving symbols below bit m, the mask of the positions whose columns
+    # explained the rest above it); the probe's erased bits as the mask it
+    # must come out with; the columns after the prefix reduced against it
+    # (each zero at every pivot of the prefix); the positions still to try.
+    stack = [((), root, 0, cols, iter(range(n - t + 1)))] if t else []
+    while stack:
+        prefix, syndrome, expected, rest, positions = stack[-1]
+        depth = len(prefix) + 1
         start = n - len(rest)
-        if depth == t - 1:
-            for j, column in enumerate(rest, start):
-                bit = erased_bits[j]
-                if not column & syndrome_bits or _leaf(syndrome, column, bit) != expected | bit:
-                    failing.append((*prefix, j))
-        elif n - j >= t - depth:
+        for j in positions:
             column = rest[j - start]
-            if column & syndrome_bits:
-                pivot = column & -column
-                bit = erased_bits[j]
-                # the step `_leaf` takes, inline: that seam is the leaves' alone
-                child = syndrome ^ column ^ bit if bit else syndrome
-                if child & pivot:
-                    child ^= column
-                later = [w ^ column if w & pivot else w for w in rest[j - start + 1 :]]
-                stack.append((child, expected | bit, later))
-                prefix.append(j)
-            else:
-                tails = itertools.combinations(range(j + 1, n), t - depth - 1)
+            if not column & syndrome_bits:
+                tails = itertools.combinations(range(j + 1, n), t - depth)
                 failing.extend(map((*prefix, j).__add__, tails))
-            j += 1
-            continue
-        if not prefix:
-            return ProtectionReport(not failing, tuple(failing), total)
-        j = prefix.pop() + 1
-        stack.pop()
+                continue
+            pivot = column & -column
+            bit = erased_bits[j]
+            # Erasing j takes its column out of the syndrome where the probe
+            # has a 1; the column, reduced against the prefix, then reduces
+            # the syndrome by one more step.
+            child = syndrome ^ column ^ bit if bit else syndrome
+            if child & pivot:
+                child ^= column
+            if depth == t:
+                if child != expected | bit:
+                    failing.append((*prefix, j))
+                continue
+            later = [w ^ column if w & pivot else w for w in rest[j - start + 1 :]]
+            stack.append(
+                ((*prefix, j), child, expected | bit, later, iter(range(j + 1, n - t + depth + 1)))
+            )
+            break
+        else:
+            stack.pop()
+    return ProtectionReport(not failing, tuple(failing), total)
 
 
 def format_code_file(code: ProtectionCode) -> str:

@@ -168,9 +168,6 @@ class BitMatrix:
         """Every packed row word, in row order."""
         return self._words
 
-    def row_word(self, i: int) -> int:
-        return self._words[i]
-
     def __getitem__(self, ij: tuple[int, int]) -> int:
         i, j = ij
         if not 0 <= j < self._ncols:
@@ -426,11 +423,6 @@ def _weight_counts(g: BitMatrix) -> Iterator[int]:
         if rest or count < 0:
             raise RuntimeError(f"MacWilliams sum {total} for weight {w} is not 2^{m} times a count")
         yield count
-
-
-def _weight_distribution(g: BitMatrix) -> list[int]:
-    """A_0..A_n of the code spanned by the rows of g (see :func:`_weight_counts`)."""
-    return list(_weight_counts(g))
 
 
 def min_distance(g: BitMatrix) -> int:

@@ -1,7 +1,9 @@
 import dataclasses
+import inspect
 import itertools
 import math
 import random
+import sys
 
 import pytest
 from hypothesis import example, given, settings
@@ -28,6 +30,14 @@ from npcode.codes import (
 from npcode.gf2 import BitMatrix, BitVector, DimensionMismatch, mat_mul
 
 from oracles import agreeing_messages, encode_naive, min_distance_naive
+
+
+def unchecked_copy(code, **changes):
+    """``code`` with some fields replaced, skipping ProtectionCode's checks."""
+    copy = object.__new__(ProtectionCode)
+    for field in dataclasses.fields(code):
+        object.__setattr__(copy, field.name, changes.get(field.name, getattr(code, field.name)))
+    return copy
 
 
 def as_lists(m):
@@ -88,7 +98,7 @@ class TestHamming:
     def test_mu3_known_parity_block(self):
         # data columns are the ascending weight->=2 patterns 3, 5, 6, 7
         code = hamming_code(3)
-        p_rows = [code.generator.row_word(i) >> 4 for i in range(4)]
+        p_rows = [code.generator.row_words[i] >> 4 for i in range(4)]
         assert p_rows == [0b011, 0b101, 0b110, 0b111]
 
     def test_mu4_parameters(self):
@@ -457,16 +467,19 @@ class TestVerifyProtection:
             failed_somewhere |= bool(expected)
         assert failed_somewhere
 
-    def test_round_trip_guard_catches_a_wrong_solver(self, monkeypatch):
-        leaf = codes._leaf
-        for code, t in ((hamming_code(3), 2), (bch_code(15, 2), 4), (single_parity_code(6), 0)):
-            # bit m of a leaf's state is bit 0 of its combination mask
-            def flip_bit_0(syndrome, column, erased_bit, m=code.m):
-                return leaf(syndrome, column, erased_bit) ^ 1 << m
-
-            monkeypatch.setattr(codes, "_leaf", flip_bit_0)
-            report = verify_protection(code, t)
-            assert report.failing_patterns == tuple(itertools.combinations(range(code.n), t))
+    @pytest.mark.parametrize("code", [hamming_code(3), bch_code(15, 2)], ids=["hamming3", "bch15"])
+    def test_round_trip_guard_catches_a_corrupted_parity_check(self, code):
+        # bit 0 of column j flipped: H no longer annihilates G, so wherever
+        # the probe has a 1 at j no erased set explains its syndrome, and
+        # every pattern must fail, the empty one included
+        first, *others = code.parity_check.row_words
+        corrupted = [
+            unchecked_copy(code, parity_check=BitMatrix.from_row_words([first ^ 1 << j, *others], code.n))
+            for j in range(code.n)
+        ]
+        for t in range(code.m + 1):
+            everything = tuple(itertools.combinations(range(code.n), t))
+            assert any(verify_protection(c, t).failing_patterns == everything for c in corrupted), t
 
     @pytest.mark.parametrize("t", [59, 60])
     def test_prune_lists_every_pattern_past_the_rank(self, t):
@@ -494,13 +507,22 @@ class TestVerifyProtection:
         # pattern round-trips, not even the empty one
         code = bch_code(15, 2)
         rows = [w ^ 1 << (code.k + i) for i, w in enumerate(code.generator.row_words)]
-        off_code = object.__new__(ProtectionCode)
-        for field in dataclasses.fields(code):
-            object.__setattr__(off_code, field.name, getattr(code, field.name))
-        object.__setattr__(off_code, "generator", BitMatrix.from_row_words(rows, code.n))
+        off_code = unchecked_copy(code, generator=BitMatrix.from_row_words(rows, code.n))
         for t in (0, 2, 4):
             report = verify_protection(off_code, t)
             assert report.failing_patterns == tuple(itertools.combinations(range(code.n), t))
+
+    def test_deep_walk_keeps_a_bounded_stack(self):
+        # [100,1,100]: the walk goes 99 levels deep, past what a recursion
+        # per level could afford under this limit
+        code = parse_code_file("NPC 100 1 100 verified\n1 100\n" + "1" * 100)
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(len(inspect.stack()) + 40)
+        try:
+            assert verify_protection(code, 99).recoverable
+            assert verify_protection(code, 100).failing_patterns == (tuple(range(100)),)
+        finally:
+            sys.setrecursionlimit(limit)
 
     def test_parity_single_failure(self):
         report = verify_protection(single_parity_code(8), 1)
@@ -578,7 +600,7 @@ class TestVerifyProtection:
     )
     def test_lowest_weight_count_is_the_failing_count(self, build, params, a_d, run_verify):
         code = build(*params)
-        dist = gf2._weight_distribution(code.generator)
+        dist = list(gf2._weight_counts(code.generator))
         assert dist[: code.d_min] == [1] + [0] * (code.d_min - 1)
         assert dist[code.d_min] == a_d
         assert sum(dist) == 1 << code.k
