@@ -127,14 +127,8 @@ def _assemble(parity_rows: Sequence[int], k: int, m: int) -> tuple[BitMatrix, Bi
     gen = BitMatrix.from_row_words(
         ((1 << i) | (parity_rows[i] << k) for i in range(k)), k + m
     )
-    h_words = []
-    for j in range(m):
-        w = 1 << (k + j)
-        for i in range(k):
-            if (parity_rows[i] >> j) & 1:
-                w |= 1 << i
-        h_words.append(w)
-    return gen, BitMatrix.from_row_words(h_words, k + m)
+    p_t = BitMatrix.from_row_words(parity_rows, m).transpose().row_words
+    return gen, BitMatrix.from_row_words((w | 1 << (k + j) for j, w in enumerate(p_t)), k + m)
 
 
 def _build(
@@ -177,90 +171,41 @@ def hamming_code(mu: int) -> ProtectionCode:
 _PRIMITIVE_POLY = {3: 0b1011, 4: 0b10011, 5: 0b100101, 6: 0b1000011}
 
 
-def _field_tables(m: int) -> tuple[list[int], dict[int, int]]:
-    """Discrete exp/log tables for the 2^m-element field."""
-    prim = _PRIMITIVE_POLY[m]
-    size = 1 << m
-    exp = []
-    cur = 1
-    for _ in range(size - 1):
-        exp.append(cur)
-        cur <<= 1
-        if cur & size:
-            cur ^= prim
-    log = {v: i for i, v in enumerate(exp)}
-    return exp, log
-
-
-def _minimal_polynomial(coset: Sequence[int], exp: list[int], log: dict[int, int]) -> int:
-    """Product of (x + a^s) over a conjugacy class; the result has 0/1 coefficients."""
-    order = len(exp)
-    poly = [1]
-    for s in coset:
-        root = exp[s % order]
-        nxt = [0] * (len(poly) + 1)
-        for d, c in enumerate(poly):
-            nxt[d + 1] ^= c
-            if c:
-                nxt[d] ^= exp[(log[c] + log[root]) % order]
-        poly = nxt
-    packed = 0
-    for d, c in enumerate(poly):
-        if c == 1:
-            packed |= 1 << d
-        elif c:
-            raise RuntimeError("minimal polynomial has a coefficient outside {0, 1}")
-    return packed
-
-
-def _poly_mul(a: int, b: int) -> int:
-    """Carry-less product of packed binary polynomials."""
-    out = 0
-    while a:
-        if a & 1:
-            out ^= b
-        a >>= 1
-        b <<= 1
-    return out
-
-
-def _bch_generator_poly(n: int, design_t: int) -> int:
-    m = n.bit_length()
-    exp, log = _field_tables(m)
-    g = 1
-    seen = set()
-    for i in range(1, 2 * design_t + 1):
-        coset = frozenset((i << j) % n for j in range(m))
-        if coset in seen:
-            continue
-        seen.add(coset)
-        g = _poly_mul(g, _minimal_polynomial(sorted(coset), exp, log))
-    return g
-
-
 def bch_code(n: int, design_t: int) -> ProtectionCode:
     """Primitive narrow-sense BCH code of length n = 2^m - 1.
 
-    The generator polynomial is the product of the minimal polynomials of
-    the first 2*design_t powers of the field generator, which guarantees a
-    distance of at least 2*design_t + 1. The stored d_min is the measured
-    distance (every supported length has n - k <= 12, well inside the
-    enumeration bound). The message length k falls out of the
-    generator-polynomial degree; it is not a free parameter.
+    The code is every word c with c(a^i) = 0 for the first 2*design_t
+    powers of the field generator a, which guarantees a distance of at
+    least 2*design_t + 1. Each root gives m parity-check rows, one per bit
+    of the field element; one elimination reduces them, and the message
+    length k = n - rank falls out of it: it is not a free parameter. The
+    stored d_min is the measured distance (every supported length has
+    n - k <= 12, well inside the enumeration bound).
     """
     if n not in (7, 15, 31, 63) or design_t not in (1, 2):
         raise ValueError(
             f"unsupported parameters: n must be 2^m - 1 with m in [3, 6] "
             f"and design_t in {{1, 2}}, got n={n}, design_t={design_t}"
         )
-    g = _bch_generator_poly(n, design_t)
-    k = n - (g.bit_length() - 1)
-    # Rows x^i * g(x) have their leading term on the diagonal, so reduction
-    # always lands in systematic form.
-    words, pivots, _ = gf2._eliminate([g << i for i in range(k)], range(n))
-    if list(pivots) != list(range(k)):
-        raise RuntimeError("cyclic generator rows did not reduce to systematic form")
-    return _build([w >> k for w in words], k, n - k)
+    m = n.bit_length()
+    power = [1]  # power[j] = a^j, packed with bit b = coefficient of a^b
+    for _ in range(n - 1):
+        shifted = power[-1] << 1
+        power.append(shifted ^ _PRIMITIVE_POLY[m] if shifted >> m else shifted)
+    # c(a^2i) = c(a^i)^2, so the even powers add no rows.
+    rows = [
+        sum((power[i * j % n] >> b & 1) << j for j in range(n))
+        for i in range(1, 2 * design_t, 2)
+        for b in range(m)
+    ]
+    words, pivots, _ = gf2._eliminate(rows, range(n - 1, -1, -1))
+    k = n - len(pivots)
+    # Any n - k consecutive positions of a cyclic code are a check set, so
+    # the pivots are the last n - k columns and the rows reduce to [P^T | I].
+    if pivots != list(range(n - 1, k - 1, -1)):
+        raise RuntimeError("the parity check did not reduce to systematic form")
+    checks = BitMatrix.from_row_words([w & ((1 << k) - 1) for w in reversed(words[: n - k])], k)
+    return _build(checks.transpose().row_words, k, n - k)
 
 
 def shorten(code: ProtectionCode, drop: Iterable[int]) -> ProtectionCode:

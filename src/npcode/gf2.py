@@ -86,13 +86,6 @@ class BitVector:
             yield bits & 1
             bits >>= 1
 
-    def __xor__(self, other: "BitVector") -> "BitVector":
-        if not isinstance(other, BitVector):
-            return NotImplemented
-        if other._length != self._length:
-            raise DimensionMismatch("vector lengths differ")
-        return BitVector.from_int(self._bits ^ other._bits, self._length)
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, BitVector):
             return NotImplemented
@@ -133,10 +126,6 @@ class BitMatrix:
         self._ncols = ncols
         self._words = tuple(words)
         self._hash = hash((ncols, self._words))
-
-    @classmethod
-    def identity(cls, n: int) -> "BitMatrix":
-        return cls.from_row_words((1 << i for i in range(n)), n)
 
     @classmethod
     def from_row_words(cls, words: Iterable[int], cols: int) -> "BitMatrix":

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import inspect
 import itertools
 import math
@@ -144,7 +145,7 @@ class TestBCH:
         assert code.d_min == 3 and code.d_min_verified
 
     def test_15_2(self):
-        # the generator polynomial has degree 8, so k = 7 here
+        # the parity check has rank 8, so k = 7 here
         code = bch_code(15, 2)
         assert (code.n, code.k) == (15, 7)
         assert code.d_min == 5 and code.d_min_verified
@@ -169,6 +170,59 @@ class TestBCH:
     def test_rejects_unsupported(self, n, t):
         with pytest.raises(ValueError):
             bch_code(n, t)
+
+    @pytest.mark.parametrize(
+        "n,t,k",
+        [(7, 1, 4), (7, 2, 1), (15, 1, 11), (15, 2, 7), (31, 1, 26), (31, 2, 21), (63, 1, 57), (63, 2, 51)],
+    )
+    def test_cyclic_with_tabulated_dimension(self, n, t, k):
+        # A BCH code is cyclic: each generator row rotated by one position
+        # is again a codeword, so it has even overlap with every check row.
+        code = bch_code(n, t)
+        assert code.k == k
+        full = (1 << n) - 1
+        for g in code.generator.row_words:
+            rotated = (g << 1 | g >> (n - 1)) & full
+            assert not any((rotated & h).bit_count() & 1 for h in code.parity_check.row_words)
+
+
+# sha256 of format_code_file(code) + code.parity_check.to_text(): each
+# construction's generator, parity check, distance and flag, byte for byte.
+CONSTRUCTION_PINS = {
+    "parity-2": ("df2a2d32b79469cb2696d7371144d6094910c5575d80284e5569af3f73e8c3f0", lambda: single_parity_code(2)),
+    "parity-3": ("3c387740e5c50cf6170ccf90af7e21c557d41451322d18b76db0025af1890e00", lambda: single_parity_code(3)),
+    "parity-9": ("5c7b4ed6c5d6ca69b5cd20acb3eeabcc0073f763633036eacac39d31769f737c", lambda: single_parity_code(9)),
+    "parity-64": ("bd8b276803dc3bec0248218310e97ab51991f35eea7ff1d4b910053f5c686967", lambda: single_parity_code(64)),
+    "hamming-2": ("b8385deb0ce8299936eefa186f56dab62c3a93a07446b302f687e809de10d054", lambda: hamming_code(2)),
+    "hamming-3": ("5df3e6e32793a0b51ccb7a4600aca90c486952784b3622ec22f13a0550c5c3d6", lambda: hamming_code(3)),
+    "hamming-4": ("efe53911bdb64d08f69e3456b36a83062bf6d4c3663969fa48ce93135eab33a8", lambda: hamming_code(4)),
+    "hamming-5": ("22abc6cf527b0324cea145bc5e5b95c194535b560d97dc55517222f4689d3d05", lambda: hamming_code(5)),
+    "hamming-6": ("80ca0452bceb0b0b3660b0d3fff5870c2e5e4e06a58cdc222ccb1172c6b74cec", lambda: hamming_code(6)),
+    "bch-7-1": ("f7da0a3d98ce91cdbb2cc0199e1ab2eeca13dd87df0b873d4ef1675729a676d9", lambda: bch_code(7, 1)),
+    "bch-7-2": ("6876dd690eaf9fc571b8fcbb1c577521ff194425d8efabe982325d3170549c82", lambda: bch_code(7, 2)),
+    "bch-15-1": ("44ab4954f9c15fff03c6f6966e2faa8f3ff08f20d4b0ef2b4efd49775ca53212", lambda: bch_code(15, 1)),
+    "bch-15-2": ("241140835196dda3286fb30966519973d1ee425612e297d6125ca1df65b223f3", lambda: bch_code(15, 2)),
+    "bch-31-1": ("bfc5d9561367b49de3d90cd3cfab23809ee243fbbf99ec1a3e6423f5cbc59b24", lambda: bch_code(31, 1)),
+    "bch-31-2": ("b4c7911ffc9ed45f967aa5839656d576bb19ae72a2aa34e57fbd4038997956c6", lambda: bch_code(31, 2)),
+    "bch-63-1": ("f76f021cadd7ad81dd55c38f4859afbb937fbde824ae958705487d86e5625a5d", lambda: bch_code(63, 1)),
+    "bch-63-2": ("0a72df16cc87c29be12b5be8eaf33c2be86a91f1954b6df0fb47626bd0b9dae9", lambda: bch_code(63, 2)),
+    "hamming-4-shortened": (
+        "0dbe3fd08f9d36041758d00ae5cdfdf8a809820e6ed0daddfc53f36b76da90a6",
+        lambda: shorten(hamming_code(4), range(8)),
+    ),
+    "bch-15-2-shortened": (
+        "1eb8240b33bd0c58df4163f159d4f98c551c1aa3ff8b00c12351dd6761e7656f",
+        lambda: shorten(bch_code(15, 2), {1, 2}),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", CONSTRUCTION_PINS)
+def test_construction_pinned(name):
+    digest, build = CONSTRUCTION_PINS[name]
+    code = build()
+    text = format_code_file(code) + code.parity_check.to_text()
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 class TestInvariants:

@@ -86,7 +86,7 @@ class TestConstruction:
 
 class TestMatVecMul:
     def test_identity(self):
-        assert mat_vec_mul(BitMatrix.identity(2), BitVector([1, 0])) == BitVector([1, 0])
+        assert mat_vec_mul(BitMatrix([[1, 0], [0, 1]]), BitVector([1, 0])) == BitVector([1, 0])
 
     def test_xor_of_rows(self):
         m = BitMatrix([[1, 0, 1], [0, 1, 1]])
@@ -98,7 +98,7 @@ class TestMatVecMul:
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
-            mat_vec_mul(BitMatrix.identity(3), BitVector([1, 0]))
+            mat_vec_mul(BitMatrix([[1, 0, 0], [0, 1, 0], [0, 0, 1]]), BitVector([1, 0]))
 
     def test_linearity_random(self):
         rng = random.Random(11)
@@ -107,7 +107,8 @@ class TestMatVecMul:
             m = random_bit_matrix(rng, rows, cols)
             u = BitVector([rng.randrange(2) for _ in range(rows)])
             v = BitVector([rng.randrange(2) for _ in range(rows)])
-            assert mat_vec_mul(m, u ^ v) == mat_vec_mul(m, u) ^ mat_vec_mul(m, v)
+            u_plus_v = BitVector.from_int(u.bits ^ v.bits, rows)
+            assert mat_vec_mul(m, u_plus_v).bits == mat_vec_mul(m, u).bits ^ mat_vec_mul(m, v).bits
 
     def test_matches_naive(self):
         rng = random.Random(12)
@@ -121,7 +122,7 @@ class TestMatVecMul:
 
 class TestRank:
     def test_identity(self):
-        assert rank(BitMatrix.identity(3)) == 3
+        assert rank(BitMatrix([[1, 0, 0], [0, 1, 0], [0, 0, 1]])) == 3
 
     def test_equal_rows(self):
         assert rank(BitMatrix([[1, 0, 1, 1], [1, 0, 1, 1]])) == 1
@@ -162,7 +163,7 @@ def solve_system(a, b):
 
 class TestSolve:
     def test_identity_system(self):
-        x, ops = solve_system(BitMatrix.identity(3), BitVector([1, 0, 1]))
+        x, ops = solve_system(BitMatrix([[1, 0, 0], [0, 1, 0], [0, 0, 1]]), BitVector([1, 0, 1]))
         assert x == BitVector([1, 0, 1])
         assert ops == 0
 
