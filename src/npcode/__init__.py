@@ -36,7 +36,6 @@ from .netmodel import (
     PacketKind,
 )
 from .protocol import (
-    FailureScenario,
     Outcome,
     RecoveryReport,
     Schedule,

@@ -159,7 +159,7 @@ def render_report(records, sched: protocol.Schedule, out) -> None:
     for rec in records:
         metrics.add(rec)
         report = rec.report
-        failed = ";".join(str(c) for c in sorted(rec.scenario.failed)) or "-"
+        failed = ";".join(str(c) for c in sorted(rec.failed)) or "-"
         out.write(
             f"{rec.index},{failed},{report.outcome.value},{report.queries_sent},"
             f"{report.xor_operations},{report.transmissions},{capacity}\n"

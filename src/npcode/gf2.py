@@ -295,9 +295,10 @@ class SolvePlan:
         pivots: (mask, position) per pinned unknown: the XOR of the word's
             bits under ``mask``, all of them known, is the unknown's value.
         free: the number of unknowns that no row pins down.
+        ops: the XOR count that :func:`solve_with_cost` reports.
     """
 
-    __slots__ = ("known", "residual", "pivots", "free", "_rows", "_combos", "_ops")
+    __slots__ = ("known", "residual", "pivots", "free", "ops")
 
     def __init__(self, rows: Sequence[int], unknowns: Sequence[int]):
         mask = 0
@@ -310,18 +311,7 @@ class SolvePlan:
         self.residual = tuple(eqs[pinned:])
         self.pivots = tuple(zip([w & known for w in eqs[:pinned]], cols))
         self.free = len(unknowns) - pinned
-        self._rows = tuple(rows)
-        self._combos = combos
-        self._ops = None
-
-    @property
-    def ops(self) -> int:
-        """The XOR count that :func:`solve_with_cost` reports, worked out the
-        first time it is read and then kept."""
-        if self._ops is None:
-            known = self.known
-            self._ops = sum(max(0, (row & known).bit_count() - 1) for row in self._rows) + self._combos
-        return self._ops
+        self.ops = sum(max(0, (row & known).bit_count() - 1) for row in rows) + combos
 
     def apply(self, word: int) -> int:
         """Fill the unknown bits of ``word``; its bits there are ignored.

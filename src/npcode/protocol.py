@@ -13,14 +13,19 @@ A round is one codeword packed into an int (bit j = coordinate j), and
 Coordinate layout per round r: parity coordinate k+j rides connection
 (r + j) mod n, and the data coordinates 0..k-1 fill the remaining
 connections in ascending index order. For m = 1 this puts the parity
-symbol on connection r, the diagonal rotation.
+symbol on connection r, the diagonal rotation. As arithmetic, with
+offset = r mod n and d = (c - offset) mod n, connection c carries
+
+- parity coordinate k + d when d < m;
+- otherwise data coordinate c - m when c >= offset + m, and
+  c - max(0, offset + m - n) when it does not (only the wrapped part of
+  the parity block lies below c).
 """
 
 from __future__ import annotations
 
 import dataclasses
 import enum
-import functools
 import random
 from collections import Counter
 from collections.abc import Callable, Iterable, Iterator, Sequence
@@ -69,17 +74,6 @@ def build_schedule(n: int, m: int, rounds: int) -> Schedule:
     return Schedule(n, m, rounds)
 
 
-@dataclass(frozen=True)
-class FailureScenario:
-    """Set of connections whose payloads are lost this round. Positions are
-    always known to the receivers; that is the failure model."""
-
-    failed: frozenset[int]
-
-    def __init__(self, failed: Iterable[int]):
-        object.__setattr__(self, "failed", frozenset(failed))
-
-
 @dataclass
 class RecoveryReport:
     """What one round's recovery did and what it cost."""
@@ -97,18 +91,15 @@ def connection_of_coordinate(sched: Schedule, r: int) -> tuple[int, ...]:
     return tuple(c for c in range(sched.n) if c not in scheduled) + scheduled
 
 
-# Coordinate layouts kept by :func:`_layout`: room for every rotation offset
-# of a code of length up to 64 (the longest constructions have n = 63).
-LAYOUT_MEMO_SIZE = 64
-
-
-@functools.lru_cache(maxsize=LAYOUT_MEMO_SIZE)
-def _layout(n: int, m: int, offset: int) -> tuple[tuple[int, ...], dict[int, int]]:
-    """The coordinate layout of rotation offset ``offset``: the connection of
-    each coordinate, and each connection's coordinate as a one-bit mask. The
-    dict is shared by every caller and never changed."""
-    conn_of = connection_of_coordinate(Schedule(n, m, n), offset)
-    return conn_of, {c: 1 << j for j, c in enumerate(conn_of)}
+def _coordinate(n: int, m: int, offset: int, c: int) -> int:
+    """The coordinate that connection ``c`` carries at rotation offset
+    ``offset``: the inverse of :func:`connection_of_coordinate`."""
+    d = (c - offset) % n
+    if d < m:
+        return n - m + d
+    if c >= offset + m:
+        return c - m
+    return c - max(0, offset + m - n)
 
 
 def _require_fit(code: ProtectionCode, sched: Schedule) -> None:
@@ -136,11 +127,14 @@ def recover_codeword(
     in the report; lost parity is not worth rebuilding.
     """
     n, k = code.n, code.k
-    conn_of, bit_of = _layout(n, code.m, offset)
-    try:
-        erased = sum(bit_of[c] for c in failed)
-    except KeyError:
-        raise ValueError(f"failed connections {sorted(failed)} reach outside [0, {n})") from None
+    lost = []  # (connection, coordinate) per failed connection
+    erased = 0
+    for c in failed:
+        if not 0 <= c < n:
+            raise ValueError(f"failed connections {sorted(failed)} reach outside [0, {n})")
+        j = _coordinate(n, code.m, offset, c)
+        lost.append((c, j))
+        erased |= 1 << j
     if not erased & ((1 << k) - 1):
         return RecoveryReport({}, 0, 0, n, Outcome.NO_ACTION_NEEDED)
 
@@ -155,7 +149,7 @@ def recover_codeword(
         word = plan.apply(codeword)
     except NoUniqueSolution:
         return RecoveryReport({}, queries, 0, n, Outcome.UNRECOVERABLE)
-    recovered = {conn_of[j]: word >> j & 1 for _, j in plan.pivots if j < k}
+    recovered = {c: word >> j & 1 for c, j in lost if j < k}
     return RecoveryReport(recovered, queries, plan.ops, n, Outcome.FULL_RECOVERY)
 
 
@@ -174,13 +168,13 @@ def encode_round(
     return packets
 
 
-def inject_failures(packets: Sequence[Packet], scenario: FailureScenario) -> list[Packet]:
+def inject_failures(packets: Sequence[Packet], failed: frozenset[int]) -> list[Packet]:
     """Erase the payloads on the failed connections; everything else passes."""
-    for i in scenario.failed:
+    for i in failed:
         if not 0 <= i < len(packets):
             raise ValueError(f"failed connection {i} out of range")
     return [
-        dataclasses.replace(p, payload=None) if c in scenario.failed else p
+        dataclasses.replace(p, payload=None) if c in failed else p
         for c, p in enumerate(packets)
     ]
 
@@ -188,12 +182,12 @@ def inject_failures(packets: Sequence[Packet], scenario: FailureScenario) -> lis
 def recover(
     code: ProtectionCode,
     surviving: Sequence[Packet],
-    scenario: FailureScenario,
+    failed: frozenset[int],
     sched: Schedule,
     r: int,
 ) -> RecoveryReport:
     """Packet view of :func:`recover_codeword` for round r: checks each packet
-    against the schedule and the scenario, then packs the survivors."""
+    against the schedule and the failed set, then packs the survivors."""
     _require_fit(code, sched)
     if len(surviving) != sched.n:
         raise DimensionMismatch(f"expected {sched.n} packets, got {len(surviving)}")
@@ -203,44 +197,49 @@ def recover(
         expected = PacketKind.ENCODED if j >= code.k else PacketKind.DATA
         if pkt.kind is not expected:
             raise ValueError(f"packet {c} kind {pkt.kind} does not match the schedule")
-        if (pkt.payload is None) != (c in scenario.failed):
-            raise ValueError(f"packet {c} erasure does not match the scenario")
+        if (pkt.payload is None) != (c in failed):
+            raise ValueError(f"packet {c} erasure does not match the failed set")
         if pkt.payload not in (None, 0, 1):
             raise ValueError(f"packet {c} payload must be 0, 1, or None, got {pkt.payload!r}")
         if pkt.payload:
             codeword |= 1 << j
-    return recover_codeword(code, r % sched.n, scenario.failed, codeword)
+    return recover_codeword(code, r % sched.n, failed, codeword)
 
 
-def no_failures() -> Callable[[int], FailureScenario]:
-    scenario = FailureScenario(())
-    return lambda r: scenario
+# A failure model maps each round to the set of connections whose payloads
+# are lost in it. Positions are always known to the receivers.
 
 
-def fixed_failures(failed: Iterable[int]) -> Callable[[int], FailureScenario]:
-    scenario = FailureScenario(failed)
-    return lambda r: scenario
+def no_failures() -> Callable[[int], frozenset[int]]:
+    failed = frozenset()
+    return lambda r: failed
 
 
-def random_failures(n: int, t: int, seed: int) -> Callable[[int], FailureScenario]:
+def fixed_failures(failed: Iterable[int]) -> Callable[[int], frozenset[int]]:
+    failed = frozenset(failed)
+    return lambda r: failed
+
+
+def random_failures(n: int, t: int, seed: int) -> Callable[[int], frozenset[int]]:
     """t distinct failed connections per round, drawn from a seeded stream.
 
     The model must be called once per round in round order; the seed then
-    fully determines every scenario.
+    fully determines every round's failed set.
     """
     if not 0 <= t <= n:
         raise ValueError(f"t must be in [0, {n}], got {t}")
     rng = random.Random(seed)
-    return lambda r: FailureScenario(rng.sample(range(n), t))
+    return lambda r: frozenset(rng.sample(range(n), t))
 
 
 @dataclass
 class RoundRecord:
-    """One simulated round: its sent codeword (bit j = coordinate j), scenario and report."""
+    """One simulated round: its sent codeword (bit j = coordinate j), failed
+    connections and report."""
 
     index: int
     codeword: int
-    scenario: FailureScenario
+    failed: frozenset[int]
     report: RecoveryReport
 
 
@@ -298,7 +297,7 @@ def simulate_rounds(
     net: Network,
     code: ProtectionCode,
     sched: Schedule,
-    failure_model: Callable[[int], FailureScenario],
+    failure_model: Callable[[int], frozenset[int]],
     rounds: int,
     *,
     seed: int = 0,
@@ -317,17 +316,17 @@ def simulate_rounds(
     rng = random.Random(seed)
     generator = code.generator.row_words
     for r in range(rounds):
-        scenario = failure_model(r)
+        failed = failure_model(r)
         codeword = gf2.xor_rows(generator, rng.getrandbits(code.k))
-        report = recover_codeword(code, r % code.n, scenario.failed, codeword)
-        yield RoundRecord(r, codeword, scenario, report)
+        report = recover_codeword(code, r % code.n, failed, codeword)
+        yield RoundRecord(r, codeword, failed, report)
 
 
 def run_simulation(
     net: Network,
     code: ProtectionCode,
     sched: Schedule,
-    failure_model: Callable[[int], FailureScenario],
+    failure_model: Callable[[int], frozenset[int]],
     rounds: int,
     *,
     seed: int = 0,

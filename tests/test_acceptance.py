@@ -24,7 +24,6 @@ from npcode.codes import (
 from npcode.gf2 import BitVector, mat_mul, min_distance
 from npcode.netmodel import Network, PacketKind
 from npcode.protocol import (
-    FailureScenario,
     Outcome,
     build_schedule,
     encode_round,
@@ -46,7 +45,7 @@ def _single_round_recovery(code, failed, r=0):
     rng = random.Random(1000 + code.n)
     data = [rng.randrange(2) for _ in range(code.k)]
     sent = encode_round(sched, r, code, data)
-    scenario = FailureScenario(failed)
+    scenario = frozenset(failed)
     delivered = inject_failures(sent, scenario)
     return sent, recover(code, delivered, scenario, sched, r)
 

@@ -17,11 +17,11 @@ from npcode.codes import (
 from npcode.gf2 import BitMatrix, BitVector, DimensionMismatch, Inconsistent, NoUniqueSolution
 from npcode.netmodel import Network, PacketKind
 from npcode.protocol import (
-    FailureScenario,
     Outcome,
     RecoveryReport,
     Schedule,
     build_schedule,
+    _coordinate,
     connection_of_coordinate,
     encode_round,
     fixed_failures,
@@ -93,6 +93,16 @@ class TestSchedule:
                     counts[c] += 1
             assert counts == [3] * 7
 
+    def test_coordinate_inverts_the_layout(self):
+        # every n <= 40, 1 <= m < n and offset < n: parity blocks that wrap
+        # past connection n - 1 and blocks that do not
+        for n in range(2, 41):
+            for m in range(1, n):
+                sched = Schedule(n, m, n)
+                for offset in range(n):
+                    conn_of = connection_of_coordinate(sched, offset)
+                    assert [_coordinate(n, m, offset, c) for c in conn_of] == list(range(n))
+
     @pytest.mark.parametrize("n,m,rounds", [(5, 0, 1), (5, 5, 1), (1, 1, 1), (5, 1, 0)])
     def test_rejects_bad_parameters(self, n, m, rounds):
         with pytest.raises(ValueError):
@@ -158,19 +168,19 @@ class TestInjectFailures:
     def test_empty_scenario(self):
         code = single_parity_code(4)
         packets = encode_round(build_schedule(4, 1, 1), 0, code, [1, 0, 1])
-        assert inject_failures(packets, FailureScenario(())) == packets
+        assert inject_failures(packets, frozenset(())) == packets
 
     def test_all_failed(self):
         code = single_parity_code(4)
         packets = encode_round(build_schedule(4, 1, 1), 0, code, [1, 0, 1])
-        erased = inject_failures(packets, FailureScenario(range(4)))
+        erased = inject_failures(packets, frozenset(range(4)))
         assert all(p.payload is None for p in erased)
         assert [p.kind for p in erased] == [p.kind for p in packets]
 
     def test_single_failure(self):
         code = single_parity_code(5)
         packets = encode_round(build_schedule(5, 1, 1), 0, code, [1, 0, 1, 1])
-        erased = inject_failures(packets, FailureScenario({2}))
+        erased = inject_failures(packets, frozenset({2}))
         assert erased[2].payload is None
         assert sum(p.payload is None for p in erased) == 1
 
@@ -178,7 +188,7 @@ class TestInjectFailures:
         code = single_parity_code(4)
         packets = encode_round(build_schedule(4, 1, 1), 0, code, [1, 0, 1])
         with pytest.raises(ValueError):
-            inject_failures(packets, FailureScenario({4}))
+            inject_failures(packets, frozenset({4}))
 
 
 def run_one_recovery(code, n, failed, r=0, data=None, seed=5):
@@ -186,7 +196,7 @@ def run_one_recovery(code, n, failed, r=0, data=None, seed=5):
     sched = build_schedule(n, code.m, max(r + 1, 1))
     data = data or [rng.randrange(2) for _ in range(code.k)]
     sent = encode_round(sched, r, code, data)
-    scenario = FailureScenario(failed)
+    scenario = frozenset(failed)
     delivered = inject_failures(sent, scenario)
     return sent, recover(code, delivered, scenario, sched, r)
 
@@ -263,7 +273,7 @@ class TestRecover:
             for failed in itertools.combinations(data_conns, 2):
                 data = [rng.randrange(2) for _ in range(4)]
                 sent = encode_round(sched, r, code, data)
-                scenario = FailureScenario(failed)
+                scenario = frozenset(failed)
                 report = recover(code, inject_failures(sent, scenario), scenario, sched, r)
                 assert report.outcome is Outcome.FULL_RECOVERY
                 assert report.recovered == {c: sent[c].payload for c in failed}
@@ -273,7 +283,7 @@ class TestRecover:
         sched = build_schedule(4, 1, 1)
         sent = encode_round(sched, 0, code, [1, 0, 1])
         with pytest.raises(ValueError):
-            recover(code, sent, FailureScenario({1}), sched, 0)
+            recover(code, sent, frozenset({1}), sched, 0)
 
     def test_rejects_non_binary_payload(self):
         code = single_parity_code(4)
@@ -281,16 +291,16 @@ class TestRecover:
         sent = encode_round(sched, 0, code, [1, 0, 1])
         sent[1] = dataclasses.replace(sent[1], payload=2)
         with pytest.raises(ValueError):
-            recover(code, sent, FailureScenario(()), sched, 0)
+            recover(code, sent, frozenset(()), sched, 0)
 
     @pytest.mark.parametrize("outside", [-1, 5])
     def test_rejects_failed_connection_outside_network(self, outside):
         code = single_parity_code(5)
         sched = build_schedule(5, 1, 1)
         sent = encode_round(sched, 0, code, [1, 0, 1, 1])
-        scenario = FailureScenario({2, outside})
+        scenario = frozenset({2, outside})
         with pytest.raises(ValueError):
-            recover(code, inject_failures(sent, FailureScenario({2})), scenario, sched, 0)
+            recover(code, inject_failures(sent, frozenset({2})), scenario, sched, 0)
         with pytest.raises(ValueError):
             next(simulate_rounds(Network.direct(5), code, sched, lambda r: scenario, 1))
 
@@ -327,8 +337,9 @@ class TestRepairPlanMemo:
             (single_parity_code(5), range(5), 5),
             (hamming_code(3), range(7), 7),
             (bch_code(15, 2), (0, 8), 5),
+            (single_parity_code(100), (0, 37, 99), 2),
         ],
-        ids=["parity5", "hamming3", "bch15"],
+        ids=["parity5", "hamming3", "bch15", "parity100"],
     )
     def test_agrees_with_uncached_decoder(self, code, offsets, max_failures):
         # every failure set of up to max_failures connections at each offset,
@@ -376,7 +387,7 @@ class TestRepairPlanMemo:
         r = 3
         sent = encode_round(sched, r, code, [1, 0, 1, 1])
         lost = connection_of_coordinate(sched, r)[1]  # a data connection
-        scenario = FailureScenario({lost})
+        scenario = frozenset({lost})
         delivered = inject_failures(sent, scenario)
         codes.repair_plan.cache_clear()
         for survivor in (c for c in range(7) if c != lost):
@@ -399,9 +410,9 @@ class TestRepairPlanMemo:
             trio for trio in itertools.combinations(range(7), 3)
             if trio[0] < code.k and h_cols[trio[0]] ^ h_cols[trio[1]] == h_cols[trio[2]]
         )
-        scenario = FailureScenario(conn_of[j] for j in coords)
+        scenario = frozenset(conn_of[j] for j in coords)
         delivered = inject_failures(encode_round(sched, r, code, [0, 1, 1, 0]), scenario)
-        survivor = next(c for c in range(7) if c not in scenario.failed)
+        survivor = next(c for c in range(7) if c not in scenario)
         codes.repair_plan.cache_clear()
         for _ in range(2):  # cold, then from the memo
             with pytest.raises(Inconsistent):
@@ -444,7 +455,7 @@ class TestEndToEnd:
                 sent = encode_round(sched, r, code, msg)
                 for t in range(code.d_min):
                     for failed in itertools.combinations(range(7), t):
-                        scenario = FailureScenario(failed)
+                        scenario = frozenset(failed)
                         report = recover(
                             code, inject_failures(sent, scenario), scenario, sched, r
                         )
@@ -490,17 +501,17 @@ class TestEndToEnd:
 class TestFailureModels:
     def test_no_failures(self):
         model = no_failures()
-        assert model(0).failed == frozenset()
+        assert model(0) == frozenset()
 
     def test_fixed(self):
         model = fixed_failures({1, 3})
-        assert model(7).failed == frozenset({1, 3})
+        assert model(7) == frozenset({1, 3})
 
     def test_random_deterministic(self):
         a = random_failures(8, 2, seed=99)
         b = random_failures(8, 2, seed=99)
-        seq_a = [a(r).failed for r in range(50)]
-        seq_b = [b(r).failed for r in range(50)]
+        seq_a = [a(r) for r in range(50)]
+        seq_b = [b(r) for r in range(50)]
         assert seq_a == seq_b
         assert all(len(s) == 2 for s in seq_a)
 
@@ -559,7 +570,7 @@ class TestRunSimulation:
             net = Network.direct(7)
             sched = build_schedule(7, 3, 30)
             return [
-                (rec.scenario.failed, rec.report.outcome, rec.codeword)
+                (rec.failed, rec.report.outcome, rec.codeword)
                 for rec in simulate_rounds(
                     net, hamming_code(3), sched, random_failures(7, 2, seed=7), 30, seed=7
                 )
