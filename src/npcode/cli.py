@@ -156,12 +156,13 @@ def render_report(records, sched: protocol.Schedule, out) -> None:
     out.write("round,failed,outcome,queries,xor_ops,transmissions,capacity\n")
     metrics = protocol.SimulationMetrics(sched)
     capacity = _ratio(Fraction(sched.n - sched.m, sched.n))
+    labels = {outcome: outcome.value for outcome in protocol.Outcome}
     for rec in records:
         metrics.add(rec)
         report = rec.report
         failed = ";".join(str(c) for c in sorted(rec.failed)) or "-"
         out.write(
-            f"{rec.index},{failed},{report.outcome.value},{report.queries_sent},"
+            f"{rec.index},{failed},{labels[report.outcome]},{report.queries_sent},"
             f"{report.xor_operations},{report.transmissions},{capacity}\n"
         )
     out.write(

@@ -249,7 +249,11 @@ def repair_plan(parity_check: BitMatrix, erased: int) -> gf2.SolvePlan:
     changes how long a call takes, never what it returns. The decoder and
     the simulator share it; :func:`verify_protection` needs no plans.
     """
-    unknowns = [j for j in range(parity_check.cols) if erased >> j & 1]
+    unknowns = []  # ascending, one step per erased bit
+    while erased:
+        low = erased & -erased
+        unknowns.append(low.bit_length() - 1)
+        erased ^= low
     return gf2.SolvePlan(parity_check.row_words, unknowns)
 
 

@@ -231,6 +231,24 @@ def xor_rows(words: Sequence[int], selector: int) -> int:
     return acc
 
 
+def subset_tables(words: Sequence[int]) -> tuple[tuple[int, ...], ...]:
+    """Per group of 8 rows, the :func:`xor_rows` of every subset of the
+    group, indexed by the subset's bits: what :func:`xor_rows_by_tables`
+    reads (the method of Four Russians)."""
+    groups = (words[i : i + 8] for i in range(0, len(words), 8))
+    return tuple(tuple(xor_rows(g, s) for s in range(1 << len(g))) for g in groups)
+
+
+def xor_rows_by_tables(tables: Sequence[Sequence[int]], selector: int) -> int:
+    """``xor_rows(words, selector)`` for ``tables = subset_tables(words)``:
+    one lookup per 8 bits of ``selector``, which must not reach past the rows."""
+    acc = 0
+    for table in tables:
+        acc ^= table[selector & 0xFF]
+        selector >>= 8
+    return acc
+
+
 def mat_vec_mul(m: BitMatrix, v: BitVector | Sequence[int]) -> BitVector:
     """Row-vector times matrix: ``v @ m`` over the two-element field.
 

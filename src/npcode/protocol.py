@@ -43,6 +43,10 @@ class Outcome(enum.Enum):
     NO_ACTION_NEEDED = "NoActionNeeded"
     UNRECOVERABLE = "Unrecoverable"
 
+    # members are singletons, so identity hashing is sound, and it skips the
+    # Python-level Enum.__hash__ on every round's Counter update
+    __hash__ = object.__hash__
+
 
 @dataclass(frozen=True)
 class Schedule:
@@ -306,7 +310,10 @@ def simulate_rounds(
 
     Data symbols come from a stream seeded by ``seed``, so identical
     arguments replay identical rounds. Each round is one packed codeword
-    handed to :func:`recover_codeword`.
+    handed to :func:`recover_codeword`. The generator is [I_k | P], so a
+    round's codeword is its data followed by the data times P, read from
+    :func:`~npcode.gf2.subset_tables` of P built once per run: one lookup
+    per 8 data bits.
     """
     _require_fit(code, sched)
     if net.n != code.n:
@@ -314,10 +321,12 @@ def simulate_rounds(
     if not 1 <= rounds <= sched.rounds:
         raise ValueError(f"rounds must be in [1, {sched.rounds}]")
     rng = random.Random(seed)
-    generator = code.generator.row_words
+    k = code.k
+    parity = gf2.subset_tables([w >> k for w in code.generator.row_words])
     for r in range(rounds):
         failed = failure_model(r)
-        codeword = gf2.xor_rows(generator, rng.getrandbits(code.k))
+        data = rng.getrandbits(k)
+        codeword = data | gf2.xor_rows_by_tables(parity, data) << k
         report = recover_codeword(code, r % code.n, failed, codeword)
         yield RoundRecord(r, codeword, failed, report)
 

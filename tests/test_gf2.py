@@ -18,6 +18,9 @@ from npcode.gf2 import (
     min_distance,
     rank,
     solve_with_cost,
+    subset_tables,
+    xor_rows,
+    xor_rows_by_tables,
 )
 
 from oracles import encode_naive, mat_vec_naive, min_distance_naive, rank_naive
@@ -118,6 +121,29 @@ class TestMatVecMul:
             v = [rng.randrange(2) for _ in range(rows)]
             got = mat_vec_mul(BitMatrix(lists), BitVector(v))
             assert list(got) == mat_vec_naive(lists, v)
+
+
+class TestSubsetTables:
+    @pytest.mark.parametrize("rows", range(1, 11))
+    def test_every_selector_matches_xor_rows(self, rows):
+        # up to 8 rows is one group; 9 and 10 add a partial second group
+        rng = random.Random(rows)
+        words = [rng.getrandbits(12) for _ in range(rows)]
+        tables = subset_tables(words)
+        assert [len(t) for t in tables] == [1 << len(words[i : i + 8]) for i in range(0, rows, 8)]
+        for selector in range(1 << rows):
+            assert xor_rows_by_tables(tables, selector) == xor_rows(words, selector)
+
+    def test_random_wide_rows_match_xor_rows(self):
+        rng = random.Random(13)
+        for _ in range(60):
+            rows, width = rng.randrange(1, 131), rng.randrange(1, 201)
+            words = [rng.getrandbits(width) for _ in range(rows)]
+            tables = subset_tables(words)
+            assert xor_rows_by_tables(tables, 0) == 0
+            for _ in range(20):
+                selector = rng.getrandbits(rows)
+                assert xor_rows_by_tables(tables, selector) == xor_rows(words, selector)
 
 
 class TestRank:

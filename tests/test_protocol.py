@@ -604,8 +604,21 @@ class TestRunSimulation:
 
 class TestPackedEncode:
     @pytest.mark.parametrize(
-        "code", [single_parity_code(5), hamming_code(3), bch_code(15, 2)],
-        ids=["parity5", "hamming3", "bch15"],
+        "code",
+        [
+            single_parity_code(5),
+            hamming_code(3),
+            bch_code(15, 2),
+            # k of 8 and more: one full group of 8 data bits, then several
+            single_parity_code(9),
+            single_parity_code(10),
+            single_parity_code(17),
+            single_parity_code(100),
+            bch_code(31, 2),
+            hamming_code(6),
+        ],
+        ids=["parity5", "hamming3", "bch15", "parity9", "parity10", "parity17", "parity100",
+             "bch31", "hamming6"],
     )
     def test_every_round_sends_the_codeword_of_its_data(self, code):
         rounds = 3 * code.n
