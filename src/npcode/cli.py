@@ -145,6 +145,10 @@ def _ratio(q: Fraction) -> str:
     return f"{q.numerator}/{q.denominator}"
 
 
+# Failed-set texts one report keeps, so its memory does not grow with rounds.
+FAILED_TEXTS_KEPT = protocol.DRAW_MEMO_SIZE
+
+
 def render_report(records, sched: protocol.Schedule, out) -> None:
     """Write a fixed-order CSV to ``out``: one row per round as its record
     arrives, then a summary line.
@@ -157,10 +161,16 @@ def render_report(records, sched: protocol.Schedule, out) -> None:
     metrics = protocol.SimulationMetrics(sched)
     capacity = _ratio(Fraction(sched.n - sched.m, sched.n))
     labels = {outcome: outcome.value for outcome in protocol.Outcome}
+    # each failed set's text is made once: most rounds repeat an earlier set
+    texts: dict[frozenset[int], str] = {}
     for rec in records:
         metrics.add(rec)
         report = rec.report
-        failed = ";".join(str(c) for c in sorted(rec.failed)) or "-"
+        failed = texts.get(rec.failed)
+        if failed is None:
+            if len(texts) == FAILED_TEXTS_KEPT:  # a long run of distinct sets
+                texts.clear()
+            failed = texts[rec.failed] = ";".join(str(c) for c in sorted(rec.failed)) or "-"
         out.write(
             f"{rec.index},{failed},{labels[report.outcome]},{report.queries_sent},"
             f"{report.xor_operations},{report.transmissions},{capacity}\n"

@@ -26,6 +26,8 @@ from __future__ import annotations
 
 import dataclasses
 import enum
+import functools
+import math
 import random
 from collections import Counter
 from collections.abc import Callable, Iterable, Iterator, Sequence
@@ -67,9 +69,6 @@ class Schedule:
         if not 0 <= r < self.rounds:
             raise ValueError(f"round {r} outside [0, {self.rounds})")
         return tuple((r + j) % self.n for j in range(self.m))
-
-    def assignment(self, r: int) -> frozenset[int]:
-        return frozenset(self.scheduled(r))
 
 
 def build_schedule(n: int, m: int, rounds: int) -> Schedule:
@@ -225,15 +224,62 @@ def fixed_failures(failed: Iterable[int]) -> Callable[[int], frozenset[int]]:
 
 
 def random_failures(n: int, t: int, seed: int) -> Callable[[int], frozenset[int]]:
-    """t distinct failed connections per round, drawn from a seeded stream.
+    """t distinct failed connections per round, a pure function of (seed, r).
 
-    The model must be called once per round in round order; the seed then
-    fully determines every round's failed set.
+    The seed gives a 64-bit key, ``random.Random(seed).getrandbits(64)``.
+    Round r takes outputs rB + 1 .. rB + B of the splitmix64 stream that
+    starts at the key (Steele, Lea and Flood, OOPSLA 2014): output j is the
+    splitmix64 finaliser of key + j * 0x9E3779B97F4A7C15 mod 2^64, so any
+    round is drawn without the rounds before it. B is the fewest 64-bit
+    blocks that leave 32 bits of margin over C(n, t) (one block below 2^32
+    subsets), so the modulo bias stays under 2^-32. The blocks, read as one
+    integer mod C(n, t), index a t-subset in colex order (:func:`_unrank`).
     """
     if not 0 <= t <= n:
         raise ValueError(f"t must be in [0, {n}], got {t}")
-    rng = random.Random(seed)
-    return lambda r: frozenset(rng.sample(range(n), t))
+    count = math.comb(n, t)
+    blocks = (count.bit_length() + 95) // 64
+    steps = range(1, blocks + 1)
+    key = random.Random(seed).getrandbits(64)
+
+    def draw(r: int) -> frozenset[int]:
+        word = 0
+        base = r * blocks
+        for i in steps:
+            # the splitmix64 finaliser, written out: this runs every round
+            z = key + (base + i) * _GOLDEN_GAMMA & _MASK64
+            z = (z ^ z >> 30) * 0xBF58476D1CE4E5B9 & _MASK64
+            z = (z ^ z >> 27) * 0x94D049BB133111EB & _MASK64
+            word = word << 64 | z ^ z >> 31
+        return _unrank(n, t, word % count)
+
+    return draw
+
+
+_GOLDEN_GAMMA = 0x9E3779B97F4A7C15
+_MASK64 = (1 << 64) - 1
+
+# Failed sets kept by _unrank: every 2-subset of up to 90 connections fits
+# (C(90, 2) = 4,005), so each is one shared object that caches its hash.
+DRAW_MEMO_SIZE = 4096
+
+
+@functools.lru_cache(maxsize=DRAW_MEMO_SIZE)
+def _unrank(n: int, t: int, index: int) -> frozenset[int]:
+    """The ``index``-th t-subset of range(n) in colex order, for index in
+    [0, C(n, t)): by the combinatorial number system (Knuth, TAOCP 4A,
+    7.2.1.3), index = sum of C(c_i, i) over the members c_1 < ... < c_t, so
+    each c_i, largest first, is the largest c with C(c, i) <= what is left
+    of the index."""
+    members = []
+    c = n
+    for i in range(t, 0, -1):
+        c -= 1
+        while (below := math.comb(c, i)) > index:
+            c -= 1
+        index -= below
+        members.append(c)
+    return frozenset(members)
 
 
 @dataclass

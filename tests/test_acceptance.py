@@ -90,7 +90,7 @@ def test_criterion_3_multi_failure_query_count():
     checked = 0
     for r in range(7):
         sched = build_schedule(7, 3, 7)
-        data_conns = [c for c in range(7) if c not in sched.assignment(r)]
+        data_conns = [c for c in range(7) if c not in sched.scheduled(r)]
         for failed in itertools.combinations(data_conns, 2):
             sent, report = _single_round_recovery(code, set(failed), r=r)
             assert report.outcome is Outcome.FULL_RECOVERY
@@ -177,7 +177,7 @@ def test_criterion_7_schedule_fairness():
             sched = build_schedule(n, m, n)
             counts = [0] * n
             for r in range(n):
-                for c in sched.assignment(r):
+                for c in sched.scheduled(r):
                     counts[c] += 1
             assert counts == [m] * n
             pairs += 1

@@ -3,12 +3,13 @@ import io
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from npcode import codes, netmodel, protocol
-from npcode.cli import ConfigError, main, parse_config, render_report
+from npcode import cli, codes, gf2, netmodel, protocol
+from npcode.cli import ConfigError, build_code, main, parse_config, render_report
 
 PARITY_CONFIG = """\
 # five connections, one parity, no failures
@@ -33,7 +34,7 @@ seed = 1
 GOLDEN_REPORTS = {
     "hamming-random-t2": (
         HAMMING_RANDOM_CONFIG,
-        "de8fe0d75655834e8b6731e433c3bec978e3368585c246b0c03558cb241b7deb",
+        "1fdd8db4718e8e6e154ae6beb9daa622f67e25a6fa555447021c6f7da54f8aac",
     ),
     "parity-fixed": (
         "code_family = parity\nn = 5\nrounds = 5\nfailure_model = fixed\nfailed = 2\n",
@@ -41,12 +42,12 @@ GOLDEN_REPORTS = {
     ),
     "parity-all-unrecoverable": (
         "code_family = parity\nn = 6\nrounds = 30\nfailure_model = random\nt = 2\nseed = 4\n",
-        "814416c3607ce192967082ab968d271385a7e4084e9b1e7ede35466546508634",
+        "1856df10494f0e81a38dd9e041c538f62976637fdf093bc1202537e8f9e075d2",
     ),
     "bch15-random-t5": (
         "code_family = bch\nn = 15\ndesign_t = 2\nrounds = 60\n"
         "failure_model = random\nt = 5\nseed = 9\n",
-        "66f673192b157f03259cb95bb990e431da29822cb4650f4b17b761c21cde77a4",
+        "db3ddcfe1f68ed360fb74e34016d9044ec1f49b71c89792fe23e8b12ccac6f13",
     ),
 }
 
@@ -390,6 +391,51 @@ class TestSimulate:
         out = tmp_path / "r.csv"
         assert main(["simulate", "sub/s.cfg", "--out", str(out)]) == 0
         assert "avg_capacity=4/7" in out.read_text().splitlines()[-1]
+
+    @pytest.mark.parametrize(
+        "name", ["hamming-random-t2", "parity-all-unrecoverable", "bch15-random-t5"]
+    )
+    def test_random_rows_replay_alone(self, tmp_path, name):
+        # each row against a fresh failure model called at that round alone,
+        # decoded by the uncached solve over the layout's erased coordinates
+        text, _ = GOLDEN_REPORTS[name]
+        cfg = parse_config(text)
+        code = build_code(cfg.code_family, n=cfg.n, mu=cfg.mu, design_t=cfg.design_t)
+        out = tmp_path / "r.csv"
+        assert main(["simulate", str(write_config(tmp_path, text)), "--out", str(out)]) == 0
+        n, k, t = code.n, code.k, cfg.t
+        sched = protocol.Schedule(n, code.m, cfg.rounds)
+        capacity = Fraction(k, n)
+        rows = out.read_text().splitlines()[1:-1]
+        assert len(rows) == cfg.rounds
+        for r, row in enumerate(rows):
+            failed = protocol.random_failures(n, t, cfg.seed)(r)
+            assert len(failed) == t
+            conn_of = protocol.connection_of_coordinate(sched, r)
+            erased = [j for j, c in enumerate(conn_of) if c in failed]
+            if all(j >= k for j in erased):
+                outcome, queries, ops = "NoActionNeeded", 0, 0
+            else:
+                queries = n - 1 if code.m == 1 and t == 1 else max(0, n - t - 1)
+                try:
+                    _, ops = gf2.solve_with_cost(code.parity_check.row_words, erased, 0)
+                    outcome = "FullRecovery"
+                except gf2.NoUniqueSolution:
+                    outcome, ops = "Unrecoverable", 0
+            lost = ";".join(str(c) for c in sorted(failed)) or "-"
+            assert row == (
+                f"{r},{lost},{outcome},{queries},{ops},{n},"
+                f"{capacity.numerator}/{capacity.denominator}"
+            )
+
+    def test_failed_texts_kept_bounded(self, tmp_path, monkeypatch):
+        # a report that outgrows its kept failed-set texts writes the same bytes
+        cfg = write_config(tmp_path, GOLDEN_REPORTS["bch15-random-t5"][0])
+        full, bounded = tmp_path / "full.csv", tmp_path / "bounded.csv"
+        assert main(["simulate", str(cfg), "--out", str(full)]) == 0
+        monkeypatch.setattr(cli, "FAILED_TEXTS_KEPT", 2)
+        assert main(["simulate", str(cfg), "--out", str(bounded)]) == 0
+        assert bounded.read_bytes() == full.read_bytes()
 
     @pytest.mark.parametrize("name", sorted(GOLDEN_REPORTS))
     def test_report_bytes_pinned(self, tmp_path, name):

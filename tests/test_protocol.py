@@ -1,5 +1,6 @@
 import dataclasses
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -22,6 +23,7 @@ from npcode.protocol import (
     Schedule,
     build_schedule,
     _coordinate,
+    _unrank,
     connection_of_coordinate,
     encode_round,
     fixed_failures,
@@ -37,6 +39,25 @@ from npcode.protocol import (
 from oracles import agreeing_messages
 
 
+def splitmix64(state):
+    """The splitmix64 generator (Steele, Lea and Flood, OOPSLA 2014) started
+    at ``state``: add the golden gamma, then finalise, one output a step."""
+    mask = (1 << 64) - 1
+    while True:
+        state = state + 0x9E3779B97F4A7C15 & mask
+        z = (state ^ state >> 30) * 0xBF58476D1CE4E5B9 & mask
+        z = (z ^ z >> 27) * 0x94D049BB133111EB & mask
+        yield z ^ z >> 31
+
+
+def test_splitmix64_reference_outputs():
+    # the first outputs of the reference generator started at 0
+    outputs = splitmix64(0)
+    assert [next(outputs) for _ in range(4)] == [
+        0xE220A8397B1DCDAF, 0x6E789E6AA1B965F4, 0x06C45D188009454F, 0xF88BB8A8724C81EC,
+    ]
+
+
 def one_round(code, n, r=0, rounds=None):
     return build_schedule(n, code.m, rounds or max(r + 1, 1))
 
@@ -44,7 +65,7 @@ def one_round(code, n, r=0, rounds=None):
 class TestSchedule:
     def test_diagonal_rotation_n5(self):
         sched = build_schedule(5, 1, 5)
-        assert [sched.assignment(r) for r in range(5)] == [
+        assert [frozenset(sched.scheduled(r)) for r in range(5)] == [
             frozenset({0}),
             frozenset({1}),
             frozenset({2}),
@@ -56,23 +77,23 @@ class TestSchedule:
         sched = build_schedule(4, 1, 8)
         counts = [0] * 4
         for r in range(8):
-            for c in sched.assignment(r):
+            for c in sched.scheduled(r):
                 counts[c] += 1
         assert counts == [2, 2, 2, 2]
 
     def test_base_case_n7_m3(self):
         sched = build_schedule(7, 3, 1)
-        assert sched.assignment(0) == frozenset({0, 1, 2})
+        assert frozenset(sched.scheduled(0)) == frozenset({0, 1, 2})
 
     def test_wraparound(self):
         sched = build_schedule(5, 3, 10)
-        assert sched.assignment(4) == frozenset({4, 0, 1})
+        assert frozenset(sched.scheduled(4)) == frozenset({4, 0, 1})
 
     def test_every_round_has_m_indices(self):
         for n, m in [(2, 1), (5, 2), (9, 4)]:
             sched = build_schedule(n, m, 3 * n)
             for r in range(3 * n):
-                assert len(sched.assignment(r)) == m
+                assert len(frozenset(sched.scheduled(r))) == m
 
     def test_fairness_over_n_rounds(self):
         for n in range(2, 12):
@@ -80,7 +101,7 @@ class TestSchedule:
                 sched = build_schedule(n, m, n)
                 counts = [0] * n
                 for r in range(n):
-                    for c in sched.assignment(r):
+                    for c in sched.scheduled(r):
                         counts[c] += 1
                 assert counts == [m] * n
 
@@ -89,7 +110,7 @@ class TestSchedule:
         for start in range(21):
             counts = [0] * 7
             for r in range(start, start + 7):
-                for c in sched.assignment(r):
+                for c in sched.scheduled(r):
                     counts[c] += 1
             assert counts == [3] * 7
 
@@ -110,7 +131,7 @@ class TestSchedule:
 
     def test_round_out_of_range(self):
         with pytest.raises(ValueError):
-            build_schedule(5, 1, 5).assignment(5)
+            build_schedule(5, 1, 5).scheduled(5)
 
 
 class TestEncodeRound:
@@ -151,7 +172,7 @@ class TestEncodeRound:
             conn_of = connection_of_coordinate(sched, r)
             for j in range(7):
                 assert packets[conn_of[j]].payload == codeword[j]
-            for c in sched.assignment(r):
+            for c in sched.scheduled(r):
                 assert packets[c].kind is PacketKind.ENCODED
 
     def test_round_stamp(self):
@@ -228,7 +249,7 @@ class TestRecover:
         # n - t - 1 = 4 queries
         code = hamming_code(3)
         sched = build_schedule(7, 3, 7)
-        data_conns = [c for c in range(7) if c not in sched.assignment(0)]
+        data_conns = [c for c in range(7) if c not in sched.scheduled(0)]
         sent, report = run_one_recovery(code, 7, set(data_conns[:2]))
         assert report.outcome is Outcome.FULL_RECOVERY
         assert report.queries_sent == 4
@@ -236,8 +257,8 @@ class TestRecover:
     def test_mixed_failure_recovers_only_data(self):
         code = hamming_code(3)
         sched = build_schedule(7, 3, 7)
-        parity_conn = min(sched.assignment(0))
-        data_conn = max(c for c in range(7) if c not in sched.assignment(0))
+        parity_conn = min(sched.scheduled(0))
+        data_conn = max(c for c in range(7) if c not in sched.scheduled(0))
         sent, report = run_one_recovery(code, 7, {parity_conn, data_conn})
         assert report.outcome is Outcome.FULL_RECOVERY
         assert set(report.recovered) == {data_conn}
@@ -247,7 +268,7 @@ class TestRecover:
     def test_all_parity_failures_need_nothing(self):
         code = hamming_code(3)
         sched = build_schedule(7, 3, 7)
-        _, report = run_one_recovery(code, 7, set(sched.assignment(0)))
+        _, report = run_one_recovery(code, 7, set(sched.scheduled(0)))
         assert report.outcome is Outcome.NO_ACTION_NEEDED
         assert report.queries_sent == 0
 
@@ -269,7 +290,7 @@ class TestRecover:
         code = hamming_code(3)
         sched = build_schedule(7, 3, 7)
         for r in range(7):
-            data_conns = [c for c in range(7) if c not in sched.assignment(r)]
+            data_conns = [c for c in range(7) if c not in sched.scheduled(r)]
             for failed in itertools.combinations(data_conns, 2):
                 data = [rng.randrange(2) for _ in range(4)]
                 sent = encode_round(sched, r, code, data)
@@ -516,8 +537,71 @@ class TestFailureModels:
         assert all(len(s) == 2 for s in seq_a)
 
     def test_random_rejects_bad_t(self):
-        with pytest.raises(ValueError):
-            random_failures(4, 5, seed=0)
+        for t in (-1, 5):
+            with pytest.raises(ValueError, match=rf"t must be in \[0, 4\], got {t}"):
+                random_failures(4, t, seed=0)
+
+    def test_unrank_is_colex_order(self):
+        # a bijection from range(C(n, t)) onto the t-subsets, in colex order
+        # (largest member first), for every n <= 12 and 0 <= t <= n
+        for n in range(13):
+            for t in range(n + 1):
+                colex = sorted(itertools.combinations(range(n), t), key=lambda s: s[::-1])
+                assert [_unrank(n, t, i) for i in range(math.comb(n, t))] == [
+                    frozenset(s) for s in colex
+                ]
+
+    @pytest.mark.parametrize(
+        "n, t, blocks",
+        [(12, 6, 1), (34, 17, 1), (35, 17, 2), (40, 20, 2), (127, 63, 3)],
+    )
+    def test_random_reads_the_splitmix64_stream(self, n, t, blocks):
+        # round r is outputs rB + 1 .. rB + B of the stream started at the
+        # seed's key, mod C(n, t), ranked in the combinatorial number system;
+        # B leaves 32 bits over C(n, t): C(34, 17) < 2^32 < C(35, 17)
+        count = math.comb(n, t)
+        outputs = splitmix64(random.Random(21).getrandbits(64))
+        model = random_failures(n, t, seed=21)
+        for r in range(50):
+            word = 0
+            for _ in range(blocks):
+                word = word << 64 | next(outputs)
+            members = sorted(model(r))
+            assert sum(math.comb(c, i) for i, c in enumerate(members, 1)) == word % count
+
+    def test_random_rounds_in_any_order(self):
+        in_order = [random_failures(31, 3, seed=5)(r) for r in range(300)]
+        model = random_failures(31, 3, seed=5)
+        assert [model(r) for r in reversed(range(300))][::-1] == in_order
+        shuffled = list(range(300))
+        random.Random(0).shuffle(shuffled)
+        model = random_failures(31, 3, seed=5)
+        assert {r: model(r) for r in shuffled} == dict(enumerate(in_order))
+
+    def test_random_seeds_differ(self):
+        runs = {tuple(map(random_failures(31, 2, seed), range(20))) for seed in range(10)}
+        assert len(runs) == 10
+
+    def test_random_reaches_every_pair(self):
+        model = random_failures(31, 2, seed=3)
+        drawn = {model(r) for r in range(50_000)}
+        assert drawn == {frozenset(s) for s in itertools.combinations(range(31), 2)}
+
+    def test_random_half_of_127(self):
+        # C(127, 63) is near 2^124: the draw spans three 64-bit blocks
+        model = random_failures(127, 63, seed=8)
+        seen = set()
+        for r in range(200):
+            failed = model(r)
+            assert len(failed) == 63 and failed <= set(range(127))
+            seen |= failed
+        assert seen == set(range(127))
+
+    @pytest.mark.parametrize("n", [1, 5, 31])
+    def test_random_none_or_all(self, n):
+        for t, expected in ((0, frozenset()), (n, frozenset(range(n)))):
+            model = random_failures(n, t, seed=2)
+            assert [model(r) for r in range(5)] == [expected] * 5
 
 
 class TestRunSimulation:
@@ -577,6 +661,25 @@ class TestRunSimulation:
             ]
 
         assert run() == run()
+
+    def test_any_round_replays_alone(self):
+        # each record's round again from a fresh failure model called at that
+        # round alone and the record's codeword
+        code = bch_code(15, 2)
+        n, t, seed, rounds = code.n, 3, 6, 200
+        sched = build_schedule(n, code.m, rounds)
+        outcomes = set()
+        for rec in simulate_rounds(
+            Network.direct(n), code, sched, random_failures(n, t, seed), rounds, seed=seed
+        ):
+            failed = random_failures(n, t, seed)(rec.index)
+            assert failed == rec.failed
+            report = recover_codeword(code, rec.index % n, failed, rec.codeword)
+            assert (report.outcome, report.queries_sent, report.xor_operations) == (
+                rec.report.outcome, rec.report.queries_sent, rec.report.xor_operations,
+            )
+            outcomes.add(report.outcome)
+        assert outcomes == {Outcome.FULL_RECOVERY, Outcome.NO_ACTION_NEEDED}
 
     @pytest.mark.parametrize("rounds", [1, 3, 7, 10, 22])
     def test_encoded_counts_match_the_schedule(self, rounds):
