@@ -27,7 +27,6 @@ from .gf2 import (
     TooLarge,
     mat_vec_mul,
     min_distance,
-    rank,
 )
 from .netmodel import (
     Connection,

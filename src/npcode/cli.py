@@ -77,6 +77,9 @@ def parse_config(text: str) -> ScenarioConfig:
 
     if cfg.rounds < 1:
         raise ConfigError("rounds must be at least 1")
+    if cfg.seed < 0:
+        # random.Random would seed with abs(seed), so -5 would replay 5
+        raise ConfigError("seed must be at least 0")
     if cfg.failure_model not in ("none", "fixed", "random"):
         raise ConfigError(f"unknown failure_model {cfg.failure_model!r}")
     return cfg

@@ -19,26 +19,6 @@ from dataclasses import dataclass
 from . import gf2
 from .gf2 import BitMatrix, BitVector, DimensionMismatch, Inconsistent
 
-__all__ = [
-    "AmbiguousErasure",
-    "ErasurePattern",
-    "Inconsistent",
-    "ProtectionCode",
-    "ProtectionReport",
-    "TooManyPatterns",
-    "bch_code",
-    "encode",
-    "erasure_decode",
-    "erasure_decode_with_cost",
-    "format_code_file",
-    "hamming_code",
-    "parse_code_file",
-    "repair_plan",
-    "shorten",
-    "single_parity_code",
-    "verify_protection",
-]
-
 PATTERN_ENUMERATION_LIMIT = 10**6
 
 # Repair plans kept by :func:`repair_plan`, least recently used dropped
@@ -107,10 +87,6 @@ class ProtectionCode:
             raise ValueError("generator is not in systematic form")
         if any((g & h).bit_count() & 1 for g in gen for h in chk):
             raise ValueError("generator and parity check are not orthogonal")
-
-    def __str__(self) -> str:
-        flag = "verified" if self.d_min_verified else "declared"
-        return f"[{self.n},{self.k},{self.d_min}] ({flag})"
 
 
 @dataclass(frozen=True)

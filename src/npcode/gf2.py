@@ -32,20 +32,26 @@ class TooLarge(ValueError):
     """Exhaustive enumeration would exceed the supported bound."""
 
 
+def _pack(entries: Iterable[int]) -> tuple[int, int]:
+    """(word, length) of a sequence of 0/1 entries, entry i at bit i."""
+    word = 0
+    length = 0
+    for e in entries:
+        if e == 1:
+            word |= 1 << length
+        elif e != 0:
+            raise ValueError(f"entries must be 0 or 1, got {e!r}")
+        length += 1
+    return word, length
+
+
 class BitVector:
     """Immutable vector over {0, 1} with XOR addition."""
 
     __slots__ = ("_length", "_bits")
 
     def __init__(self, entries: Iterable[int]):
-        bits = 0
-        length = 0
-        for e in entries:
-            if e == 1:
-                bits |= 1 << length
-            elif e != 0:
-                raise ValueError(f"entries must be 0 or 1, got {e!r}")
-            length += 1
+        bits, length = _pack(entries)
         if length == 0:
             raise ValueError("a vector must have at least one entry")
         self._length = length
@@ -107,14 +113,7 @@ class BitMatrix:
         words: list[int] = []
         ncols: int | None = None
         for row in rows:
-            word = 0
-            width = 0
-            for e in row:
-                if e == 1:
-                    word |= 1 << width
-                elif e != 0:
-                    raise ValueError(f"entries must be 0 or 1, got {e!r}")
-                width += 1
+            word, width = _pack(row)
             if ncols is None:
                 ncols = width
             elif width != ncols:
@@ -122,10 +121,13 @@ class BitMatrix:
             words.append(word)
         if not words or not ncols:
             raise ValueError("a matrix must have at least one row and one column")
+        self._set(tuple(words), ncols)
+
+    def _set(self, words: tuple[int, ...], cols: int) -> None:
         self._nrows = len(words)
-        self._ncols = ncols
-        self._words = tuple(words)
-        self._hash = hash((ncols, self._words))
+        self._ncols = cols
+        self._words = words
+        self._hash = hash((cols, words))
 
     @classmethod
     def from_row_words(cls, words: Iterable[int], cols: int) -> "BitMatrix":
@@ -138,10 +140,7 @@ class BitMatrix:
             if not 0 <= w < limit:
                 raise ValueError("row word does not fit the requested width")
         m = object.__new__(cls)
-        m._nrows = len(words)
-        m._ncols = cols
-        m._words = words
-        m._hash = hash((cols, words))
+        m._set(words, cols)
         return m
 
     @property
@@ -164,14 +163,7 @@ class BitMatrix:
         return (self._words[i] >> j) & 1
 
     def transpose(self) -> "BitMatrix":
-        words = []
-        for j in range(self._ncols):
-            w = 0
-            for i in range(self._nrows):
-                if (self._words[i] >> j) & 1:
-                    w |= 1 << i
-            words.append(w)
-        return BitMatrix.from_row_words(words, self._nrows)
+        return BitMatrix([(w >> j) & 1 for w in self._words] for j in range(self._ncols))
 
     def is_zero(self) -> bool:
         return not any(self._words)
@@ -197,16 +189,10 @@ class BitMatrix:
             raise ValueError("matrix dimensions must be positive")
         if len(lines) != nrows + 1:
             raise ValueError(f"expected {nrows} rows, found {len(lines) - 1}")
-        words = []
         for line in lines[1:]:
             if len(line) != ncols or set(line) - {"0", "1"}:
                 raise ValueError(f"malformed matrix row: {line!r}")
-            word = 0
-            for j, ch in enumerate(line):
-                if ch == "1":
-                    word |= 1 << j
-            words.append(word)
-        return cls.from_row_words(words, ncols)
+        return cls(map(int, line) for line in lines[1:])
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, BitMatrix):
@@ -293,12 +279,6 @@ def _eliminate(words: list[int], columns: Iterable[int]) -> tuple[list[int], lis
         pivots.append(col)
         r += 1
     return words, pivots, ops
-
-
-def rank(m: BitMatrix) -> int:
-    """Row rank over the two-element field."""
-    _, pivots, _ = _eliminate(list(m.row_words), range(m.cols))
-    return len(pivots)
 
 
 class SolvePlan:

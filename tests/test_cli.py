@@ -348,6 +348,15 @@ class TestSimulate:
         assert main(["simulate", str(cfg), "--out", str(out)]) == 2
         assert not out.exists()
 
+    def test_negative_seed_exits_2_and_writes_no_report(self, tmp_path, capsys):
+        text = HAMMING_RANDOM_CONFIG.replace("seed = 1", "seed = -1")
+        with pytest.raises(ConfigError, match="seed must be at least 0"):
+            parse_config(text)
+        out = tmp_path / "r.csv"
+        assert main(["simulate", str(write_config(tmp_path, text)), "--out", str(out)]) == 2
+        assert "seed must be at least 0" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_report_streams_rows(self):
         code = codes.hamming_code(3)
         sched = protocol.build_schedule(code.n, code.m, 20)

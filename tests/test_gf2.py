@@ -16,7 +16,6 @@ from npcode.gf2 import (
     mat_mul,
     mat_vec_mul,
     min_distance,
-    rank,
     solve_with_cost,
     subset_tables,
     xor_rows,
@@ -49,6 +48,11 @@ def weight_histogram_naive(g_rows):
     return hist
 
 
+def rank(m):
+    """Row rank: the pivot count of one elimination over every column."""
+    return len(gf2._eliminate(list(m.row_words), range(m.cols))[1])
+
+
 def random_full_rank(rng, rows, cols):
     while True:
         m = random_bit_matrix(rng, rows, cols)
@@ -79,6 +83,28 @@ class TestConstruction:
         assert v.to_tuple() == (1, 0, 1, 1)
         assert v[0] == 1 and v[1] == 0 and v[-1] == 1
         assert v == BitVector.from_int(0b1101, 4)
+
+    def test_every_reader_packs_entry_i_at_bit_i(self):
+        # BitVector, BitMatrix rows and from_text lines share one packing rule
+        for length in range(1, 9):
+            for x in itertools.product((0, 1), repeat=length):
+                line = "".join(map(str, x))
+                parsed = BitMatrix.from_text(f"1 {length}\n{line}\n").row_words[0]
+                assert BitVector(x).bits == BitMatrix([x]).row_words[0] == parsed
+                assert parsed == sum(e << i for i, e in enumerate(x))
+
+    @pytest.mark.parametrize("bad", [2, -1, "1"])
+    def test_vector_and_matrix_reject_non_bits_alike(self, bad):
+        message = f"entries must be 0 or 1, got {bad!r}"
+        with pytest.raises(ValueError) as vec:
+            BitVector([0, bad, 1])
+        with pytest.raises(ValueError) as mat:
+            BitMatrix([[1, 0, 1], [0, bad, 1]])
+        assert str(vec.value) == str(mat.value) == message
+
+    def test_ragged_rows_rejected_before_a_later_bad_entry(self):
+        with pytest.raises(ValueError, match="all rows must have the same length"):
+            BitMatrix([[1], [1, 0], [2]])
 
     def test_matrix_accessors(self):
         m = BitMatrix([[1, 0, 1], [0, 1, 1]])
