@@ -290,6 +290,23 @@ def erasure_decode(
     return message
 
 
+def _is_cyclic(parity_check: BitMatrix) -> bool:
+    """Whether rotating the coordinates by one maps the code ker H onto
+    itself: exactly when every row of H, rotated by one, lies in the row
+    space of H. Depends on H alone, so it is exact for any generator."""
+    n = parity_check.cols
+    full = (1 << n) - 1
+    words, pivots, _ = gf2._eliminate(list(parity_check.row_words), range(n))
+    for h in parity_check.row_words:
+        w = (h << 1 | h >> (n - 1)) & full
+        for row, col in zip(words, pivots):
+            if w >> col & 1:
+                w ^= row
+        if w:
+            return False
+    return True
+
+
 def verify_protection(code: ProtectionCode, t: int) -> ProtectionReport:
     """Check every t-subset of erased positions; list the failures in order.
 
@@ -298,9 +315,15 @@ def verify_protection(code: ProtectionCode, t: int) -> ProtectionReport:
     each node keeps the columns after its prefix reduced against the
     prefix's columns, one step per column per push: a column that reduces
     to zero fails every extension of its prefix unchecked. At every other
-    leaf the columns must rebuild a probe codeword from its surviving
+    leaf walked the columns must rebuild a probe codeword from its surviving
     symbols, a round trip that guards the reduction; reduction is linear,
     so each node derives the probe's state from its parent's in one step.
+
+    When H is cyclic (:func:`_is_cyclic`), a pattern fails exactly when its
+    rotations do, so the root tries position 0 alone and the walk covers
+    only the patterns that contain it. The failures with least element a
+    are those with least element a - 1 shifted up by one wherever their last
+    position can move; taking a = 1, 2, ... in turn keeps the list in order.
     """
     if not 0 <= t <= code.n:
         raise ValueError(f"t must be in [0, {code.n}], got {t}")
@@ -328,7 +351,8 @@ def verify_protection(code: ProtectionCode, t: int) -> ProtectionReport:
     # explained the rest above it); the probe's erased bits as the mask it
     # must come out with; the columns after the prefix reduced against it
     # (each zero at every pivot of the prefix); the positions still to try.
-    stack = [((), root, 0, cols, iter(range(n - t + 1)))] if t else []
+    cyclic = t > 0 and _is_cyclic(code.parity_check)
+    stack = [((), root, 0, cols, iter(range(1 if cyclic else n - t + 1)))] if t else []
     while stack:
         prefix, syndrome, expected, rest, positions = stack[-1]
         depth = len(prefix) + 1
@@ -358,6 +382,12 @@ def verify_protection(code: ProtectionCode, t: int) -> ProtectionReport:
             break
         else:
             stack.pop()
+    shifted = failing if cyclic else []
+    while shifted:
+        # the failures with least element a, from those with least element
+        # a - 1: each shifted up by one, if its last position can move
+        shifted = [tuple(map((1).__add__, p)) for p in shifted if p[-1] < n - 1]
+        failing += shifted
     return ProtectionReport(not failing, tuple(failing), total)
 
 

@@ -168,19 +168,24 @@ class TestVerify:
         assert main(["verify", str(path), "--t", "1"]) == 0
 
     def test_agrees_with_library(self, tmp_path, capsys):
-        path = self.make_code_file(tmp_path, "hamming", mu=3)
-        code = codes.parse_code_file(path.read_text())
-        capsys.readouterr()
-        for t in (1, 2, 3, 4):
-            rc = main(["verify", str(path), "--t", str(t)])
-            captured = capsys.readouterr()
-            report = codes.verify_protection(code, t)
-            assert (rc == 0) == report.recoverable
-            got = [
-                tuple(int(x) for x in line.split(","))
-                for line in captured.out.splitlines()
-            ]
-            assert got == list(report.failing_patterns)
+        # [7,4,3] is walked in full; [31,21,5] is cyclic, walked by orbit
+        for family, params, ts in [
+            ("hamming", {"mu": 3}, (1, 2, 3, 4)),
+            ("bch", {"n": 31, "design_t": 2}, (5, 6)),
+        ]:
+            path = self.make_code_file(tmp_path, family, **params)
+            code = codes.parse_code_file(path.read_text())
+            capsys.readouterr()
+            for t in ts:
+                rc = main(["verify", str(path), "--t", str(t)])
+                captured = capsys.readouterr()
+                report = codes.verify_protection(code, t)
+                assert (rc == 0) == report.recoverable
+                got = [
+                    tuple(int(x) for x in line.split(","))
+                    for line in captured.out.splitlines()
+                ]
+                assert got == list(report.failing_patterns)
 
     def test_false_distance_claim_exits_2(self, tmp_path, capsys):
         # the [7,4,3] generator under a header that claims d_min = 5

@@ -184,6 +184,7 @@ class TestBCH:
         for g in code.generator.row_words:
             rotated = (g << 1 | g >> (n - 1)) & full
             assert not any((rotated & h).bit_count() & 1 for h in code.parity_check.row_words)
+        assert codes._is_cyclic(code.parity_check)
 
 
 # sha256 of format_code_file(code) + code.parity_check.to_text(): each
@@ -499,6 +500,56 @@ def failing_by_codeword_supports(code):
     ]
 
 
+def corrupted_parity_checks(code):
+    """Per position j, a copy of ``code`` with bit 0 of column j of H flipped."""
+    first, *others = code.parity_check.row_words
+    return [
+        unchecked_copy(code, parity_check=BitMatrix.from_row_words([first ^ 1 << j, *others], code.n))
+        for j in range(code.n)
+    ]
+
+
+def bch15_with_data_columns_swapped():
+    """[15,7,5] with data positions 0 and 1 exchanged: the same distance and
+    weights, but no longer cyclic in its stored order."""
+    code = bch_code(15, 2)
+    rows = [w >> code.k for w in code.generator.row_words]
+    rows[0], rows[1] = rows[1], rows[0]
+    return systematic_code(code.k, code.m, rows)
+
+
+class TestCyclicity:
+    @pytest.mark.parametrize("n", [2, 3, 6, 9, 64])
+    def test_every_parity_code_is_cyclic(self, n):
+        assert codes._is_cyclic(single_parity_code(n).parity_check)
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: hamming_code(3),
+            lambda: hamming_code(4),
+            lambda: shorten(bch_code(15, 2), {0}),
+            bch15_with_data_columns_swapped,
+        ],
+        ids=["hamming3", "hamming4", "shortened-bch15", "bch15-swapped"],
+    )
+    def test_not_cyclic_in_stored_order(self, build):
+        assert not codes._is_cyclic(build().parity_check)
+
+    @pytest.mark.parametrize("code", [hamming_code(3), bch_code(15, 2)], ids=["hamming3", "bch15"])
+    def test_no_corrupted_parity_check_is_cyclic(self, code):
+        assert not any(codes._is_cyclic(c.parity_check) for c in corrupted_parity_checks(code))
+
+    def test_swapped_columns_keep_the_full_walk(self):
+        # a check that took this code for cyclic would rotate [15,7,5]'s
+        # failures onto the wrong positions
+        code = bch15_with_data_columns_swapped()
+        assert code.d_min == 5
+        expected = failing_by_codeword_supports(code)
+        for t in range(code.n + 1):
+            assert verify_protection(code, t).failing_patterns == expected[t], t
+
+
 class TestVerifyProtection:
     @pytest.mark.parametrize(
         "code, max_t",
@@ -526,11 +577,7 @@ class TestVerifyProtection:
         # bit 0 of column j flipped: H no longer annihilates G, so wherever
         # the probe has a 1 at j no erased set explains its syndrome, and
         # every pattern must fail, the empty one included
-        first, *others = code.parity_check.row_words
-        corrupted = [
-            unchecked_copy(code, parity_check=BitMatrix.from_row_words([first ^ 1 << j, *others], code.n))
-            for j in range(code.n)
-        ]
+        corrupted = corrupted_parity_checks(code)
         for t in range(code.m + 1):
             everything = tuple(itertools.combinations(range(code.n), t))
             assert any(verify_protection(c, t).failing_patterns == everything for c in corrupted), t
@@ -631,6 +678,10 @@ class TestVerifyProtection:
     def test_pattern_bound(self):
         with pytest.raises(TooManyPatterns):
             verify_protection(hamming_code(6), 20)
+        # the cyclic walk would cover C(62, 4) patterns, but the bound is
+        # judged on all C(63, 5) of them
+        with pytest.raises(TooManyPatterns):
+            verify_protection(bch_code(63, 2), 5)
 
     def test_round_trip_guarantee_vs_exhaustive(self):
         for code in all_codes_small():
@@ -638,28 +689,46 @@ class TestVerifyProtection:
             assert not verify_protection(code, code.d_min).recoverable
 
     # A_d of each code: a d-erasure pattern fails exactly when a weight-d
-    # codeword lives on it, and no two share a support.
+    # codeword lives on it, and no two share a support. A (d + 1)-set holds
+    # at most one support of weight <= d + 1 when d >= 3, since two would
+    # differ by a codeword of weight <= 2; so it fails either around a
+    # weight-d support plus one of the n - d other positions, or on a
+    # weight-(d + 1) support. Cyclic and non-cyclic codes alike.
     @pytest.mark.parametrize(
-        "build, params, a_d, run_verify",
+        "build, params, a_d, run_verify, next_count",
         [
-            (bch_code, (15, 2), 18, True),
-            (bch_code, (15, 1), 35, True),
-            (bch_code, (31, 2), 186, True),
-            (hamming_code, (5,), 155, True),
-            (hamming_code, (6,), 651, True),
+            (bch_code, (15, 2), 18, True, 210),
+            (bch_code, (15, 1), 35, True, 525),
+            (bch_code, (31, 2), 186, True, 5642),
+            (hamming_code, (5,), 155, True, 5425),
+            # C(63, 4) patterns of a code that is not cyclic: too slow a walk
+            (hamming_code, (6,), 651, True, None),
             # C(63, 5) patterns exceed the enumeration bound of verify
-            (bch_code, (63, 2), 1890, False),
+            (bch_code, (63, 2), 1890, False, None),
+            (bch_code, (7, 1), 7, True, 35),
+            (hamming_code, (3,), 7, True, 35),
+            (hamming_code, (4,), 35, True, 525),
+            (bch15_with_data_columns_swapped, (), 18, True, 210),
         ],
-        ids=["15-7-5", "15-11-3", "31-21-5", "31-26-3", "63-57-3", "63-51-5"],
+        ids=[
+            "15-7-5", "15-11-3", "31-21-5", "31-26-3", "63-57-3", "63-51-5",
+            "7-4-3-bch", "7-4-3-hamming", "15-11-3-hamming", "15-7-5-swapped",
+        ],
     )
-    def test_lowest_weight_count_is_the_failing_count(self, build, params, a_d, run_verify):
+    def test_lowest_weight_count_is_the_failing_count(self, build, params, a_d, run_verify, next_count):
         code = build(*params)
+        d = code.d_min
         dist = list(gf2._weight_counts(code.generator))
-        assert dist[: code.d_min] == [1] + [0] * (code.d_min - 1)
-        assert dist[code.d_min] == a_d
+        assert dist[:d] == [1] + [0] * (d - 1)
+        assert dist[d] == a_d
         assert sum(dist) == 1 << code.k
         if run_verify:
-            assert len(verify_protection(code, code.d_min).failing_patterns) == a_d
+            for t in range(d):
+                assert verify_protection(code, t).recoverable, t
+            assert len(verify_protection(code, d).failing_patterns) == a_d
+        if next_count is not None:
+            assert next_count == (code.n - d) * a_d + dist[d + 1]
+            assert len(verify_protection(code, d + 1).failing_patterns) == next_count
 
 
 class TestShorten:
