@@ -163,9 +163,10 @@ def render_report(records, sched: protocol.Schedule, out) -> None:
     out.write("round,failed,outcome,queries,xor_ops,transmissions,capacity\n")
     metrics = protocol.SimulationMetrics(sched)
     capacity = _ratio(Fraction(sched.n - sched.m, sched.n))
-    labels = {outcome: outcome.value for outcome in protocol.Outcome}
-    # each failed set's text is made once: most rounds repeat an earlier set
+    # each failed set's text, and each row's text after it, is made once: most
+    # rounds repeat an earlier set, and the counters take few values in a run
     texts: dict[frozenset[int], str] = {}
+    tails: dict[tuple, str] = {}
     for rec in records:
         metrics.add(rec)
         report = rec.report
@@ -174,10 +175,11 @@ def render_report(records, sched: protocol.Schedule, out) -> None:
             if len(texts) == FAILED_TEXTS_KEPT:  # a long run of distinct sets
                 texts.clear()
             failed = texts[rec.failed] = ";".join(str(c) for c in sorted(rec.failed)) or "-"
-        out.write(
-            f"{rec.index},{failed},{labels[report.outcome]},{report.queries_sent},"
-            f"{report.xor_operations},{report.transmissions},{capacity}\n"
-        )
+        counters = (report.outcome, report.queries_sent, report.xor_operations, report.transmissions)
+        tail = tails.get(counters)
+        if tail is None:
+            tail = tails[counters] = ",".join([report.outcome.value, *map(str, counters[1:]), capacity]) + "\n"
+        out.write(f"{rec.index},{failed},{tail}")
     out.write(
         "summary,"
         f"rounds={metrics.rounds},"

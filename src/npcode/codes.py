@@ -24,7 +24,7 @@ PATTERN_ENUMERATION_LIMIT = 10**6
 # Repair plans kept by :func:`repair_plan`, least recently used dropped
 # first: room for all 1,941 sets of at most 4 erasures of [15,7,5], and for
 # the C(31, 2) = 465 double-erasure sets of [31,21,5] four times over. A plan
-# of that code takes 0.8 KB (2 erasures) to 1 KB (5), so at most about 2 MiB.
+# of that code takes 0.5 KB (2 erasures) to 0.8 KB (5), so at most 1.6 MiB.
 PLAN_MEMO_SIZE = 2048
 
 
@@ -215,22 +215,18 @@ def encode(code: ProtectionCode, message: BitVector | Sequence[int]) -> BitVecto
 
 
 @functools.lru_cache(maxsize=PLAN_MEMO_SIZE)
-def repair_plan(parity_check: BitMatrix, erased: int) -> gf2.SolvePlan:
-    """The solve plan of the parity-check rows for the coordinates set in the
-    mask ``erased``: what decoding any word with those erasures needs, found
-    by one elimination.
+def repair_plan(rows: tuple[int, ...], erased: int) -> gf2.SolvePlan:
+    """The solve plan of the parity-check ``rows`` (a matrix's ``row_words``)
+    for the coordinates set in the mask ``erased``: what decoding any word
+    with those erasures needs, worked out once.
 
-    Plans are memoised by the matrix's content and the mask, so every code
-    object with the same parity check shares them; what the memo holds
-    changes how long a call takes, never what it returns. The decoder and
-    the simulator share it; :func:`verify_protection` needs no plans.
+    Plans are memoised by the row words and the mask, a key that hashes and
+    compares as plain ints, so every code object with the same parity check
+    shares them; what the memo holds changes how long a call takes, never
+    what it returns. The decoder and the simulator share it;
+    :func:`verify_protection` needs no plans.
     """
-    unknowns = []  # ascending, one step per erased bit
-    while erased:
-        low = erased & -erased
-        unknowns.append(low.bit_length() - 1)
-        erased ^= low
-    return gf2.SolvePlan(parity_check.row_words, unknowns)
+    return gf2.SolvePlan(rows, [j for j in range(erased.bit_length()) if erased >> j & 1])
 
 
 def erasure_decode_with_cost(
@@ -265,7 +261,7 @@ def erasure_decode_with_cost(
         elif sym != 0:
             raise ValueError(f"symbols must be 0, 1, or None, got {sym!r}")
 
-    plan = repair_plan(code.parity_check, blank)
+    plan = repair_plan(code.parity_check.row_words, blank)
     try:
         word = plan.apply(value_word)
     except gf2.NoUniqueSolution as exc:

@@ -8,6 +8,7 @@ safe to share between threads.
 
 from __future__ import annotations
 
+import functools
 import math
 from collections.abc import Iterable, Iterator, Sequence
 
@@ -107,7 +108,7 @@ class BitVector:
 class BitMatrix:
     """Immutable dense matrix over {0, 1}, one packed word per row."""
 
-    __slots__ = ("_nrows", "_ncols", "_words", "_hash")
+    __slots__ = ("_nrows", "_ncols", "_words")
 
     def __init__(self, rows: Iterable[Iterable[int]]):
         words: list[int] = []
@@ -127,7 +128,6 @@ class BitMatrix:
         self._nrows = len(words)
         self._ncols = cols
         self._words = words
-        self._hash = hash((cols, words))
 
     @classmethod
     def from_row_words(cls, words: Iterable[int], cols: int) -> "BitMatrix":
@@ -200,7 +200,7 @@ class BitMatrix:
         return self._ncols == other._ncols and self._words == other._words
 
     def __hash__(self) -> int:
-        return self._hash
+        return hash((self._ncols, self._words))
 
     def __repr__(self) -> str:
         return f"<BitMatrix {self._nrows}x{self._ncols}>"
@@ -281,34 +281,53 @@ def _eliminate(words: list[int], columns: Iterable[int]) -> tuple[list[int], lis
     return words, pivots, ops
 
 
+@functools.lru_cache(maxsize=16)
+def _column_tables(rows: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
+    """:func:`subset_tables` of the columns of ``rows``, padded with zero columns
+    to whole bytes: a word's syndrome by :func:`xor_rows_by_tables`."""
+    width = -(-max((row.bit_length() for row in rows), default=0) // 8) * 8
+    return subset_tables([sum((row >> j & 1) << i for i, row in enumerate(rows)) for j in range(width)])
+
+
 class SolvePlan:
     """The part of :func:`solve_with_cost` that depends only on the rows and
-    the (distinct) unknown positions, worked out once by one elimination so
-    that :meth:`apply` can solve any number of words without eliminating again.
+    the (distinct) unknown positions, worked out once so that :meth:`apply`
+    can solve any number of words in syndrome space: a word solves the rows
+    exactly when the syndrome of its known bits (bit i: the parity of row
+    i's overlap with them) is the sum of the columns of the unknowns it sets.
 
     Attributes:
         known: mask of the bits that are not unknowns.
-        residual: the eliminated rows left without a pivot; every solvable
-            word has even overlap with each of them.
-        pivots: (mask, position) per pinned unknown: the XOR of the word's
-            bits under ``mask``, all of them known, is the unknown's value.
+        tables: the rows' column tables, one object shared by all their plans.
+        steps: (pivot, step) per unknown whose column is independent of those
+            before it: the column reduced against theirs, with its position
+            bit above bit m, and the lowest of its bits below m.
+        m: the number of rows.
         free: the number of unknowns that no row pins down.
         ops: the XOR count that :func:`solve_with_cost` reports.
     """
 
-    __slots__ = ("known", "residual", "pivots", "free", "ops")
+    __slots__ = ("known", "tables", "steps", "m", "free", "ops")
 
     def __init__(self, rows: Sequence[int], unknowns: Sequence[int]):
+        rows = tuple(rows)
+        m = len(rows)
         mask = 0
+        steps: list[tuple[int, int]] = []
         for j in unknowns:
             mask |= 1 << j
-        known = ~mask
-        eqs, cols, combos = _eliminate(list(rows), unknowns)
-        pinned = len(cols)
-        self.known = known
-        self.residual = tuple(eqs[pinned:])
-        self.pivots = tuple(zip([w & known for w in eqs[:pinned]], cols))
-        self.free = len(unknowns) - pinned
+            step = sum((row >> j & 1) << i for i, row in enumerate(rows)) | 1 << m + j
+            for pivot, prior in steps:
+                if step & pivot:
+                    step ^= prior
+            if low := step & ((1 << m) - 1):
+                steps.append((low & -low, step))
+        self.known = known = ~mask
+        self.tables = _column_tables(rows)
+        self.steps = tuple(steps)
+        self.m = m
+        self.free = len(unknowns) - len(steps)
+        combos = _eliminate(list(rows), unknowns)[2]
         self.ops = sum(max(0, (row & known).bit_count() - 1) for row in rows) + combos
 
     def apply(self, word: int) -> int:
@@ -319,15 +338,15 @@ class SolvePlan:
             NoUniqueSolution: the rows are consistent but leave unknowns free.
         """
         word &= self.known
-        for w in self.residual:
-            if (w & word).bit_count() & 1:
-                raise Inconsistent("contradictory equations: no solution exists")
+        syndrome = xor_rows_by_tables(self.tables, word)
+        for pivot, step in self.steps:
+            if syndrome & pivot:
+                syndrome ^= step
+        if syndrome & ((1 << self.m) - 1):
+            raise Inconsistent("contradictory equations: no solution exists")
         if self.free:
             raise NoUniqueSolution(f"{self.free} free unknown(s): solution is not unique")
-        filled = word
-        for w, col in self.pivots:
-            filled |= ((w & word).bit_count() & 1) << col
-        return filled
+        return word | syndrome >> self.m
 
 
 def solve_with_cost(

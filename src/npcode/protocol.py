@@ -50,6 +50,12 @@ class Outcome(enum.Enum):
     __hash__ = object.__hash__
 
 
+# each round reads one: a global is cheaper to read than an enum attribute
+_FULL_RECOVERY = Outcome.FULL_RECOVERY
+_NO_ACTION_NEEDED = Outcome.NO_ACTION_NEEDED
+_UNRECOVERABLE = Outcome.UNRECOVERABLE
+
+
 @dataclass(frozen=True)
 class Schedule:
     """Rotation of the encoded role: round r assigns it to (r + j) mod n."""
@@ -126,34 +132,34 @@ def recover_codeword(
     under the single-parity rotation the failed receiver itself queries the
     other n-1 receivers, while with a wider parity budget a surviving
     parity-side receiver sends n-t-1 queries. The solve applies the erased
-    set's :func:`~npcode.codes.repair_plan`. Only lost data symbols appear
-    in the report; lost parity is not worth rebuilding.
+    set's :func:`~npcode.codes.repair_plan` to the syndrome of the survivors,
+    one reduction step per lost symbol. Only lost data symbols appear in the
+    report; lost parity is not worth rebuilding.
     """
-    n, k = code.n, code.k
+    n, k, m = code.n, code.k, code.m
     lost = []  # (connection, coordinate) per failed connection
     erased = 0
     for c in failed:
         if not 0 <= c < n:
             raise ValueError(f"failed connections {sorted(failed)} reach outside [0, {n})")
-        j = _coordinate(n, code.m, offset, c)
+        j = _coordinate(n, m, offset, c)
         lost.append((c, j))
         erased |= 1 << j
     if not erased & ((1 << k) - 1):
-        return RecoveryReport({}, 0, 0, n, Outcome.NO_ACTION_NEEDED)
+        return RecoveryReport({}, 0, 0, n, _NO_ACTION_NEEDED)
 
     t = len(failed)
-    if code.m == 1 and t == 1:
-        queries = n - 1
-    else:
-        queries = max(0, n - t - 1)
-
-    plan = codes.repair_plan(code.parity_check, erased)
+    queries = n - 1 if m == 1 and t == 1 else max(0, n - t - 1)
+    plan = codes.repair_plan(code.parity_check.row_words, erased)
     try:
         word = plan.apply(codeword)
     except NoUniqueSolution:
-        return RecoveryReport({}, queries, 0, n, Outcome.UNRECOVERABLE)
-    recovered = {c: word >> j & 1 for c, j in lost if j < k}
-    return RecoveryReport(recovered, queries, plan.ops, n, Outcome.FULL_RECOVERY)
+        return RecoveryReport({}, queries, 0, n, _UNRECOVERABLE)
+    recovered = {}  # a loop: on 3.11 a comprehension builds a function each call
+    for c, j in lost:
+        if j < k:
+            recovered[c] = word >> j & 1
+    return RecoveryReport(recovered, queries, plan.ops, n, _FULL_RECOVERY)
 
 
 def encode_round(

@@ -1,10 +1,14 @@
 """Naive list-based reference implementations, independent of the package.
 
 Everything here works on plain lists of 0/1 ints with no bit packing, so it
-stays an honest cross-check for the packed-word code under test.
+stays an honest cross-check for the packed-word code under test. Only the
+package's two solve error types are imported, to raise.
 """
 
 from itertools import product
+from operator import and_
+
+from npcode.gf2 import Inconsistent, NoUniqueSolution
 
 
 def encode_naive(g_rows, message):
@@ -61,3 +65,33 @@ def agreeing_messages(g_rows, received):
         if all(r is None or r == c for r, c in zip(received, cw)):
             out.append(u)
     return out
+
+
+def erasure_fill_naive(h_rows, erased, word):
+    """The one filling of the ``erased`` positions of ``word`` (0/1 entries;
+    those at erased positions are ignored) that has even overlap with every
+    parity-check row, found by trying all 2^t fillings.
+
+    Raises Inconsistent when no filling fits and NoUniqueSolution when more
+    than one does: the package's types, so a test can compare outcomes.
+    """
+    erased = sorted(set(erased))
+    # per row: its parity over the surviving entries, and its erased entries
+    checks = [
+        ((sum(map(and_, row, word)) - sum(row[p] & word[p] for p in erased)) % 2, [row[p] for p in erased])
+        for row in h_rows
+    ]
+    fits = []
+    for bits in product((0, 1), repeat=len(erased)):
+        if all((base + sum(map(and_, bits, terms))) % 2 == 0 for base, terms in checks):
+            fits.append(bits)
+            if len(fits) > 1:
+                break
+    if not fits:
+        raise Inconsistent("no filling of the erased positions fits every row")
+    if len(fits) > 1:
+        raise NoUniqueSolution("more than one filling fits every row")
+    filled = list(word)
+    for p, bit in zip(erased, fits[0]):
+        filled[p] = bit
+    return filled

@@ -1,3 +1,4 @@
+import copy
 import dataclasses
 import hashlib
 import inspect
@@ -28,9 +29,9 @@ from npcode.codes import (
     single_parity_code,
     verify_protection,
 )
-from npcode.gf2 import BitMatrix, BitVector, DimensionMismatch, mat_mul
+from npcode.gf2 import BitMatrix, BitVector, DimensionMismatch, NoUniqueSolution, mat_mul
 
-from oracles import agreeing_messages, encode_naive, min_distance_naive
+from oracles import agreeing_messages, encode_naive, erasure_fill_naive, min_distance_naive
 
 
 def unchecked_copy(code, **changes):
@@ -320,7 +321,7 @@ class TestErasureDecode:
                 mask = sum(1 << j for j in erased)
                 combos = gf2._eliminate(list(rows), erased)[2]
                 eager = sum(max(0, (row & ~mask).bit_count() - 1) for row in rows) + combos
-                plan = codes.repair_plan(code.parity_check, mask)
+                plan = codes.repair_plan(rows, mask)
                 assert plan.ops == eager
                 ambiguous += plan.free > 0
         assert ambiguous > 0
@@ -516,6 +517,73 @@ def bch15_with_data_columns_swapped():
     rows = [w >> code.k for w in code.generator.row_words]
     rows[0], rows[1] = rows[1], rows[0]
     return systematic_code(code.k, code.m, rows)
+
+
+def bits_of(word, n):
+    return [word >> j & 1 for j in range(n)]
+
+
+def outcome(fill):
+    """What ``fill()`` gave: ("filled", entries), or the error type it raised."""
+    try:
+        return "filled", fill()
+    except (Inconsistent, NoUniqueSolution) as exc:
+        return type(exc)
+
+
+def plan_disagreements(code, masks, apply):
+    """Every (mask, word) for which ``apply(mask, word)``, a packed fill, and
+    the naive oracle differ in the filled word or the error raised. Each mask
+    is tried with a codeword, the codeword with one surviving bit flipped,
+    and a random word."""
+    n = code.n
+    h_rows = as_lists(code.parity_check)
+    rng = random.Random(n)
+    found = []
+    for mask in masks:
+        erased = [j for j in range(n) if mask >> j & 1]
+        codeword = encode(code, BitVector.from_int(rng.getrandbits(code.k), code.k)).bits
+        survivors = [j for j in range(n) if not mask >> j & 1]
+        corrupted = codeword ^ 1 << rng.choice(survivors) if survivors else codeword
+        for word in (codeword, corrupted, rng.getrandbits(n)):
+            expected = outcome(lambda: erasure_fill_naive(h_rows, erased, bits_of(word, n)))
+            if outcome(lambda: bits_of(apply(mask, word), n)) != expected:
+                found.append((mask, word))
+    return found
+
+
+class TestRepairPlanOracle:
+    """Repair plans against the naive oracle, which tries every filling."""
+
+    @pytest.mark.parametrize(
+        "code, max_weight",
+        [
+            (single_parity_code(5), 5),
+            (hamming_code(3), 7),
+            (bch_code(7, 1), 7),
+            (bch_code(15, 2), 5),
+        ],
+        ids=["parity5", "hamming3", "bch7", "bch15"],
+    )
+    def test_agrees_with_naive_fill(self, code, max_weight):
+        rows = code.parity_check.row_words
+        masks = [m for m in range(1 << code.n) if m.bit_count() <= max_weight]
+        apply = lambda mask, word: codes.repair_plan(rows, mask).apply(word)
+        assert plan_disagreements(code, masks, apply) == []
+
+    @pytest.mark.parametrize("drop", range(3))
+    def test_plan_missing_a_step_disagrees(self, drop):
+        # a plan that skips one of its reduction steps is caught by the oracle
+        code = bch_code(15, 2)
+        rows = code.parity_check.row_words
+        masks = [m for m in range(1 << code.n) if m.bit_count() == 3]
+
+        def apply_mutant(mask, word):
+            mutant = copy.copy(codes.repair_plan(rows, mask))
+            mutant.steps = mutant.steps[:drop] + mutant.steps[drop + 1 :]
+            return mutant.apply(word)
+
+        assert plan_disagreements(code, masks, apply_mutant)
 
 
 class TestCyclicity:

@@ -22,7 +22,7 @@ from npcode.gf2 import (
     xor_rows_by_tables,
 )
 
-from oracles import encode_naive, mat_vec_naive, min_distance_naive, rank_naive
+from oracles import encode_naive, erasure_fill_naive, mat_vec_naive, min_distance_naive, rank_naive
 
 
 def parity_generator(n):
@@ -257,21 +257,28 @@ class TestSolve:
 
     def test_one_plan_serves_every_word(self):
         # a plan applied to word after word gives what a fresh solve gives
-        # each word, errors included: applying never changes the plan
+        # each word, errors included: applying never changes the plan; and
+        # both give what the naive oracle gives, for unknowns in any order
         rng = random.Random(41)
         for _ in range(40):
             width = rng.randrange(2, 8)
             rows = [rng.randrange(1 << width) for _ in range(rng.randrange(1, 5))]
             unknowns = rng.sample(range(width), rng.randrange(width + 1))
             plan = SolvePlan(rows, unknowns)
+            h_rows = [[r >> j & 1 for j in range(width)] for r in rows]
             for word in range(1 << width):
+                entries = [word >> j & 1 for j in range(width)]
                 try:
                     fresh = solve_with_cost(rows, unknowns, word)
                 except (Inconsistent, NoUniqueSolution) as exc:
                     with pytest.raises(type(exc)):
                         plan.apply(word)
+                    with pytest.raises(type(exc)):
+                        erasure_fill_naive(h_rows, unknowns, entries)
                 else:
                     assert (plan.apply(word), plan.ops) == fresh
+                    filled = erasure_fill_naive(h_rows, unknowns, entries)
+                    assert fresh[0] == sum(b << j for j, b in enumerate(filled))
 
 
 class TestMinDistance:

@@ -1,7 +1,9 @@
 import dataclasses
+import functools
 import itertools
 import math
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -36,7 +38,7 @@ from npcode.protocol import (
     simulate_rounds,
 )
 
-from oracles import agreeing_messages
+from oracles import agreeing_messages, erasure_fill_naive
 
 
 def splitmix64(state):
@@ -326,9 +328,16 @@ class TestRecover:
             next(simulate_rounds(Network.direct(5), code, sched, lambda r: scenario, 1))
 
 
+@functools.cache
+def entry_lists(rows, n):
+    """Packed rows of n entries as 0/1 lists, for the naive oracle."""
+    return [[w >> j & 1 for j in range(n)] for w in rows]
+
+
 def uncached_report(code, offset, failed, codeword):
-    """One round's report from a cold solve plan built outside the memo: the
-    reference for the memoised round core."""
+    """One round's report worked out with no solve plan: the lost bits by
+    the naive oracle, which tries every filling, and the XOR count by its
+    definition. The reference for the memoised round core."""
     n, k = code.n, code.k
     conn_of = connection_of_coordinate(Schedule(n, code.m, n), offset)
     erased = [j for j, c in enumerate(conn_of) if c in failed]
@@ -336,13 +345,18 @@ def uncached_report(code, offset, failed, codeword):
         return RecoveryReport({}, 0, 0, n, Outcome.NO_ACTION_NEEDED)
     t = len(failed)
     queries = n - 1 if code.m == 1 and t == 1 else max(0, n - t - 1)
-    plan = gf2.SolvePlan(code.parity_check.row_words, erased)
+    rows = code.parity_check.row_words
     try:
-        word = plan.apply(codeword)
+        word = erasure_fill_naive(entry_lists(rows, n), erased, [codeword >> j & 1 for j in range(n)])
     except NoUniqueSolution:
         return RecoveryReport({}, queries, 0, n, Outcome.UNRECOVERABLE)
-    recovered = {conn_of[j]: word >> j & 1 for j in erased if j < k}
-    return RecoveryReport(recovered, queries, plan.ops, n, Outcome.FULL_RECOVERY)
+    # per row, one XOR per surviving term after the first; then one per row
+    # combination while eliminating on the erased columns in ascending order
+    survivors = ~sum(1 << j for j in erased)
+    ops = sum(max(0, (w & survivors).bit_count() - 1) for w in rows)
+    ops += gf2._eliminate(list(rows), erased)[2]
+    recovered = {conn_of[j]: word[j] for j in erased if j < k}
+    return RecoveryReport(recovered, queries, ops, n, Outcome.FULL_RECOVERY)
 
 
 def corrupt(packets, c):
@@ -449,9 +463,35 @@ class TestRepairPlanMemo:
         by_words = BitMatrix.from_row_words([sum(b << j for j, b in enumerate(r)) for r in rows], 7)
         assert by_rows == by_words and hash(by_rows) == hash(by_words)
         codes.repair_plan.cache_clear()
-        assert codes.repair_plan(by_rows, 0b11) is codes.repair_plan(by_words, 0b11)
+        assert codes.repair_plan(by_rows.row_words, 0b11) is codes.repair_plan(by_words.row_words, 0b11)
         info = codes.repair_plan.cache_info()
         assert (info.misses, info.hits, info.currsize) == (1, 1, 1)
+
+    def test_warm_rounds_hash_no_matrix(self, monkeypatch):
+        # a memo hit keys on plain ints: once the plans exist, rounds of a
+        # freshly built, equal code neither hash nor compare a BitMatrix
+        rounds = 1000
+
+        def run(code):
+            sched = build_schedule(31, code.m, rounds)
+            return run_simulation(Network.direct(31), code, sched, random_failures(31, 2, seed=9), rounds)
+
+        codes.repair_plan.cache_clear()
+        warm = run(bch_code(31, 2))
+        fresh = bch_code(31, 2)
+        calls = Counter()
+        for name in ("__hash__", "__eq__"):
+            def counted(*args, name=name, original=getattr(BitMatrix, name)):
+                calls[name] += 1
+                return original(*args)
+            monkeypatch.setattr(BitMatrix, name, counted)
+        before = codes.repair_plan.cache_info()
+        again = run(fresh)
+        after = codes.repair_plan.cache_info()
+        assert calls == Counter()
+        assert after.misses == before.misses
+        assert after.hits - before.hits == again.outcomes[Outcome.FULL_RECOVERY] > 0
+        assert again == warm
 
     def test_memo_holds_at_most_its_bound(self):
         code = bch_code(31, 2)
