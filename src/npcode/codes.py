@@ -288,29 +288,25 @@ def erasure_decode(
 
 def _is_cyclic(parity_check: BitMatrix) -> bool:
     """Whether rotating the coordinates by one maps the code ker H onto
-    itself: exactly when every row of H, rotated by one, lies in the row
-    space of H. Depends on H alone, so it is exact for any generator."""
+    itself: exactly when H's rows and their rotations by one have the rank
+    of H's rows alone, full or not. It reads H alone, so it is exact for any generator."""
     n = parity_check.cols
-    full = (1 << n) - 1
-    words, pivots, _ = gf2._eliminate(list(parity_check.row_words), range(n))
-    for h in parity_check.row_words:
-        w = (h << 1 | h >> (n - 1)) & full
-        for row, col in zip(words, pivots):
-            if w >> col & 1:
-                w ^= row
-        if w:
-            return False
-    return True
+    rows = list(parity_check.row_words)
+    rotated = [(h << 1 | h >> (n - 1)) & ((1 << n) - 1) for h in rows]
+    rank = len(gf2._eliminate(rows + rotated, range(n))[1])
+    return rank == len(gf2._eliminate(rows, range(n))[1])
 
 
 def verify_protection(code: ProtectionCode, t: int) -> ProtectionReport:
     """Check every t-subset of erased positions; list the failures in order.
 
     A pattern is recoverable exactly when its columns of the parity check
-    are independent. The walk goes depth first over an explicit stack, and
-    each node keeps the columns after its prefix reduced against the
-    prefix's columns, one step per column per push: a column that reduces
-    to zero fails every extension of its prefix unchecked. At every other
+    are independent. The walk goes depth first, and each node keeps the
+    columns after its prefix reduced against the prefix's columns, one step
+    per column per push, so its whole subtree shares that reduction instead
+    of running :func:`gf2._eliminate` per pattern. A column that reduces to
+    zero fails every extension of its prefix unchecked. The stack is
+    explicit so that a deep walk runs under any recursion limit. At every other
     leaf walked the columns must rebuild a probe codeword from its surviving
     symbols, a round trip that guards the reduction; reduction is linear,
     so each node derives the probe's state from its parent's in one step.
@@ -405,7 +401,7 @@ def parse_code_file(text: str) -> ProtectionCode:
     head = lines[0].split(" ")
     if len(head) != 5 or head[0] != "NPC":
         raise ValueError(f"malformed code file header: {lines[0]!r}")
-    if not all(part.isdigit() for part in head[1:4]):
+    if not all(part.isascii() and part.isdigit() for part in head[1:4]):
         raise ValueError(f"malformed code file header: {lines[0]!r}")
     n, k, d_min = int(head[1]), int(head[2]), int(head[3])
     if head[4] not in ("verified", "declared"):

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from collections.abc import Iterable, Iterator, Sequence
 
 # The minimum-distance search enumerates 2^min(k, n - k) words, of the code
@@ -182,7 +183,7 @@ class BitMatrix:
         if not lines:
             raise ValueError("empty matrix text")
         head = lines[0].split(" ")
-        if len(head) != 2 or not head[0].isdigit() or not head[1].isdigit():
+        if len(head) != 2 or not all(part.isascii() and part.isdigit() for part in head):
             raise ValueError(f"malformed matrix header: {lines[0]!r}")
         nrows, ncols = int(head[0]), int(head[1])
         if nrows < 1 or ncols < 1:
@@ -299,9 +300,9 @@ class SolvePlan:
     Attributes:
         known: mask of the bits that are not unknowns.
         tables: the rows' column tables, one object shared by all their plans.
-        steps: (pivot, step) per unknown whose column is independent of those
-            before it: the column reduced against theirs, with its position
-            bit above bit m, and the lowest of its bits below m.
+        steps: (pivot, step) per row of the Gauss-Jordan basis of the
+            unknowns' columns, each with its position bit above bit m: the
+            pivot is set in that step alone, so the steps apply in any order.
         m: the number of rows.
         free: the number of unknowns that no row pins down.
         ops: the XOR count that :func:`solve_with_cost` reports.
@@ -312,21 +313,14 @@ class SolvePlan:
     def __init__(self, rows: Sequence[int], unknowns: Sequence[int]):
         rows = tuple(rows)
         m = len(rows)
-        mask = 0
-        steps: list[tuple[int, int]] = []
-        for j in unknowns:
-            mask |= 1 << j
-            step = sum((row >> j & 1) << i for i, row in enumerate(rows)) | 1 << m + j
-            for pivot, prior in steps:
-                if step & pivot:
-                    step ^= prior
-            if low := step & ((1 << m) - 1):
-                steps.append((low & -low, step))
-        self.known = known = ~mask
-        self.tables = _column_tables(rows)
-        self.steps = tuple(steps)
+        self.tables = tables = _column_tables(rows)
+        # Column j of the rows is the syndrome of the word with bit j alone.
+        columns = [xor_rows_by_tables(tables, 1 << j) | 1 << m + j for j in unknowns]
+        columns, pivots, _ = _eliminate(columns, range(m))
+        self.known = known = ~functools.reduce(operator.or_, (1 << j for j in unknowns), 0)
+        self.steps = tuple((1 << p, w) for p, w in zip(pivots, columns))
         self.m = m
-        self.free = len(unknowns) - len(steps)
+        self.free = len(unknowns) - len(pivots)
         combos = _eliminate(list(rows), unknowns)[2]
         self.ops = sum(max(0, (row & known).bit_count() - 1) for row in rows) + combos
 

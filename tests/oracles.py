@@ -95,3 +95,13 @@ def erasure_fill_naive(h_rows, erased, word):
     for p, bit in zip(erased, fits[0]):
         filled[p] = bit
     return filled
+
+
+def cyclic_naive(h_rows):
+    """Whether rotating every word of ker H by one position gives ker H
+    back, with ker H enumerated word by word."""
+    n = len(h_rows[0])
+    kernel = {
+        w for w in product((0, 1), repeat=n) if all(sum(map(and_, row, w)) % 2 == 0 for row in h_rows)
+    }
+    return {w[-1:] + w[:-1] for w in kernel} == kernel

@@ -198,6 +198,16 @@ class TestVerify:
         assert captured.out == ""
         assert captured.err.startswith("error:")
 
+    def test_non_ascii_digits_exit_2(self, tmp_path, capsys):
+        # int() reads any Unicode digit, so the header check must ask for ASCII
+        path = tmp_path / "digits.npc"
+        path.write_text("NPC \u0663 2 2 verified\n2 3\n101\n011\n")
+        capsys.readouterr()
+        assert main(["verify", str(path), "--t", "1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:")
+
     def test_bad_file_exits_2(self, tmp_path):
         bad = tmp_path / "bad.npc"
         bad.write_text("not a code file\n")

@@ -31,7 +31,7 @@ from npcode.codes import (
 )
 from npcode.gf2 import BitMatrix, BitVector, DimensionMismatch, NoUniqueSolution, mat_mul
 
-from oracles import agreeing_messages, encode_naive, erasure_fill_naive, min_distance_naive
+from oracles import agreeing_messages, cyclic_naive, encode_naive, erasure_fill_naive, min_distance_naive
 
 
 def unchecked_copy(code, **changes):
@@ -585,8 +585,52 @@ class TestRepairPlanOracle:
 
         assert plan_disagreements(code, masks, apply_mutant)
 
+    def test_steps_apply_in_any_order(self):
+        # each pivot bit is set in one step alone, so a plan with its steps
+        # reversed fills every word as the plan itself does
+        code = bch_code(15, 2)
+        rows = code.parity_check.row_words
+        masks = [m for m in range(1 << code.n) if 3 <= m.bit_count() <= 5]
+
+        def apply_reversed(mask, word):
+            plan = codes.repair_plan(rows, mask)
+            for pivot, _ in plan.steps:
+                assert sum(1 for _, step in plan.steps if step & pivot) == 1
+            reversed_plan = copy.copy(plan)
+            reversed_plan.steps = plan.steps[::-1]
+            assert outcome(lambda: reversed_plan.apply(word)) == outcome(lambda: plan.apply(word))
+            return reversed_plan.apply(word)
+
+        assert plan_disagreements(code, masks, apply_reversed) == []
+
+
+def random_parity_checks(rng, count):
+    """``count`` parity checks with n <= 9: random rows, rows with a
+    duplicate, a zero row or a sum of two rows added (rank-deficient), and
+    rows that rotate one word by some of the n amounts, or by all of them."""
+    checks = []
+    for i in range(count):
+        n = rng.randrange(2, 10)
+        rows = [rng.getrandbits(n) for _ in range(rng.randrange(1, n + 1))]
+        kind = i % 4
+        if kind == 1:
+            rows.append(rng.choice([0, rng.choice(rows), rng.choice(rows) ^ rng.choice(rows)]))
+            rng.shuffle(rows)
+        elif kind >= 2:
+            word = rows[0]
+            shifts = range(n) if kind == 3 else rng.sample(range(n), rng.randrange(1, n + 1))
+            rows = [(word << s | word >> (n - s)) & ((1 << n) - 1) for s in shifts]
+        checks.append(BitMatrix.from_row_words(rows, n))
+    return checks
+
 
 class TestCyclicity:
+    def test_agrees_with_kernel_oracle(self):
+        checks = random_parity_checks(random.Random(2890), 2400)
+        cyclic = [codes._is_cyclic(h) for h in checks]
+        assert cyclic == [cyclic_naive(as_lists(h)) for h in checks]
+        assert 200 < sum(cyclic) < len(checks) - 200
+
     @pytest.mark.parametrize("n", [2, 3, 6, 9, 64])
     def test_every_parity_code_is_cyclic(self, n):
         assert codes._is_cyclic(single_parity_code(n).parity_check)
@@ -883,6 +927,9 @@ class TestCodeFile:
             # distances the [5,4,2] generator does not have
             lambda lines: ["NPC 5 4 3 verified"] + lines[1:],
             lambda lines: ["NPC 5 4 1 declared"] + lines[1:],
+            # digits other than ASCII ones, in either header
+            lambda lines: ["NPC \u0665 \u0664 \u0662 verified"] + lines[1:],
+            lambda lines: lines[:1] + ["\uff14 5"] + lines[2:],
         ],
     )
     def test_rejects_corrupted(self, mutate):

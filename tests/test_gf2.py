@@ -466,6 +466,7 @@ class TestTextFormat:
             "a 2\n10\n01\n",
             "2 2\n1 0\n0 1\n",
             "0 0\n",
+            "\u0662 \uff13\n101\n011\n",  # Arabic-Indic 2, fullwidth 3
         ],
     )
     def test_rejects_malformed(self, text):
