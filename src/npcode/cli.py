@@ -72,6 +72,11 @@ def parse_config(text: str) -> ScenarioConfig:
                 cfg.failed = tuple(int(part) for part in value.split(",") if part.strip())
             except ValueError:
                 raise ConfigError(f"key 'failed' needs comma-separated integers, got {value!r}") from None
+            seen = set()
+            for c in cfg.failed:
+                if c in seen:
+                    raise ConfigError(f"key 'failed' lists connection {c} more than once")
+                seen.add(c)
         else:
             setattr(cfg, key, value)
 

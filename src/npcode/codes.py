@@ -12,7 +12,6 @@ import functools
 import itertools
 import math
 import random
-import sys
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 
@@ -26,6 +25,11 @@ PATTERN_ENUMERATION_LIMIT = 10**6
 # the C(31, 2) = 465 double-erasure sets of [31,21,5] four times over. A plan
 # of that code takes 0.5 KB (2 erasures) to 0.8 KB (5), so at most 1.6 MiB.
 PLAN_MEMO_SIZE = 2048
+
+# The longest parity code built. Its generator is n - 1 rows of n bits, so
+# the bits grow as n squared: about 2 MiB at this length, where `npcode
+# codegen` writes a 16 MiB code file and peaks near 70 MiB.
+PARITY_LENGTH_LIMIT = 4096
 
 
 class AmbiguousErasure(ValueError):
@@ -122,8 +126,11 @@ def single_parity_code(n: int) -> ProtectionCode:
     """The [n, n-1, 2] code: one connection carries the XOR of all the others."""
     if n < 2:
         raise ValueError(f"a parity code needs n >= 2 connections, got {n}")
-    if n > sys.maxsize:
-        raise ValueError(f"a parity code of n = {n} connections has too many rows to build")
+    if n > PARITY_LENGTH_LIMIT:
+        raise ValueError(
+            f"a parity code of n = {n} connections has too many rows to build "
+            f"(at most {PARITY_LENGTH_LIMIT} connections)"
+        )
     return _build([1] * (n - 1), n - 1, 1, 2, True)
 
 
@@ -306,10 +313,13 @@ def verify_protection(code: ProtectionCode, t: int) -> ProtectionReport:
     per column per push, so its whole subtree shares that reduction instead
     of running :func:`gf2._eliminate` per pattern. A column that reduces to
     zero fails every extension of its prefix unchecked. The stack is
-    explicit so that a deep walk runs under any recursion limit. At every other
-    leaf walked the columns must rebuild a probe codeword from its surviving
-    symbols, a round trip that guards the reduction; reduction is linear,
-    so each node derives the probe's state from its parent's in one step.
+    explicit so that a deep walk runs under any recursion limit. A node at
+    depth t - 1 pushes no frame: one loop checks its leaves, reducing each
+    against the node's last column (for t = 1, the root's leaves, which have
+    nothing to reduce against). At every other leaf walked the columns must
+    rebuild a probe codeword from its surviving symbols, a round trip that
+    guards the reduction; reduction is linear, so each node derives the
+    probe's state from its parent's in one step.
 
     When H is cyclic (:func:`_is_cyclic`), a pattern fails exactly when its
     rotations do, so the root tries position 0 alone and the walk covers
@@ -338,13 +348,32 @@ def verify_protection(code: ProtectionCode, t: int) -> ProtectionReport:
     # pattern, the empty one included.
     root = gf2.xor_rows(cols, probe) & syndrome_bits
     failing = [()] if t == 0 and root else []
+    cyclic = t > 0 and _is_cyclic(code.parity_check)
+
+    def check_leaves(head, state, want, pivot, column, leaves, first):
+        # The leaves head + (i,), i = first, first + 1, ...: ``leaves`` holds
+        # their columns, reduced against head but for its last ``column``
+        # (pivot 0: none), and state and want are head's probe state and mask.
+        for i, w in enumerate(leaves, first):
+            if w & pivot:
+                w ^= column
+            if w & syndrome_bits:
+                b = erased_bits[i]
+                leaf = state ^ w ^ b if b else state
+                if leaf & w & -w:
+                    leaf ^= w
+                if leaf == want | b:
+                    continue
+            failing.append((*head, i))
+
+    if t == 1:
+        check_leaves((), root, 0, 0, 0, cols[: 1 if cyclic else n], 0)
     # A frame: the prefix; the probe's state (the reduced syndrome of the
     # surviving symbols below bit m, the mask of the positions whose columns
     # explained the rest above it); the probe's erased bits as the mask it
     # must come out with; the columns after the prefix reduced against it
     # (each zero at every pivot of the prefix); the positions still to try.
-    cyclic = t > 0 and _is_cyclic(code.parity_check)
-    stack = [((), root, 0, cols, iter(range(1 if cyclic else n - t + 1)))] if t else []
+    stack = [((), root, 0, cols, iter(range(1 if cyclic else n - t + 1)))] if t > 1 else []
     while stack:
         prefix, syndrome, expected, rest, positions = stack[-1]
         depth = len(prefix) + 1
@@ -363,9 +392,8 @@ def verify_protection(code: ProtectionCode, t: int) -> ProtectionReport:
             child = syndrome ^ column ^ bit if bit else syndrome
             if child & pivot:
                 child ^= column
-            if depth == t:
-                if child != expected | bit:
-                    failing.append((*prefix, j))
+            if depth == t - 1:
+                check_leaves((*prefix, j), child, expected | bit, pivot, column, rest[j - start + 1 :], j + 1)
                 continue
             later = [w ^ column if w & pivot else w for w in rest[j - start + 1 :]]
             stack.append(

@@ -52,6 +52,11 @@ GOLDEN_REPORTS = {
 }
 
 
+def unbuildable(*args):
+    """Stands in for ``codes._assemble`` where a code must not be built."""
+    raise AssertionError("a code past the length bound was built")
+
+
 def write_config(tmp_path, text, name="scenario.cfg"):
     path = tmp_path / name
     path.write_text(text)
@@ -109,6 +114,16 @@ class TestCodegen:
     def test_oversize_n_exits_2(self, tmp_path, capsys):
         # 2**64 does not fit an index, so this fails before any allocation
         rc = main(["codegen", "--family", "parity", "--n", str(2**64), "--out", str(tmp_path / "x")])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("error:")
+        assert not (tmp_path / "x").exists()
+
+    def test_parity_past_the_length_bound_exits_2(self, tmp_path, capsys, monkeypatch):
+        # the build is stubbed out, so a missing bound fails the test
+        # instead of building n^2 bits
+        monkeypatch.setattr(codes, "_assemble", unbuildable)
+        n = codes.PARITY_LENGTH_LIMIT + 1
+        rc = main(["codegen", "--family", "parity", "--n", str(n), "--out", str(tmp_path / "x")])
         assert rc == 2
         assert capsys.readouterr().err.startswith("error:")
         assert not (tmp_path / "x").exists()
@@ -334,6 +349,14 @@ class TestSimulate:
         assert main(["simulate", str(cfg), "--out", str(tmp_path / "r.csv")]) == 2
         assert capsys.readouterr().err.startswith("error:")
 
+    def test_parity_past_the_length_bound_exits_2(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(codes, "_assemble", unbuildable)
+        n = codes.PARITY_LENGTH_LIMIT + 1
+        cfg = write_config(tmp_path, f"code_family = parity\nn = {n}\nrounds = 2\n")
+        assert main(["simulate", str(cfg), "--out", str(tmp_path / "r.csv")]) == 2
+        assert capsys.readouterr().err.startswith("error:")
+        assert not (tmp_path / "r.csv").exists()
+
     def test_rerun_with_a_fresh_code_adds_no_plans(self, tmp_path):
         # each command builds its own code object; plans are keyed by the
         # code's content, so the second command finds every plan it needs
@@ -353,6 +376,15 @@ class TestSimulate:
             "code_family = parity\nn = 5\nrounds = 1\nfailure_model = fixed\nfailed = 9\n",
         )
         assert main(["simulate", str(cfg)]) == 2
+
+    def test_repeated_fixed_connection_exits_2(self, tmp_path, capsys):
+        text = "code_family = parity\nn = 5\nrounds = 1\nfailure_model = fixed\nfailed = 1,3,1\n"
+        with pytest.raises(ConfigError, match="connection 1 more than once"):
+            parse_config(text)
+        out = tmp_path / "r.csv"
+        assert main(["simulate", str(write_config(tmp_path, text)), "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("error: key 'failed' lists connection 1")
+        assert not out.exists()
 
     def test_bad_config_writes_no_report(self, tmp_path):
         cfg = write_config(

@@ -79,10 +79,21 @@ class TestSingleParity:
             single_parity_code(1)
 
     def test_rejects_n_beyond_an_index(self):
-        # fails before any allocation; a large n that still fits an index
-        # would try to allocate its n - 1 generator rows
+        # fails before any allocation
         with pytest.raises(ValueError, match="too many rows"):
             single_parity_code(2**64)
+
+    def test_length_bound_is_checked_before_the_build(self, monkeypatch):
+        # a missing bound would build n^2 bits; the build is stubbed out, so
+        # the test fails instead of exhausting memory
+        def build(*args):
+            raise AssertionError("built")
+
+        monkeypatch.setattr(codes, "_assemble", build)
+        with pytest.raises(ValueError, match="too many rows"):
+            single_parity_code(codes.PARITY_LENGTH_LIMIT + 1)
+        with pytest.raises(AssertionError, match="built"):
+            single_parity_code(codes.PARITY_LENGTH_LIMIT)
 
     def test_distance_matches_exhaustive_search(self):
         for n in range(2, 12):
@@ -448,22 +459,55 @@ def per_pattern_failing(code, t):
     return tuple(failing)
 
 
-def systematic_code(k, m, parity_rows):
-    """The code with generator [I_k | P] for the packed rows of P, built
-    without the library's constructors; d_min is measured naively."""
+def systematic_matrices(k, m, parity_rows):
+    """[I_k | P] and [P^T | I_m] for the packed rows of P, built without the
+    library's constructors."""
     gen = [(1 << i) | p << k for i, p in enumerate(parity_rows)]
     chk = [
         1 << (k + j) | sum((p >> j & 1) << i for i, p in enumerate(parity_rows))
         for j in range(m)
     ]
-    g_rows = [[w >> j & 1 for j in range(k + m)] for w in gen]
-    return ProtectionCode(
-        k + m, k, m,
-        BitMatrix.from_row_words(gen, k + m),
-        BitMatrix.from_row_words(chk, k + m),
-        min_distance_naive(g_rows),
-        True,
-    )
+    return BitMatrix.from_row_words(gen, k + m), BitMatrix.from_row_words(chk, k + m)
+
+
+def systematic_code(k, m, parity_rows):
+    """The code with generator [I_k | P] for the packed rows of P, built
+    without the library's constructors; d_min is measured naively."""
+    gen, chk = systematic_matrices(k, m, parity_rows)
+    return ProtectionCode(k + m, k, m, gen, chk, min_distance_naive(as_lists(gen)), True)
+
+
+def poly_mod(a, g):
+    """a(x) mod g(x) over GF(2), bit d = coefficient of x^d."""
+    while a.bit_length() >= g.bit_length():
+        a ^= g << (a.bit_length() - g.bit_length())
+    return a
+
+
+def random_small_codes(rng, count):
+    """``count`` seeded systematic codes with n <= 10, made through
+    :func:`unchecked_copy` with d_min left unmeasured, which the walk does
+    not read: every other one is the cyclic code of a random divisor g of
+    x^n + 1, the rest have random P, so zero and repeated columns of H come up."""
+    template = single_parity_code(2)
+    found = []
+    for index in range(count):
+        n = rng.randrange(2, 11)
+        if index % 2:
+            g = rng.choice([g for g in range(3, 1 << n, 2) if poly_mod(1 << n | 1, g) == 0])
+            m = g.bit_length() - 1
+            k = n - m
+            # x^(m + i) plus its remainder mod g is a codeword with message
+            # bit i at position m + i; rotating by k moves it to position i
+            words = [1 << m + i | poly_mod(1 << m + i, g) for i in range(k)]
+            rows = [((w << k | w >> m) & ((1 << n) - 1)) >> k for w in words]
+        else:
+            k = rng.randrange(1, n)
+            m = n - k
+            rows = [rng.getrandbits(m) for _ in range(k)]
+        gen, chk = systematic_matrices(k, m, rows)
+        found.append(unchecked_copy(template, n=n, k=k, m=m, generator=gen, parity_check=chk))
+    return found
 
 
 @st.composite
@@ -693,6 +737,24 @@ class TestVerifyProtection:
         for t in range(code.m + 1):
             everything = tuple(itertools.combinations(range(code.n), t))
             assert any(verify_protection(c, t).failing_patterns == everything for c in corrupted), t
+
+    def test_matches_codeword_supports_on_small_random_codes(self):
+        # every t, so t = 1 (the root's leaves) and t = 2 (the leaves of a
+        # node at depth 1) run on the full walk and on the orbit walk alike
+        small = random_small_codes(random.Random(19), 40)
+        assert 10 <= sum(codes._is_cyclic(c.parity_check) for c in small) <= 30
+        for code in small:
+            expected = failing_by_codeword_supports(code)
+            for t in range(code.n + 1):
+                assert verify_protection(code, t).failing_patterns == expected[t], (code.generator, t)
+
+    def test_cyclic_prune_lists_every_pattern_past_the_rank(self):
+        # [63,51,5] is cyclic and m = 12: the orbit walk prunes every
+        # pattern that contains position 0, and their shifts are the rest
+        report = verify_protection(bch_code(63, 2), 60)
+        assert report.patterns_checked == len(report.failing_patterns) == math.comb(63, 60) == 39711
+        everything = itertools.combinations(range(63), 60)
+        assert all(map(tuple.__eq__, report.failing_patterns, everything))
 
     @pytest.mark.parametrize("t", [59, 60])
     def test_prune_lists_every_pattern_past_the_rank(self, t):
