@@ -139,8 +139,8 @@ def cmd_verify(args) -> int:
             file=sys.stderr,
         )
         return 0
-    for pattern in report.failing_patterns:
-        print(",".join(str(p) for p in pattern))
+    names = [str(i) for i in range(code.n)]
+    sys.stdout.writelines(",".join(map(names.__getitem__, p)) + "\n" for p in report.failing_patterns)
     print(
         f"failed: {len(report.failing_patterns)} of {report.patterns_checked} "
         f"patterns unrecoverable",

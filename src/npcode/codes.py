@@ -314,12 +314,15 @@ def verify_protection(code: ProtectionCode, t: int) -> ProtectionReport:
     of running :func:`gf2._eliminate` per pattern. A column that reduces to
     zero fails every extension of its prefix unchecked. The stack is
     explicit so that a deep walk runs under any recursion limit. A node at
-    depth t - 1 pushes no frame: one loop checks its leaves, reducing each
-    against the node's last column (for t = 1, the root's leaves, which have
-    nothing to reduce against). At every other leaf walked the columns must
-    rebuild a probe codeword from its surviving symbols, a round trip that
-    guards the reduction; reduction is linear, so each node derives the
-    probe's state from its parent's in one step.
+    depth t - 1 pushes no frame: its leaf i fails exactly when i's column,
+    reduced against the node's prefix, is zero or is the node's last column,
+    so one membership scan over the leaves finds whether any fails (for
+    t = 1, the root's leaves, which fail only on a zero column).
+
+    One guard runs first, at the root: a probe codeword from the generator
+    must have a zero syndrome. If it has not, G and H disagree, no erased
+    set can explain the probe, and every pattern fails, the empty one
+    included.
 
     When H is cyclic (:func:`_is_cyclic`), a pattern fails exactly when its
     rotations do, so the root tries position 0 alone and the walk covers
@@ -337,68 +340,41 @@ def verify_protection(code: ProtectionCode, t: int) -> ProtectionReport:
     rng = random.Random(0x4E5043)
     message = sum(rng.randrange(2) << i for i in range(code.k))
     probe = gf2.xor_rows(code.generator.row_words, message)
-    n, m = code.n, code.m
-    syndrome_bits = (1 << m) - 1
-    # Column j of H below bit m and bit j of a position mask above it, so an
-    # XOR of such words is a sum of columns beside the positions summed.
-    cols = [c | 1 << m + j for j, c in enumerate(code.parity_check.transpose().row_words)]
-    erased_bits = [1 << m + j if probe >> j & 1 else 0 for j in range(n)]
-    # The probe's state starts as the syndrome of the whole probe with an
-    # empty mask. It is zero for a codeword; any other probe fails every
-    # pattern, the empty one included.
-    root = gf2.xor_rows(cols, probe) & syndrome_bits
-    failing = [()] if t == 0 and root else []
+    n = code.n
+    cols = code.parity_check.transpose().row_words
+    if gf2.xor_rows(cols, probe):
+        return ProtectionReport(False, tuple(itertools.combinations(range(n), t)), total)
+    failing = []
     cyclic = t > 0 and _is_cyclic(code.parity_check)
 
-    def check_leaves(head, state, want, pivot, column, leaves, first):
+    def check_leaves(head, leaves, first, column):
         # The leaves head + (i,), i = first, first + 1, ...: ``leaves`` holds
-        # their columns, reduced against head but for its last ``column``
-        # (pivot 0: none), and state and want are head's probe state and mask.
-        for i, w in enumerate(leaves, first):
-            if w & pivot:
-                w ^= column
-            if w & syndrome_bits:
-                b = erased_bits[i]
-                leaf = state ^ w ^ b if b else state
-                if leaf & w & -w:
-                    leaf ^= w
-                if leaf == want | b:
-                    continue
-            failing.append((*head, i))
+        # their columns reduced against head but for its last ``column``
+        # (0: none), so a leaf fails when its column is 0 or ``column``.
+        if 0 in leaves or column in leaves:
+            failing.extend((*head, i) for i, w in enumerate(leaves, first) if w == 0 or w == column)
 
     if t == 1:
-        check_leaves((), root, 0, 0, 0, cols[: 1 if cyclic else n], 0)
-    # A frame: the prefix; the probe's state (the reduced syndrome of the
-    # surviving symbols below bit m, the mask of the positions whose columns
-    # explained the rest above it); the probe's erased bits as the mask it
-    # must come out with; the columns after the prefix reduced against it
-    # (each zero at every pivot of the prefix); the positions still to try.
-    stack = [((), root, 0, cols, iter(range(1 if cyclic else n - t + 1)))] if t > 1 else []
+        check_leaves((), cols[: 1 if cyclic else n], 0, 0)
+    # A frame: the prefix; the columns after it reduced against it (each
+    # zero at every pivot of the prefix); the positions still to try.
+    stack = [((), cols, iter(range(1 if cyclic else n - t + 1)))] if t > 1 else []
     while stack:
-        prefix, syndrome, expected, rest, positions = stack[-1]
+        prefix, rest, positions = stack[-1]
         depth = len(prefix) + 1
         start = n - len(rest)
         for j in positions:
             column = rest[j - start]
-            if not column & syndrome_bits:
+            if not column:
                 tails = itertools.combinations(range(j + 1, n), t - depth)
                 failing.extend(map((*prefix, j).__add__, tails))
                 continue
-            pivot = column & -column
-            bit = erased_bits[j]
-            # Erasing j takes its column out of the syndrome where the probe
-            # has a 1; the column, reduced against the prefix, then reduces
-            # the syndrome by one more step.
-            child = syndrome ^ column ^ bit if bit else syndrome
-            if child & pivot:
-                child ^= column
             if depth == t - 1:
-                check_leaves((*prefix, j), child, expected | bit, pivot, column, rest[j - start + 1 :], j + 1)
+                check_leaves((*prefix, j), rest[j - start + 1 :], j + 1, column)
                 continue
+            pivot = column & -column
             later = [w ^ column if w & pivot else w for w in rest[j - start + 1 :]]
-            stack.append(
-                ((*prefix, j), child, expected | bit, later, iter(range(j + 1, n - t + depth + 1)))
-            )
+            stack.append(((*prefix, j), later, iter(range(j + 1, n - t + depth + 1))))
             break
         else:
             stack.pop()

@@ -171,9 +171,10 @@ class BitMatrix:
 
     def to_text(self) -> str:
         """Serialize as ``rows cols`` header plus one 0/1 line per row."""
+        # bit j is character j: the binary form, padded and reversed
+        width = f"0{self._ncols}b"
         lines = [f"{self._nrows} {self._ncols}"]
-        for w in self._words:
-            lines.append("".join("1" if (w >> j) & 1 else "0" for j in range(self._ncols)))
+        lines += (format(w, width)[::-1] for w in self._words)
         return "\n".join(lines) + "\n"
 
     @classmethod

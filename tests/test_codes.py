@@ -31,7 +31,7 @@ from npcode.codes import (
 )
 from npcode.gf2 import BitMatrix, BitVector, DimensionMismatch, NoUniqueSolution, mat_mul
 
-from oracles import agreeing_messages, cyclic_naive, encode_naive, erasure_fill_naive, min_distance_naive
+from oracles import agreeing_messages, cyclic_naive, encode_naive, erasure_fill_naive, min_distance_naive, rank_naive
 
 
 def unchecked_copy(code, **changes):
@@ -738,6 +738,26 @@ class TestVerifyProtection:
             everything = tuple(itertools.combinations(range(code.n), t))
             assert any(verify_protection(c, t).failing_patterns == everything for c in corrupted), t
 
+    @pytest.mark.parametrize("code", [hamming_code(3), bch_code(15, 2)], ids=["hamming3", "bch15"])
+    def test_a_corrupted_parity_check_fails_everything_or_its_dependent_patterns(self, code):
+        # the probe's syndrome is checked once, at the root: where the flipped
+        # bit meets a 1 of the probe every pattern fails; elsewhere the probe
+        # still has a zero syndrome and exactly the patterns whose columns of
+        # the corrupted H are dependent fail
+        ts = range(6)
+        kinds = []
+        for c in corrupted_parity_checks(code):
+            columns = [[c.parity_check[i, j] for i in range(c.m)] for j in range(c.n)]
+            got = [verify_protection(c, t).failing_patterns for t in ts]
+            everything = [tuple(itertools.combinations(range(c.n), t)) for t in ts]
+            dependent = [
+                tuple(p for p in patterns if p and rank_naive([columns[j] for j in p]) < len(p))
+                for patterns in everything
+            ]
+            assert got in (everything, dependent)
+            kinds.append(got == everything)
+        assert any(kinds) and not all(kinds), kinds
+
     def test_matches_codeword_supports_on_small_random_codes(self):
         # every t, so t = 1 (the root's leaves) and t = 2 (the leaves of a
         # node at depth 1) run on the full walk and on the orbit walk alike
@@ -778,8 +798,8 @@ class TestVerifyProtection:
 
     def test_a_probe_outside_the_code_fails_every_pattern(self):
         # each generator row moved off the code by its own parity bit: with
-        # k <= m every nonzero probe then has a nonzero syndrome, so no
-        # pattern round-trips, not even the empty one
+        # k <= m every nonzero probe then has a nonzero syndrome, which the
+        # root check turns into every pattern failing, the empty one included
         code = bch_code(15, 2)
         rows = [w ^ 1 << (code.k + i) for i, w in enumerate(code.generator.row_words)]
         off_code = unchecked_copy(code, generator=BitMatrix.from_row_words(rows, code.n))

@@ -455,6 +455,19 @@ class TestTextFormat:
             m = random_bit_matrix(rng, rng.randrange(1, 9), rng.randrange(1, 9))
             assert BitMatrix.from_text(m.to_text()) == m
 
+    def test_matches_the_per_bit_form(self):
+        # one character per bit, bit j of a row word as character j; widths
+        # from 1 column past several bytes, most not a multiple of 8
+        rng = random.Random(45)
+        for cols in [1, 2, 7, 8, 9, 15, 16, 17, 63, 64, 65, 200]:
+            for _ in range(5):
+                words = [rng.getrandbits(cols) for _ in range(rng.randrange(1, 6))]
+                per_bit = "".join(
+                    "".join("1" if w >> j & 1 else "0" for j in range(cols)) + "\n" for w in words
+                )
+                text = BitMatrix.from_row_words(words, cols).to_text()
+                assert text == f"{len(words)} {cols}\n" + per_bit, (cols, words)
+
     @pytest.mark.parametrize(
         "text",
         [
