@@ -317,18 +317,24 @@ def verify_protection(code: ProtectionCode, t: int) -> ProtectionReport:
     depth t - 1 pushes no frame: its leaf i fails exactly when i's column,
     reduced against the node's prefix, is zero or is the node's last column,
     so one membership scan over the leaves finds whether any fails (for
-    t = 1, the root's leaves, which fail only on a zero column).
+    t = 1, the root's leaves, which fail only on a zero column). A node v
+    at depth t - 2 (t >= 3) is decided whole by its reduced later columns:
+    pattern (*v, i, l) fails exactly when i's or l's column is zero or the
+    two are equal, so when one set built in C finds them nonzero and
+    pairwise distinct the subtree is skipped, and otherwise it is walked.
 
     One guard runs first, at the root: a probe codeword from the generator
     must have a zero syndrome. If it has not, G and H disagree, no erased
     set can explain the probe, and every pattern fails, the empty one
     included.
 
-    When H is cyclic (:func:`_is_cyclic`), a pattern fails exactly when its
-    rotations do, so the root tries position 0 alone and the walk covers
-    only the patterns that contain it. The failures with least element a
-    are those with least element a - 1 shifted up by one wherever their last
-    position can move; taking a = 1, 2, ... in turn keeps the list in order.
+    When H is cyclic (:func:`_is_cyclic`, asked only for t >= 2: below
+    that the orbit walk saves less than the check costs), a pattern fails
+    exactly when its rotations do, so the root tries position 0 alone and
+    the walk covers only the patterns that contain it. The failures with
+    least element a are those with least element a - 1 shifted up by one
+    wherever their last position can move; taking a = 1, 2, ... in turn
+    keeps the list in order.
     """
     if not 0 <= t <= code.n:
         raise ValueError(f"t must be in [0, {code.n}], got {t}")
@@ -345,7 +351,7 @@ def verify_protection(code: ProtectionCode, t: int) -> ProtectionReport:
     if gf2.xor_rows(cols, probe):
         return ProtectionReport(False, tuple(itertools.combinations(range(n), t)), total)
     failing = []
-    cyclic = t > 0 and _is_cyclic(code.parity_check)
+    cyclic = t > 1 and _is_cyclic(code.parity_check)
 
     def check_leaves(head, leaves, first, column):
         # The leaves head + (i,), i = first, first + 1, ...: ``leaves`` holds
@@ -355,7 +361,7 @@ def verify_protection(code: ProtectionCode, t: int) -> ProtectionReport:
             failing.extend((*head, i) for i, w in enumerate(leaves, first) if w == 0 or w == column)
 
     if t == 1:
-        check_leaves((), cols[: 1 if cyclic else n], 0, 0)
+        check_leaves((), cols, 0, 0)
     # A frame: the prefix; the columns after it reduced against it (each
     # zero at every pivot of the prefix); the positions still to try.
     stack = [((), cols, iter(range(1 if cyclic else n - t + 1)))] if t > 1 else []
@@ -374,6 +380,10 @@ def verify_protection(code: ProtectionCode, t: int) -> ProtectionReport:
                 continue
             pivot = column & -column
             later = [w ^ column if w & pivot else w for w in rest[j - start + 1 :]]
+            if depth == t - 2 and 0 not in later and len(set(later)) == len(later):
+                # leaf (*prefix, j, i, l) fails exactly when i's or l's
+                # column in ``later`` is 0 or the two are equal: none fails
+                continue
             stack.append(((*prefix, j), later, iter(range(j + 1, n - t + depth + 1))))
             break
         else:

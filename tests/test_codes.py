@@ -759,14 +759,29 @@ class TestVerifyProtection:
         assert any(kinds) and not all(kinds), kinds
 
     def test_matches_codeword_supports_on_small_random_codes(self):
-        # every t, so t = 1 (the root's leaves) and t = 2 (the leaves of a
-        # node at depth 1) run on the full walk and on the orbit walk alike
+        # every t: t = 1 scans the root's leaves with no cyclicity check;
+        # t = 2 (the leaves of a node at depth 1) and t = 3 (a node at depth
+        # 1, under the orbit walk's root, decided by one distinctness check
+        # of its reduced columns) run on the full walk and on the orbit walk
         small = random_small_codes(random.Random(19), 40)
         assert 10 <= sum(codes._is_cyclic(c.parity_check) for c in small) <= 30
         for code in small:
             expected = failing_by_codeword_supports(code)
             for t in range(code.n + 1):
                 assert verify_protection(code, t).failing_patterns == expected[t], (code.generator, t)
+
+    def test_cyclicity_is_checked_only_past_one_erasure(self, monkeypatch):
+        # at t <= 1 the orbit walk would save no more than one scan of the
+        # columns, less than the two eliminations of the check
+        calls = []
+        is_cyclic = codes._is_cyclic
+        monkeypatch.setattr(codes, "_is_cyclic", lambda h: calls.append(h) or is_cyclic(h))
+        code = bch_code(15, 2)
+        for t in (0, 1):
+            assert verify_protection(code, t).recoverable
+        assert calls == []
+        assert verify_protection(code, 2).recoverable
+        assert calls == [code.parity_check]
 
     def test_cyclic_prune_lists_every_pattern_past_the_rank(self):
         # [63,51,5] is cyclic and m = 12: the orbit walk prunes every
@@ -862,6 +877,10 @@ class TestVerifyProtection:
     @given(systematic_parity_rows())
     # a zero column of H (position 0), and columns 1, 2 and k equal
     @example((3, 2, [0, 1, 1]))
+    # a zero column at the last data position k - 1
+    @example((4, 4, [3, 5, 6, 0]))
+    # data column 2 equal to the last parity column n - 1
+    @example((4, 4, [3, 5, 8, 6]))
     def test_matches_codeword_supports_on_random_codes(self, drawn):
         k, m, parity_rows = drawn
         code = systematic_code(k, m, parity_rows)
