@@ -104,10 +104,8 @@ class ProtectionReport:
 
 def _assemble(parity_rows: Sequence[int], k: int, m: int) -> tuple[BitMatrix, BitMatrix]:
     """[I_k | P] and [P^T | I_m] from packed P rows (bit j = parity column j)."""
-    gen = BitMatrix.from_row_words(
-        ((1 << i) | (parity_rows[i] << k) for i in range(k)), k + m
-    )
-    p_t = BitMatrix.from_row_words(parity_rows, m).transpose().row_words
+    gen = BitMatrix.from_row_words(((1 << i) | (parity_rows[i] << k) for i in range(k)), k + m)
+    p_t = gf2._columns(parity_rows, m)
     return gen, BitMatrix.from_row_words((w | 1 << (k + j) for j, w in enumerate(p_t)), k + m)
 
 
@@ -175,20 +173,16 @@ def bch_code(n: int, design_t: int) -> ProtectionCode:
     for _ in range(n - 1):
         shifted = power[-1] << 1
         power.append(shifted ^ _PRIMITIVE_POLY[m] if shifted >> m else shifted)
-    # c(a^2i) = c(a^i)^2, so the even powers add no rows.
-    rows = [
-        sum((power[i * j % n] >> b & 1) << j for j in range(n))
-        for i in range(1, 2 * design_t, 2)
-        for b in range(m)
-    ]
+    # c(a^2i) = c(a^i)^2, so the even powers add no rows; root a^i gives the bit columns of a^(i*j).
+    roots = range(1, 2 * design_t, 2)
+    rows = [row for i in roots for row in gf2._columns([power[i * j % n] for j in range(n)], m)]
     words, pivots, _ = gf2._eliminate(rows, range(n - 1, -1, -1))
     k = n - len(pivots)
     # Any n - k consecutive positions of a cyclic code are a check set, so
     # the pivots are the last n - k columns and the rows reduce to [P^T | I].
     if pivots != list(range(n - 1, k - 1, -1)):
         raise RuntimeError("the parity check did not reduce to systematic form")
-    checks = BitMatrix.from_row_words([w & ((1 << k) - 1) for w in reversed(words[: n - k])], k)
-    return _build(checks.transpose().row_words, k, n - k)
+    return _build(gf2._columns([w & ((1 << k) - 1) for w in reversed(words[: n - k])], k), k, n - k)
 
 
 def shorten(code: ProtectionCode, drop: Iterable[int]) -> ProtectionCode:
@@ -347,7 +341,7 @@ def verify_protection(code: ProtectionCode, t: int) -> ProtectionReport:
     message = sum(rng.randrange(2) << i for i in range(code.k))
     probe = gf2.xor_rows(code.generator.row_words, message)
     n = code.n
-    cols = code.parity_check.transpose().row_words
+    cols = gf2._columns(code.parity_check.row_words, n)
     if gf2.xor_rows(cols, probe):
         return ProtectionReport(False, tuple(itertools.combinations(range(n), t)), total)
     failing = []

@@ -47,6 +47,13 @@ def _pack(entries: Iterable[int]) -> tuple[int, int]:
     return word, length
 
 
+def _columns(words: Sequence[int], width: int) -> tuple[int, ...]:
+    """The ``width`` columns of the rows ``words`` (each below 2**width), bit i of column j
+    being bit j of ``words[i]``: every row is written once as text, each column is one slice of it."""
+    text = "".join(format(w, f"0{width}b") for w in words)
+    return tuple(int(text[width - 1 - j :: width][::-1], 2) for j in range(width))
+
+
 class BitVector:
     """Immutable vector over {0, 1} with XOR addition."""
 
@@ -164,7 +171,8 @@ class BitMatrix:
         return (self._words[i] >> j) & 1
 
     def transpose(self) -> "BitMatrix":
-        return BitMatrix([(w >> j) & 1 for w in self._words] for j in range(self._ncols))
+        """The matrix whose row j is column j of this one (see :func:`_columns`)."""
+        return BitMatrix.from_row_words(_columns(self._words, self._ncols), self._nrows)
 
     def is_zero(self) -> bool:
         return not any(self._words)
@@ -179,7 +187,7 @@ class BitMatrix:
 
     @classmethod
     def from_text(cls, text: str) -> "BitMatrix":
-        """Parse the :meth:`to_text` format; rejects anything malformed."""
+        """Parse the :meth:`to_text` format (a row is read reversed, in base 2); rejects anything malformed."""
         lines = text.splitlines()
         if not lines:
             raise ValueError("empty matrix text")
@@ -194,7 +202,7 @@ class BitMatrix:
         for line in lines[1:]:
             if len(line) != ncols or set(line) - {"0", "1"}:
                 raise ValueError(f"malformed matrix row: {line!r}")
-        return cls(map(int, line) for line in lines[1:])
+        return cls.from_row_words((int(line[::-1], 2) for line in lines[1:]), ncols)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, BitMatrix):
@@ -285,10 +293,10 @@ def _eliminate(words: list[int], columns: Iterable[int]) -> tuple[list[int], lis
 
 @functools.lru_cache(maxsize=16)
 def _column_tables(rows: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
-    """:func:`subset_tables` of the columns of ``rows``, padded with zero columns
-    to whole bytes: a word's syndrome by :func:`xor_rows_by_tables`."""
+    """:func:`subset_tables` of the :func:`_columns` of ``rows``, padded with zero
+    columns to whole bytes: a word's syndrome by :func:`xor_rows_by_tables`."""
     width = -(-max((row.bit_length() for row in rows), default=0) // 8) * 8
-    return subset_tables([sum((row >> j & 1) << i for i, row in enumerate(rows)) for j in range(width)])
+    return subset_tables(_columns(rows, width))
 
 
 class SolvePlan:

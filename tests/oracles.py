@@ -97,6 +97,14 @@ def erasure_fill_naive(h_rows, erased, word):
     return filled
 
 
+def transpose_naive(words, width):
+    """Column j < ``width`` of the packed rows ``words``, packed the same way
+    (bit i of column j is bit j of ``words[i]``): each row unpacked into a
+    list of bits, the lists transposed by ``zip``, each column packed back."""
+    rows = [[(w >> j) & 1 for j in range(width)] for w in words]
+    return tuple(sum(bit << i for i, bit in enumerate(column)) for column in zip(*rows))
+
+
 def cyclic_naive(h_rows):
     """Whether rotating every word of ker H by one position gives ker H
     back, with ker H enumerated word by word."""

@@ -22,7 +22,14 @@ from npcode.gf2 import (
     xor_rows_by_tables,
 )
 
-from oracles import encode_naive, erasure_fill_naive, mat_vec_naive, min_distance_naive, rank_naive
+from oracles import (
+    encode_naive,
+    erasure_fill_naive,
+    mat_vec_naive,
+    min_distance_naive,
+    rank_naive,
+    transpose_naive,
+)
 
 
 def parity_generator(n):
@@ -85,7 +92,9 @@ class TestConstruction:
         assert v == BitVector.from_int(0b1101, 4)
 
     def test_every_reader_packs_entry_i_at_bit_i(self):
-        # BitVector, BitMatrix rows and from_text lines share one packing rule
+        # BitVector, BitMatrix rows and from_text lines follow one packing
+        # rule, each through its own reader: from_text reads a checked line
+        # in base 2, the others go through gf2._pack
         for length in range(1, 9):
             for x in itertools.product((0, 1), repeat=length):
                 line = "".join(map(str, x))
@@ -480,11 +489,54 @@ class TestTextFormat:
             "2 2\n1 0\n0 1\n",
             "0 0\n",
             "\u0662 \uff13\n101\n011\n",  # Arabic-Indic 2, fullwidth 3
+            # rows as wide as the header says that int(row, 2) would accept
+            "1 3\n0_1\n",
+            "1 3\n10 \n",
+            "1 3\n\u0661\u0660\u0661\n",  # Arabic-Indic 1, 0, 1
         ],
     )
     def test_rejects_malformed(self, text):
         with pytest.raises(ValueError):
             BitMatrix.from_text(text)
+
+
+def padded_width(rows):
+    """The column count of :func:`gf2._column_tables`: the widest row, rounded up to whole bytes."""
+    return -(-max((row.bit_length() for row in rows), default=0) // 8) * 8
+
+
+class TestColumns:
+    """``gf2._columns``, ``BitMatrix.transpose`` and ``gf2._column_tables``
+    against the list-based :func:`transpose_naive`."""
+
+    def check(self, words, width):
+        want = transpose_naive(words, width)
+        assert gf2._columns(words, width) == want
+        assert BitMatrix.from_row_words(words, width).transpose().row_words == want
+        tables = gf2._column_tables.__wrapped__(tuple(words))
+        assert tables == subset_tables(transpose_naive(words, padded_width(words)))
+
+    @pytest.mark.parametrize("rows, width", [(1, 1), (1, 4096), (4095, 1)])
+    def test_extreme_shapes(self, rows, width):
+        rng = random.Random(rows * 7 + width)
+        words = [rng.getrandbits(width) for _ in range(rows)]
+        words[0] |= 1 << (width - 1)  # a set top bit in each shape
+        self.check(words, width)
+
+    @pytest.mark.parametrize("width", [7, 8, 9, 63, 64, 65, 257])
+    def test_widths(self, width):
+        rng = random.Random(width)
+        for rows in [1, 2, 7, 8, 9, 30]:
+            self.check([rng.getrandbits(width) for _ in range(rows)], width)
+
+    @pytest.mark.parametrize("width", [1, 7, 8, 9, 63, 64, 65, 257])
+    def test_all_zero_and_all_one_rows(self, width):
+        for rows in [1, 5, 9]:
+            zeros, ones = [0] * rows, [(1 << width) - 1] * rows
+            self.check(zeros, width)
+            self.check(ones, width)
+            assert gf2._columns(zeros, width) == (0,) * width
+            assert gf2._columns(ones, width) == ((1 << rows) - 1,) * width
 
 
 def test_mat_mul_against_naive():
