@@ -7,6 +7,8 @@ parse, or bound errors.
 from __future__ import annotations
 
 import argparse
+import itertools
+import math
 import sys
 from dataclasses import dataclass, fields
 from fractions import Fraction
@@ -131,21 +133,18 @@ def cmd_codegen(args) -> int:
 
 def cmd_verify(args) -> int:
     code = codes.parse_code_file(Path(args.code_file).read_text())
-    report = codes.verify_protection(code, args.t)
-    if report.recoverable:
-        print(
-            f"ok: all {report.patterns_checked} patterns of {args.t} "
-            f"erasure(s) recoverable",
-            file=sys.stderr,
-        )
-        return 0
+    patterns = codes.unrecoverable_patterns(code, args.t)
+    total = math.comb(code.n, args.t)
     names = [str(i) for i in range(code.n)]
-    sys.stdout.writelines(",".join(map(names.__getitem__, p)) + "\n" for p in report.failing_patterns)
-    print(
-        f"failed: {len(report.failing_patterns)} of {report.patterns_checked} "
-        f"patterns unrecoverable",
-        file=sys.stderr,
-    )
+    # each failure is printed as the walk finds it; zip takes from the
+    # counter only after a pattern, so what is left in it is the count
+    counter = itertools.count()
+    sys.stdout.writelines(",".join(map(names.__getitem__, p)) + "\n" for p, _ in zip(patterns, counter))
+    failed = next(counter)
+    if not failed:
+        print(f"ok: all {total} patterns of {args.t} erasure(s) recoverable", file=sys.stderr)
+        return 0
+    print(f"failed: {failed} of {total} patterns unrecoverable", file=sys.stderr)
     return 1
 
 
@@ -220,8 +219,6 @@ def cmd_simulate(args) -> int:
                 raise ConfigError(f"failed connection {c} out of range [0, {code.n})")
         model = protocol.fixed_failures(cfg.failed)
     else:
-        if cfg.t > code.n:
-            raise ConfigError(f"t = {cfg.t} exceeds n = {code.n}")
         model = protocol.random_failures(code.n, cfg.t, cfg.seed)
     net = netmodel.Network.direct(code.n)
     sched = protocol.build_schedule(code.n, code.m, cfg.rounds)

@@ -12,7 +12,7 @@ import functools
 import itertools
 import math
 import random
-from collections.abc import Iterable, Sequence
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
 
 from . import gf2
@@ -298,37 +298,86 @@ def _is_cyclic(parity_check: BitMatrix) -> bool:
     return rank == len(gf2._eliminate(rows, range(n))[1])
 
 
-def verify_protection(code: ProtectionCode, t: int) -> ProtectionReport:
-    """Check every t-subset of erased positions; list the failures in order.
+def _failure_events(cols: list[int], n: int, t: int, top: int) -> Iterator[tuple[tuple[int, ...], int]]:
+    """The failure events of the t-subsets that start below ``top``, in
+    lexicographic order, from H's columns ``cols``.
 
-    A pattern is recoverable exactly when its columns of the parity check
-    are independent. The walk goes depth first, and each node keeps the
-    columns after its prefix reduced against the prefix's columns, one step
-    per column per push, so its whole subtree shares that reduction instead
-    of running :func:`gf2._eliminate` per pattern. A column that reduces to
-    zero fails every extension of its prefix unchecked. The stack is
-    explicit so that a deep walk runs under any recursion limit. A node at
-    depth t - 1 pushes no frame: its leaf i fails exactly when i's column,
-    reduced against the node's prefix, is zero or is the node's last column,
-    so one membership scan over the leaves finds whether any fails (for
-    t = 1, the root's leaves, which fail only on a zero column). A node v
-    at depth t - 2 (t >= 3) is decided whole by its reduced later columns:
-    pattern (*v, i, l) fails exactly when i's or l's column is zero or the
-    two are equal, so when one set built in C finds them nonzero and
-    pairwise distinct the subtree is skipped, and otherwise it is walked.
+    Event ``(head, r)`` stands for the failures head + s, for every r-subset
+    s of the positions after head[-1]. A pattern is recoverable exactly when
+    its columns of H are independent. The walk goes depth first, and each
+    node keeps the columns after its prefix reduced against the prefix's
+    columns, one step per column per push, so its whole subtree shares that
+    reduction. A column that reduces to zero fails every extension of its
+    prefix unchecked, as one event (a failing leaf, r = 0, at depth t). The
+    stack is explicit so that a deep walk runs under any recursion limit. A
+    node at depth t - 1 pushes no frame: its leaf i fails exactly when i's
+    reduced column is zero or is the node's last column, so one membership
+    scan finds whether any fails; when all do, the node is one event with
+    r = 1. A node v at depth t - 2 (t >= 3) is decided whole: (*v, i, l)
+    fails exactly when i's or l's reduced column is zero or the two are
+    equal, so when one set built in C finds them nonzero and pairwise
+    distinct the subtree is skipped.
+    """
+    # A frame: the prefix; the columns after it reduced against it (each
+    # zero at every pivot of the prefix); the positions still to try.
+    stack = [((), cols, iter(range(top)))] if t else []
+    while stack:
+        prefix, rest, positions = stack[-1]
+        depth = len(prefix) + 1
+        start = n - len(rest)
+        for j in positions:
+            column = rest[j - start]
+            if not column:
+                yield (*prefix, j), t - depth
+                continue
+            if depth == t - 1:
+                leaves = rest[j - start + 1 :]
+                if 0 in leaves or column in leaves:
+                    head = (*prefix, j)
+                    if leaves.count(0) + leaves.count(column) == len(leaves):
+                        yield head, 1
+                    else:
+                        yield from (((*head, i), 0) for i, w in enumerate(leaves, j + 1) if w == 0 or w == column)
+                continue
+            if depth == t:
+                continue
+            pivot = column & -column
+            later = [w ^ column if w & pivot else w for w in rest[j - start + 1 :]]
+            if depth == t - 2 and 0 not in later and len(set(later)) == len(later):
+                # leaf (*prefix, j, i, l) fails exactly when i's or l's
+                # column in ``later`` is 0 or the two are equal: none fails
+                continue
+            stack.append(((*prefix, j), later, iter(range(j + 1, n - t + depth + 1))))
+            break
+        else:
+            stack.pop()
 
-    One guard runs first, at the root: a probe codeword from the generator
-    must have a zero syndrome. If it has not, G and H disagree, no erased
-    set can explain the probe, and every pattern fails, the empty one
-    included.
 
-    When H is cyclic (:func:`_is_cyclic`, asked only for t >= 2: below
-    that the orbit walk saves less than the check costs), a pattern fails
-    exactly when its rotations do, so the root tries position 0 alone and
-    the walk covers only the patterns that contain it. The failures with
-    least element a are those with least element a - 1 shifted up by one
-    wherever their last position can move; taking a = 1, 2, ... in turn
-    keeps the list in order.
+def _expansions(events: Iterable[tuple[tuple[int, ...], int]], n: int, shifts: int) -> Iterator[Iterable[tuple[int, ...]]]:
+    """Each event's failures in turn, at shifts a = 0 .. shifts - 1: event
+    (head, r) at shift a is head + a followed by every r-subset of the
+    positions after its last, while that fits in range(n). Shifting is
+    monotone, so the position-0 events of a cyclic code list every failure
+    in lexicographic order, those with least element a at shift a."""
+    if shifts > 1:
+        events = list(events)
+    for a in range(shifts):
+        if a:
+            events = [(tuple(map((1).__add__, head)), r) for head, r in events if head[-1] + r < n - 1]
+        for head, r in events:
+            yield map(head.__add__, itertools.combinations(range(head[-1] + 1, n), r)) if r else (head,)
+
+
+def unrecoverable_patterns(code: ProtectionCode, t: int) -> Iterator[tuple[int, ...]]:
+    """Every unrecoverable t-subset of erased positions, in lexicographic
+    order, listed lazily as :func:`_failure_events` finds them.
+
+    The range of t and the pattern bound are checked at the call. So is the
+    guard: a probe codeword from the generator must have a zero syndrome,
+    or G and H disagree and every pattern fails, the empty one included.
+    When H is cyclic (:func:`_is_cyclic`, asked only for t >= 2), a pattern
+    fails exactly when its rotations do: only the subsets that contain
+    position 0 are walked, and their events are held and shifted.
     """
     if not 0 <= t <= code.n:
         raise ValueError(f"t must be in [0, {code.n}], got {t}")
@@ -343,52 +392,17 @@ def verify_protection(code: ProtectionCode, t: int) -> ProtectionReport:
     n = code.n
     cols = gf2._columns(code.parity_check.row_words, n)
     if gf2.xor_rows(cols, probe):
-        return ProtectionReport(False, tuple(itertools.combinations(range(n), t)), total)
-    failing = []
-    cyclic = t > 1 and _is_cyclic(code.parity_check)
+        return itertools.combinations(range(n), t)
+    shifts = n - t + 1 if t > 1 and _is_cyclic(code.parity_check) else 1
+    events = _failure_events(cols, n, t, 1 if shifts > 1 else n - t + 1)
+    return itertools.chain.from_iterable(_expansions(events, n, shifts))
 
-    def check_leaves(head, leaves, first, column):
-        # The leaves head + (i,), i = first, first + 1, ...: ``leaves`` holds
-        # their columns reduced against head but for its last ``column``
-        # (0: none), so a leaf fails when its column is 0 or ``column``.
-        if 0 in leaves or column in leaves:
-            failing.extend((*head, i) for i, w in enumerate(leaves, first) if w == 0 or w == column)
 
-    if t == 1:
-        check_leaves((), cols, 0, 0)
-    # A frame: the prefix; the columns after it reduced against it (each
-    # zero at every pivot of the prefix); the positions still to try.
-    stack = [((), cols, iter(range(1 if cyclic else n - t + 1)))] if t > 1 else []
-    while stack:
-        prefix, rest, positions = stack[-1]
-        depth = len(prefix) + 1
-        start = n - len(rest)
-        for j in positions:
-            column = rest[j - start]
-            if not column:
-                tails = itertools.combinations(range(j + 1, n), t - depth)
-                failing.extend(map((*prefix, j).__add__, tails))
-                continue
-            if depth == t - 1:
-                check_leaves((*prefix, j), rest[j - start + 1 :], j + 1, column)
-                continue
-            pivot = column & -column
-            later = [w ^ column if w & pivot else w for w in rest[j - start + 1 :]]
-            if depth == t - 2 and 0 not in later and len(set(later)) == len(later):
-                # leaf (*prefix, j, i, l) fails exactly when i's or l's
-                # column in ``later`` is 0 or the two are equal: none fails
-                continue
-            stack.append(((*prefix, j), later, iter(range(j + 1, n - t + depth + 1))))
-            break
-        else:
-            stack.pop()
-    shifted = failing if cyclic else []
-    while shifted:
-        # the failures with least element a, from those with least element
-        # a - 1: each shifted up by one, if its last position can move
-        shifted = [tuple(map((1).__add__, p)) for p in shifted if p[-1] < n - 1]
-        failing += shifted
-    return ProtectionReport(not failing, tuple(failing), total)
+def verify_protection(code: ProtectionCode, t: int) -> ProtectionReport:
+    """Check every t-subset of erased positions; list the failures in order
+    (:func:`unrecoverable_patterns`)."""
+    failing = list(unrecoverable_patterns(code, t))
+    return ProtectionReport(not failing, tuple(failing), math.comb(code.n, t))
 
 
 def format_code_file(code: ProtectionCode) -> str:

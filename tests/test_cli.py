@@ -247,6 +247,17 @@ class TestVerify:
         path = self.make_code_file(tmp_path, "bch", n=63, design_t=1)
         assert main(["verify", str(path), "--t", "31"]) == 2
 
+    @pytest.mark.parametrize("family, params, t", [("hamming", {"mu": 6}, 64), ("bch", {"n": 63, "design_t": 2}, 5)])
+    def test_bounds_are_checked_before_any_line(self, tmp_path, capsys, family, params, t):
+        # t past n, and C(n, t) past the enumeration bound, exit 2 before
+        # the failures stream starts
+        path = self.make_code_file(tmp_path, family, **params)
+        capsys.readouterr()
+        assert main(["verify", str(path), "--t", str(t)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:")
+
 
 class TestConfigParsing:
     def test_full_roundtrip(self):
@@ -402,6 +413,15 @@ class TestSimulate:
         out = tmp_path / "r.csv"
         assert main(["simulate", str(write_config(tmp_path, text)), "--out", str(out)]) == 2
         assert "seed must be at least 0" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("t", [8, -1])
+    def test_t_outside_the_links_exits_2_and_writes_no_report(self, tmp_path, capsys, t):
+        # the failure model rejects t outside [0, n] before the report opens
+        text = HAMMING_RANDOM_CONFIG.replace("t = 2", f"t = {t}")
+        out = tmp_path / "r.csv"
+        assert main(["simulate", str(write_config(tmp_path, text)), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: t must be in [0, 7], got {t}\n"
         assert not out.exists()
 
     def test_report_streams_rows(self):

@@ -4,8 +4,10 @@ import hashlib
 import inspect
 import itertools
 import math
+import operator
 import random
 import sys
+import tracemalloc
 
 import pytest
 from hypothesis import example, given, settings
@@ -790,6 +792,50 @@ class TestVerifyProtection:
         assert report.patterns_checked == len(report.failing_patterns) == math.comb(63, 60) == 39711
         everything = itertools.combinations(range(63), 60)
         assert all(map(tuple.__eq__, report.failing_patterns, everything))
+
+    @pytest.mark.parametrize(
+        "code",
+        [single_parity_code(6), single_parity_code(9)] + [bch_code(n, d) for n in (7, 15, 31) for d in (1, 2)],
+        ids=["parity6", "parity9", "bch7-4", "bch7-1", "bch15-11", "bch15-7", "bch31-26", "bch31-21"],
+    )
+    def test_orbit_lists_what_the_full_walk_lists(self, code, monkeypatch):
+        # every t within the bound, those past the rank included, where the
+        # shifted events are prunes; the two streams are compared pattern by
+        # pattern, so neither list is held
+        assert codes._is_cyclic(code.parity_check)
+        for t in range(code.n + 1):
+            if math.comb(code.n, t) > codes.PATTERN_ENUMERATION_LIMIT:
+                continue
+            orbit = codes.unrecoverable_patterns(code, t)
+            with monkeypatch.context() as m:
+                m.setattr(codes, "_is_cyclic", lambda h: False)
+                full = codes.unrecoverable_patterns(code, t)
+            assert all(itertools.starmap(operator.eq, itertools.zip_longest(orbit, full))), t
+
+    @pytest.mark.parametrize("build", [lambda: hamming_code(6), lambda: bch_code(63, 2)], ids=["hamming6", "bch63-51"])
+    def test_failures_stream_as_they_are_found(self, build):
+        # all C(63, 59) = 595,665 patterns fail; listing them all peaks near
+        # 300 MiB, so a bounded peak for the first thousand shows they were
+        # not all built first (for the cyclic code, only its events are held)
+        code = build()
+        tracemalloc.start()
+        try:
+            first = list(itertools.islice(codes.unrecoverable_patterns(code, 59), 1000))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert first == list(itertools.islice(itertools.combinations(range(63), 59), 1000))
+        assert peak < 4 * 2**20
+
+    @pytest.mark.parametrize(
+        "code, t, error",
+        [(hamming_code(6), 64, ValueError), (hamming_code(6), 20, TooManyPatterns), (bch_code(63, 2), 5, TooManyPatterns)],
+        ids=["past-n", "past-the-bound", "cyclic-past-the-bound"],
+    )
+    def test_stream_bounds_are_checked_at_the_call(self, code, t, error):
+        # no iteration: the call itself raises
+        with pytest.raises(error):
+            codes.unrecoverable_patterns(code, t)
 
     @pytest.mark.parametrize("t", [59, 60])
     def test_prune_lists_every_pattern_past_the_rank(self, t):
