@@ -7,6 +7,7 @@ parse, or bound errors.
 from __future__ import annotations
 
 import argparse
+import functools
 import itertools
 import math
 import sys
@@ -41,6 +42,16 @@ _CONFIG_KEYS = {f.name for f in fields(ScenarioConfig)}
 _INT_KEYS = {"n", "mu", "design_t", "rounds", "t", "seed"}
 
 
+def _integer(text: str) -> int:
+    """``text`` read as code-file headers are read: ASCII digits only, where
+    int() alone also takes other scripts' digits, "_" and "+". An optional
+    "-" stays, so a negative value reaches its own message."""
+    digits = text.removeprefix("-")
+    if not (digits.isascii() and digits.isdigit()):
+        raise ValueError(text)
+    return int(text)
+
+
 def parse_config(text: str) -> ScenarioConfig:
     """Parse flat ``key = value`` lines; ``#`` starts a comment."""
     values: dict[str, str] = {}
@@ -66,12 +77,12 @@ def parse_config(text: str) -> ScenarioConfig:
     for key, value in values.items():
         if key in _INT_KEYS:
             try:
-                setattr(cfg, key, int(value))
+                setattr(cfg, key, _integer(value))
             except ValueError:
                 raise ConfigError(f"key {key!r} needs an integer, got {value!r}") from None
         elif key == "failed":
             try:
-                cfg.failed = tuple(int(part) for part in value.split(",") if part.strip())
+                cfg.failed = tuple(_integer(part.strip()) for part in value.split(",") if part.strip())
             except ValueError:
                 raise ConfigError(f"key 'failed' needs comma-separated integers, got {value!r}") from None
             seen = set()
@@ -235,6 +246,8 @@ def cmd_simulate(args) -> int:
     return 0
 
 
+# built once per process: callers such as tests run main many times in one
+@functools.cache
 def make_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="npcode",

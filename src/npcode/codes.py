@@ -11,7 +11,6 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-import random
 from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
 
@@ -372,12 +371,10 @@ def unrecoverable_patterns(code: ProtectionCode, t: int) -> Iterator[tuple[int, 
     """Every unrecoverable t-subset of erased positions, in lexicographic
     order, listed lazily as :func:`_failure_events` finds them.
 
-    The range of t and the pattern bound are checked at the call. So is the
-    guard: a probe codeword from the generator must have a zero syndrome,
-    or G and H disagree and every pattern fails, the empty one included.
-    When H is cyclic (:func:`_is_cyclic`, asked only for t >= 2), a pattern
-    fails exactly when its rotations do: only the subsets that contain
-    position 0 are walked, and their events are held and shifted.
+    The range of t and the pattern bound are checked at the call. When H
+    is cyclic (:func:`_is_cyclic`, asked only for t >= 2), a pattern fails
+    exactly when its rotations do: only the subsets that contain position
+    0 are walked, and their events are held and shifted.
     """
     if not 0 <= t <= code.n:
         raise ValueError(f"t must be in [0, {code.n}], got {t}")
@@ -386,13 +383,8 @@ def unrecoverable_patterns(code: ProtectionCode, t: int) -> Iterator[tuple[int, 
         raise TooManyPatterns(
             f"C({code.n}, {t}) = {total} exceeds {PATTERN_ENUMERATION_LIMIT}"
         )
-    rng = random.Random(0x4E5043)
-    message = sum(rng.randrange(2) << i for i in range(code.k))
-    probe = gf2.xor_rows(code.generator.row_words, message)
     n = code.n
     cols = gf2._columns(code.parity_check.row_words, n)
-    if gf2.xor_rows(cols, probe):
-        return itertools.combinations(range(n), t)
     shifts = n - t + 1 if t > 1 and _is_cyclic(code.parity_check) else 1
     events = _failure_events(cols, n, t, 1 if shifts > 1 else n - t + 1)
     return itertools.chain.from_iterable(_expansions(events, n, shifts))

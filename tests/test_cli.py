@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import io
 import os
@@ -258,6 +259,30 @@ class TestVerify:
         assert captured.out == ""
         assert captured.err.startswith("error:")
 
+    def test_parser_is_built_once(self, tmp_path, monkeypatch):
+        used = []
+        parse = argparse.ArgumentParser.parse_args
+        monkeypatch.setattr(argparse.ArgumentParser, "parse_args", lambda self, *a: used.append(self) or parse(self, *a))
+        path = self.make_code_file(tmp_path, "parity", n=5)
+        assert main(["verify", str(path), "--t", "1"]) == 0
+        assert main(["verify", str(path), "--t", "1"]) == 0
+        assert len(used) == 3 and all(p is used[0] for p in used)
+
+    @pytest.mark.parametrize("bad", [["verify", "{path}"], ["verify", "{path}", "--t", "x"], ["nope"]])
+    def test_usage_error_leaves_the_parser_whole(self, tmp_path, capsys, bad):
+        # the parser is shared between calls, so a call that argparse ends
+        # must leave nothing behind for the next one
+        path = self.make_code_file(tmp_path, "hamming", mu=3)
+        capsys.readouterr()
+        assert main(["verify", str(path), "--t", "3"]) == 1
+        expected = capsys.readouterr()
+        with pytest.raises(SystemExit) as exc:
+            main([arg.format(path=path) for arg in bad])
+        assert exc.value.code == 2
+        capsys.readouterr()
+        assert main(["verify", str(path), "--t", "3"]) == 1
+        assert capsys.readouterr() == expected
+
 
 class TestConfigParsing:
     def test_full_roundtrip(self):
@@ -280,6 +305,15 @@ class TestConfigParsing:
             "code_family = parity\nrounds = 0\n",
             "code_family = parity\nfailure_model = sometimes\n",
             "code_family = parity\njust a line\n",
+            # int() reads each of these; a config, like a code file, takes ASCII digits only
+            "code_family = parity\nn = \uff15\n",
+            "code_family = parity\nn = \u0663\n",
+            "code_family = parity\nrounds = 1_000\n",
+            "code_family = parity\nt = +3\n",
+            "code_family = parity\nseed = -\n",
+            "code_family = parity\nfailed = 1, \u0663\n",
+            "code_family = parity\nfailed = 1_0\n",
+            "code_family = parity\nfailed = +1\n",
         ],
     )
     def test_rejects_malformed(self, text):

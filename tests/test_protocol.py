@@ -16,6 +16,7 @@ from npcode.codes import (
     erasure_decode,
     hamming_code,
     single_parity_code,
+    verify_protection,
 )
 from npcode.gf2 import BitMatrix, BitVector, DimensionMismatch, Inconsistent, NoUniqueSolution
 from npcode.netmodel import Network, PacketKind
@@ -557,6 +558,32 @@ class TestEndToEnd:
                     assert report.outcome is Outcome.UNRECOVERABLE
                 outcomes.add(report.outcome)
         assert outcomes == set(Outcome)
+
+    def test_round_outcomes_agree_with_verify(self):
+        # protection codes are erasure codes: a round is unrecoverable exactly
+        # when verify lists its erased coordinates (mapped through
+        # connection_of_coordinate), on the codes of acceptance criterion 6,
+        # for every failed set of t <= d_min + 1 connections
+        codes_under_test = [single_parity_code(n) for n in range(2, 16)]
+        codes_under_test += [hamming_code(2), hamming_code(3), hamming_code(4), bch_code(7, 2), bch_code(15, 2)]
+        seen = Counter()
+        for code in codes_under_test:
+            n, k, m = code.n, code.k, code.m
+            sched = build_schedule(n, m, n)
+            # every offset up to n = 7; past that, the parity run at either end of
+            # the connections (0, n - m), one step in (1) and wrapped round (n - 1)
+            offsets = range(n) if n <= 7 else sorted({0, 1, n - m, n - 1})
+            for t in range(min(code.d_min + 1, n) + 1):
+                failing = set(verify_protection(code, t).failing_patterns)
+                for r in offsets:
+                    coordinate = {c: j for j, c in enumerate(connection_of_coordinate(sched, r))}
+                    for failed in itertools.combinations(range(n), t):
+                        erased = tuple(sorted(coordinate[c] for c in failed))
+                        outcome = recover_codeword(code, r, frozenset(failed), 0).outcome
+                        assert (outcome is Outcome.UNRECOVERABLE) == (erased in failing), (n, k, r, failed)
+                        assert (outcome is Outcome.NO_ACTION_NEEDED) == all(j >= k for j in erased), (n, k, r, failed)
+                        seen[outcome] += 1
+        assert seen.keys() == set(Outcome) and seen.total() == 57_157, seen
 
 
 class TestFailureModels:
