@@ -7,10 +7,12 @@ parse, or bound errors.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import itertools
 import math
 import sys
+from collections import namedtuple
 from dataclasses import dataclass, fields
 from fractions import Fraction
 from pathlib import Path
@@ -32,11 +34,36 @@ class ScenarioConfig:
     code_file: str | None = None
     rounds: int = 1
     failure_model: str = "none"
-    failed: tuple[int, ...] = ()
-    t: int = 0
+    failed: tuple[int, ...] | None = None
+    t: int | None = None
     seed: int = 0
     out: str | None = None
 
+
+def _fixed_failures(code: ProtectionCode, cfg: ScenarioConfig):
+    for c in cfg.failed:
+        if not 0 <= c < code.n:
+            raise ConfigError(f"failed connection {c} out of range [0, {code.n})")
+    return protocol.fixed_failures(cfg.failed)
+
+
+# The code families and failure models the CLI accepts: a row needs each config
+# key it reads and rejects any other one set. A family's build takes its keys'
+# values in order; codegen_out, formatted with them, is codegen's file name.
+Family = namedtuple("Family", "build keys codegen_out")
+FailureModel = namedtuple("FailureModel", "keys build")  # build(code, config)
+FAMILIES = {
+    "parity": Family(codes.single_parity_code, ("n",), "parity-n{n}.npc"),
+    "hamming": Family(codes.hamming_code, ("mu",), "hamming-mu{mu}.npc"),
+    "bch": Family(codes.bch_code, ("n", "design_t"), "bch-n{n}-t{design_t}.npc"),
+    "file": Family(lambda path: codes.parse_code_file(Path(path).read_text()), ("code_file",), None),
+}
+FAILURE_MODELS = {
+    "none": FailureModel((), lambda code, cfg: protocol.no_failures()),
+    "fixed": FailureModel(("failed",), _fixed_failures),
+    "random": FailureModel(("t",), lambda code, cfg: protocol.random_failures(code.n, cfg.t, cfg.seed)),
+}
+_FAMILY_KEYS = tuple(dict.fromkeys(key for row in FAMILIES.values() for key in row.keys))
 
 _CONFIG_KEYS = {f.name for f in fields(ScenarioConfig)}
 _INT_KEYS = {"n", "mu", "design_t", "rounds", "t", "seed"}
@@ -82,7 +109,7 @@ def parse_config(text: str) -> ScenarioConfig:
                 raise ConfigError(f"key {key!r} needs an integer, got {value!r}") from None
         elif key == "failed":
             try:
-                cfg.failed = tuple(_integer(part.strip()) for part in value.split(",") if part.strip())
+                cfg.failed = tuple(_integer(part.strip()) for part in value.split(","))
             except ValueError:
                 raise ConfigError(f"key 'failed' needs comma-separated integers, got {value!r}") from None
             seen = set()
@@ -98,44 +125,37 @@ def parse_config(text: str) -> ScenarioConfig:
     if cfg.seed < 0:
         # random.Random would seed with abs(seed), so -5 would replay 5
         raise ConfigError("seed must be at least 0")
-    if cfg.failure_model not in ("none", "fixed", "random"):
+    if cfg.failure_model not in FAILURE_MODELS:
         raise ConfigError(f"unknown failure_model {cfg.failure_model!r}")
+    if cfg.code_family not in FAMILIES:
+        raise ConfigError(f"unknown code family {cfg.code_family!r}")
     return cfg
 
 
-def build_code(family: str, *, n=None, mu=None, design_t=None, code_file=None) -> ProtectionCode:
-    if family == "parity":
-        if n is None:
-            raise ConfigError("the parity family needs n")
-        return codes.single_parity_code(n)
-    if family == "hamming":
-        if mu is None:
-            raise ConfigError("the hamming family needs mu")
-        return codes.hamming_code(mu)
-    if family == "bch":
-        if n is None or design_t is None:
-            raise ConfigError("the bch family needs n and design_t")
-        return codes.bch_code(n, design_t)
-    if family == "file":
-        if code_file is None:
-            raise ConfigError("the file family needs code_file")
-        return codes.parse_code_file(Path(code_file).read_text())
-    raise ConfigError(f"unknown code family {family!r}")
+def _require(what: str, keys: tuple[str, ...], given: dict) -> None:
+    if any(given.get(key) is None for key in keys):
+        raise ConfigError(f"the {what} needs {' and '.join(keys)}")
 
 
-def _default_code_path(args) -> str:
-    if args.family == "parity":
-        return f"parity-n{args.n}.npc"
-    if args.family == "hamming":
-        return f"hamming-mu{args.mu}.npc"
-    return f"bch-n{args.n}-t{args.design_t}.npc"
+def _reject_unread(what: str, keys: tuple[str, ...], given: dict) -> None:
+    for key, value in given.items():
+        if value is not None and key not in keys:
+            raise ConfigError(f"the {what} does not read {key}")
+
+
+def build_code(family: str, **params) -> ProtectionCode:
+    """The code of ``family`` from exactly the keyword ``params`` it reads."""
+    row = FAMILIES[family]
+    _require(f"{family} family", row.keys, params)
+    code = row.build(*(params[key] for key in row.keys))
+    _reject_unread(f"{family} family", row.keys, params)
+    return code
 
 
 def cmd_codegen(args) -> int:
-    code = build_code(
-        args.family, n=args.n, mu=args.mu, design_t=args.design_t
-    )
-    out = args.out or _default_code_path(args)
+    params = {key: value for key, value in vars(args).items() if key in _FAMILY_KEYS}
+    code = build_code(args.family, **params)
+    out = args.out or FAMILIES[args.family].codegen_out.format(**params)
     Path(out).write_text(codes.format_code_file(code))
     flag = "verified" if code.d_min_verified else "declared"
     print(f"{code.n} {code.k} {code.d_min} {flag}")
@@ -215,51 +235,35 @@ def cmd_simulate(args) -> int:
     if cfg.code_file is not None:
         # a relative code_file is relative to the config, not the working directory
         cfg.code_file = str(config.parent / cfg.code_file)
-    code = build_code(
-        cfg.code_family,
-        n=cfg.n,
-        mu=cfg.mu,
-        design_t=cfg.design_t,
-        code_file=cfg.code_file,
-    )
-    if cfg.failure_model == "none":
-        model = protocol.no_failures()
-    elif cfg.failure_model == "fixed":
-        for c in cfg.failed:
-            if not 0 <= c < code.n:
-                raise ConfigError(f"failed connection {c} out of range [0, {code.n})")
-        model = protocol.fixed_failures(cfg.failed)
-    else:
-        model = protocol.random_failures(code.n, cfg.t, cfg.seed)
-    net = netmodel.Network.direct(code.n)
+    family, model = FAMILIES[cfg.code_family], FAILURE_MODELS[cfg.failure_model]
+    code = build_code(cfg.code_family, **{key: getattr(cfg, key) for key in family.keys})
+    model_params = {key: getattr(cfg, key) for row in FAILURE_MODELS.values() for key in row.keys}
+    _require(f"{cfg.failure_model} failure model", model.keys, model_params)
+    failures = model.build(code, cfg)
     sched = protocol.build_schedule(code.n, code.m, cfg.rounds)
-    records = protocol.simulate_rounds(
-        net, code, sched, model, cfg.rounds, seed=cfg.seed
-    )
+    records = protocol.simulate_rounds(netmodel.Network.direct(code.n), code, sched, failures, cfg.rounds, seed=cfg.seed)
+    # unread keys come last, so an input that a build rejects keeps its message
+    _reject_unread(f"{cfg.code_family} family", family.keys, {key: getattr(cfg, key) for key in _FAMILY_KEYS})
+    _reject_unread(f"{cfg.failure_model} failure model", model.keys, model_params)
     # the report file is opened only once every input has been checked
     out = args.out or cfg.out
-    if out:
-        with Path(out).open("w") as f:
-            render_report(records, sched, f)
-    else:
-        render_report(records, sched, sys.stdout)
+    with Path(out).open("w") if out else contextlib.nullcontext(sys.stdout) as f:
+        render_report(records, sched, f)
     return 0
 
 
 # built once per process: callers such as tests run main many times in one
 @functools.cache
 def make_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="npcode",
-        description="Network protection codes: construct, verify, simulate.",
-    )
+    parser = argparse.ArgumentParser(prog="npcode", description="Network protection codes: construct, verify, simulate.")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_gen = sub.add_parser("codegen", help="construct a code and write its code file")
-    p_gen.add_argument("--family", required=True, choices=["parity", "hamming", "bch"])
-    p_gen.add_argument("--n", type=int, help="code length (parity, bch)")
-    p_gen.add_argument("--mu", type=int, help="parity-bit count (hamming)")
-    p_gen.add_argument("--design-t", dest="design_t", type=int, help="designed loss budget (bch)")
+    built = [name for name, row in FAMILIES.items() if row.codegen_out]
+    p_gen.add_argument("--family", required=True, choices=built)
+    for key, text in (("n", "code length"), ("mu", "parity-bit count"), ("design_t", "designed loss budget")):
+        readers = [name for name in built if key in FAMILIES[name].keys]
+        p_gen.add_argument("--" + key.replace("_", "-"), dest=key, type=int, help=f"{text} ({', '.join(readers)})")
     p_gen.add_argument("--out", help="output path (default: derived from the parameters)")
     p_gen.set_defaults(func=cmd_codegen)
 

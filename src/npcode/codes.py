@@ -62,7 +62,8 @@ class ProtectionCode:
 
     The generator has the form [I_k | P]; the parity check is [P^T | I_m].
     ``d_min_verified`` records whether d_min was confirmed by exhaustive
-    search or merely declared by the construction.
+    search or merely declared by the construction, as it must be when both
+    k and m exceed ``gf2.MIN_DISTANCE_ROW_LIMIT``.
     """
 
     n: int
@@ -90,6 +91,8 @@ class ProtectionCode:
             raise ValueError("generator is not in systematic form")
         if any((g & h).bit_count() & 1 for g in gen for h in chk):
             raise ValueError("generator and parity check are not orthogonal")
+        if self.d_min_verified and min(self.k, self.m) > gf2.MIN_DISTANCE_ROW_LIMIT:
+            raise ValueError(f"min(k, n - k) = {min(self.k, self.m)} is too large to verify the distance by enumeration")
 
 
 @dataclass(frozen=True)
@@ -407,7 +410,7 @@ def parse_code_file(text: str) -> ProtectionCode:
     """Parse :func:`format_code_file` output, rejecting mismatched dimensions.
 
     The header's distance is measured whenever min(k, n - k) fits the
-    enumeration bound, and a ``verified`` flag above that bound is rejected.
+    enumeration bound; past it, :class:`ProtectionCode` refuses ``verified``.
     """
     lines = text.splitlines()
     if not lines:
@@ -425,13 +428,10 @@ def parse_code_file(text: str) -> ProtectionCode:
         raise ValueError(
             f"header claims {k} x {n} but the matrix is {gen.rows} x {gen.cols}"
         )
-    verified = head[4] == "verified"
     _, chk = _assemble([w >> k for w in gen.row_words], k, n - k)
-    code = ProtectionCode(n, k, n - k, gen, chk, d_min, verified)
+    code = ProtectionCode(n, k, n - k, gen, chk, d_min, head[4] == "verified")
     if min(k, n - k) <= gf2.MIN_DISTANCE_ROW_LIMIT:
         measured = gf2.min_distance(gen)
         if measured != d_min:
             raise ValueError(f"header claims d_min = {d_min} but the code has d_min = {measured}")
-    elif verified:
-        raise ValueError(f"min(k, n - k) = {min(k, n - k)} is too large to verify the distance by enumeration")
     return code

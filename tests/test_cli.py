@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 from npcode import cli, codes, gf2, netmodel, protocol
-from npcode.cli import ConfigError, build_code, main, parse_config, render_report
+from npcode.cli import ConfigError, build_code, main, make_parser, parse_config, render_report
 
 PARITY_CONFIG = """\
 # five connections, one parity, no failures
@@ -132,6 +132,26 @@ class TestCodegen:
     def test_missing_family_parameter(self, tmp_path, capsys):
         rc = main(["codegen", "--family", "bch", "--n", "15", "--out", str(tmp_path / "x")])
         assert rc == 2
+        assert capsys.readouterr().err == "error: the bch family needs n and design_t\n"
+
+    def test_unread_parameter_exits_2(self, tmp_path, capsys):
+        # the parity family reads n alone; codegen and simulate share the check
+        out = tmp_path / "x"
+        rc = main(["codegen", "--family", "parity", "--n", "5", "--design-t", "9", "--out", str(out)])
+        assert rc == 2
+        assert capsys.readouterr().err == "error: the parity family does not read design_t\n"
+        assert not out.exists()
+        with pytest.raises(ConfigError, match="the hamming family does not read n"):
+            build_code("hamming", mu=3, n=7)
+
+    def test_family_choices_are_the_table(self, capsys):
+        # codegen builds every family that has a default file name
+        for name, row in cli.FAMILIES.items():
+            if row.codegen_out:
+                assert make_parser().parse_args(["codegen", "--family", name]).family == name
+            else:
+                with pytest.raises(SystemExit):
+                    make_parser().parse_args(["codegen", "--family", name])
 
     @pytest.mark.parametrize(
         "params",
@@ -153,6 +173,15 @@ class TestCodegen:
         rc = main(["codegen", "--family", "parity", "--n", "4"])
         assert rc == 0
         assert (tmp_path / "parity-n4.npc").exists()
+
+    @pytest.mark.parametrize(
+        "params, name",
+        [(["hamming", "--mu", "3"], "hamming-mu3.npc"), (["bch", "--n", "15", "--design-t", "2"], "bch-n15-t2.npc")],
+    )
+    def test_default_output_name_per_family(self, tmp_path, monkeypatch, capsys, params, name):
+        monkeypatch.chdir(tmp_path)
+        assert main(["codegen", "--family", *params]) == 0
+        assert [p.name for p in tmp_path.iterdir()] == [name]
 
 
 class TestVerify:
@@ -304,6 +333,7 @@ class TestConfigParsing:
             "code_family = parity\nn = 5\nn = 6\n",
             "code_family = parity\nrounds = 0\n",
             "code_family = parity\nfailure_model = sometimes\n",
+            "code_family = golay\nn = 5\n",
             "code_family = parity\njust a line\n",
             # int() reads each of these; a config, like a code file, takes ASCII digits only
             "code_family = parity\nn = \uff15\n",
@@ -314,6 +344,9 @@ class TestConfigParsing:
             "code_family = parity\nfailed = 1, \u0663\n",
             "code_family = parity\nfailed = 1_0\n",
             "code_family = parity\nfailed = +1\n",
+            # an empty entry is not a connection
+            "code_family = parity\nfailed = 1,,2\n",
+            "code_family = parity\nfailed = 1,\n",
         ],
     )
     def test_rejects_malformed(self, text):
@@ -457,6 +490,59 @@ class TestSimulate:
         assert main(["simulate", str(write_config(tmp_path, text)), "--out", str(out)]) == 2
         assert capsys.readouterr().err == f"error: t must be in [0, 7], got {t}\n"
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            (HAMMING_RANDOM_CONFIG.replace("t = 2\n", ""), "the random failure model needs t"),
+            ("code_family = parity\nn = 5\nrounds = 3\nfailure_model = fixed\n", "the fixed failure model needs failed"),
+        ],
+    )
+    def test_missing_model_key_exits_2_and_writes_no_report(self, tmp_path, capsys, text, message):
+        out = tmp_path / "r.csv"
+        assert main(["simulate", str(write_config(tmp_path, text)), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
+    def test_explicit_t_zero_runs(self, tmp_path):
+        text = HAMMING_RANDOM_CONFIG.replace("t = 2", "t = 0").replace("rounds = 25", "rounds = 3")
+        out = tmp_path / "r.csv"
+        assert main(["simulate", str(write_config(tmp_path, text)), "--out", str(out)]) == 0
+        assert [row.split(",")[1:3] for row in out.read_text().splitlines()[1:-1]] == [["-", "NoActionNeeded"]] * 3
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            (PARITY_CONFIG + "mu = 3\n", "the parity family does not read mu"),
+            (PARITY_CONFIG + "t = 9\n", "the none failure model does not read t"),
+            (HAMMING_RANDOM_CONFIG + "failed = 1,2\n", "the random failure model does not read failed"),
+        ],
+    )
+    def test_unread_key_exits_2_and_writes_no_report(self, tmp_path, capsys, text, message):
+        out = tmp_path / "r.csv"
+        assert main(["simulate", str(write_config(tmp_path, text)), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("code_family = parity\nn = 1\nmu = 3\n", "a parity code needs n >= 2 connections, got 1"),
+            ("code_family = parity\nfailure_model = random\n", "the parity family needs n"),
+            ("code_family = golay\nmu = 3\nfailure_model = random\n", "unknown code family 'golay'"),
+            (
+                "code_family = parity\nn = 5\nfailure_model = fixed\nfailed = 9\nt = 3\n",
+                "failed connection 9 out of range [0, 5)",
+            ),
+            (HAMMING_RANDOM_CONFIG.replace("t = 2", "t = 8") + "failed = 1\n", "t must be in [0, 7], got 8"),
+        ],
+    )
+    def test_a_rejected_build_keeps_its_message(self, tmp_path, capsys, text, message):
+        # a failure model's keys are checked once the code is built, and
+        # unread keys once every build is done, so a config that a build
+        # rejects gets the build's message
+        assert main(["simulate", str(write_config(tmp_path, text))]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
 
     def test_report_streams_rows(self):
         code = codes.hamming_code(3)

@@ -284,6 +284,25 @@ class TestInvariants:
                 with pytest.raises(ValueError, match="not orthogonal"):
                     dataclasses.replace(code, parity_check=c.parity_check)
 
+    def test_constructor_rejects_verified_above_enumeration_bound(self):
+        # [I_22 | I_22]: k = m = 22, so no distance of it can be measured
+        code = codes._build([1 << i for i in range(22)], 22, 22, 2, False)
+        unmeasurable = r"min\(k, n - k\) = 22 is too large to verify the distance by enumeration"
+        with pytest.raises(ValueError, match=unmeasurable):
+            ProtectionCode(code.n, code.k, code.m, code.generator, code.parity_check, 2, True)
+        with pytest.raises(ValueError, match=unmeasurable):
+            dataclasses.replace(code, d_min_verified=True)
+        # a measurable code may carry either flag
+        assert not dataclasses.replace(hamming_code(3), d_min_verified=False).d_min_verified
+
+    def test_a_declared_code_shortens_to_a_declared_code(self):
+        # shortening past the bound keeps the parent's distance unmeasured,
+        # so the shortened code is declared and its file loads back
+        code = codes._build([1 << i for i in range(22)], 22, 22, 2, False)
+        short = shorten(code, {0})
+        assert (short.n, short.k, short.d_min, short.d_min_verified) == (43, 21, 2, False)
+        assert parse_code_file(format_code_file(short)) == short
+
 
 class TestEncode:
     def test_parity_example(self):
