@@ -12,7 +12,7 @@ import functools
 import itertools
 import math
 from collections.abc import Iterable, Iterator, Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from . import gf2
 from .gf2 import BitMatrix, BitVector, DimensionMismatch, Inconsistent
@@ -60,39 +60,37 @@ class ErasurePattern:
 class ProtectionCode:
     """An [n, k, d_min] systematic code over the two-element field.
 
-    The generator has the form [I_k | P]; the parity check is [P^T | I_m].
+    The generator [I_k | P] is the only matrix a code is given: n and k are
+    its shape, m = n - k, and the parity check [P^T | I_m] is built from P,
+    so it has full rank and annihilates the generator by construction.
     ``d_min_verified`` records whether d_min was confirmed by exhaustive
     search or merely declared by the construction, as it must be when both
     k and m exceed ``gf2.MIN_DISTANCE_ROW_LIMIT``.
     """
 
-    n: int
-    k: int
-    m: int
+    n: int = field(init=False)
+    k: int = field(init=False)
+    m: int = field(init=False)
     generator: BitMatrix
-    parity_check: BitMatrix
+    parity_check: BitMatrix = field(init=False)
     d_min: int
     d_min_verified: bool
 
     def __post_init__(self):
-        if not 1 <= self.k < self.n:
-            raise ValueError(f"need 1 <= k < n, got k={self.k}, n={self.n}")
-        if self.m != self.n - self.k:
-            raise ValueError("m must equal n - k")
-        if (self.generator.rows, self.generator.cols) != (self.k, self.n):
-            raise ValueError("generator shape must be k x n")
-        if (self.parity_check.rows, self.parity_check.cols) != (self.m, self.n):
-            raise ValueError("parity check shape must be m x n")
-        if not 1 <= self.d_min <= self.n:
+        k, n = self.generator.rows, self.generator.cols
+        if not 1 <= k < n:
+            raise ValueError(f"need 1 <= k < n, got k={k}, n={n}")
+        if not 1 <= self.d_min <= n:
             raise ValueError("d_min out of range")
-        ident = (1 << self.k) - 1
-        gen, chk = self.generator.row_words, self.parity_check.row_words
-        if any(g & ident != 1 << i for i, g in enumerate(gen)):
+        ident = (1 << k) - 1
+        if any(g & ident != 1 << i for i, g in enumerate(self.generator.row_words)):
             raise ValueError("generator is not in systematic form")
-        if any((g & h).bit_count() & 1 for g in gen for h in chk):
-            raise ValueError("generator and parity check are not orthogonal")
-        if self.d_min_verified and min(self.k, self.m) > gf2.MIN_DISTANCE_ROW_LIMIT:
-            raise ValueError(f"min(k, n - k) = {min(self.k, self.m)} is too large to verify the distance by enumeration")
+        if self.d_min_verified and min(k, n - k) > gf2.MIN_DISTANCE_ROW_LIMIT:
+            raise ValueError(f"min(k, n - k) = {min(k, n - k)} is too large to verify the distance by enumeration")
+        p_t = gf2._columns([g >> k for g in self.generator.row_words], n - k)
+        chk = BitMatrix.from_row_words((w | 1 << (k + j) for j, w in enumerate(p_t)), n)
+        for name, value in (("n", n), ("k", k), ("m", n - k), ("parity_check", chk)):
+            object.__setattr__(self, name, value)
 
 
 @dataclass(frozen=True)
@@ -104,22 +102,15 @@ class ProtectionReport:
     patterns_checked: int
 
 
-def _assemble(parity_rows: Sequence[int], k: int, m: int) -> tuple[BitMatrix, BitMatrix]:
-    """[I_k | P] and [P^T | I_m] from packed P rows (bit j = parity column j)."""
+def _build(parity_rows: Sequence[int], k: int, m: int, declared: int | None = None) -> ProtectionCode:
+    """The code with parity part ``parity_rows`` (bit j = parity column j).
+    Its distance is measured by :func:`gf2.min_distance` and flagged verified
+    when min(k, m) fits the enumeration bound; past it, ``declared`` is taken
+    and flagged declared."""
     gen = BitMatrix.from_row_words(((1 << i) | (parity_rows[i] << k) for i in range(k)), k + m)
-    p_t = gf2._columns(parity_rows, m)
-    return gen, BitMatrix.from_row_words((w | 1 << (k + j) for j, w in enumerate(p_t)), k + m)
-
-
-def _build(
-    parity_rows: Sequence[int], k: int, m: int, d_min: int | None = None, verified: bool = True
-) -> ProtectionCode:
-    """The code with parity part ``parity_rows``; with no ``d_min`` given,
-    the distance is measured by :func:`gf2.min_distance` and flagged verified."""
-    gen, chk = _assemble(parity_rows, k, m)
-    if d_min is None:
-        d_min = gf2.min_distance(gen)
-    return ProtectionCode(k + m, k, m, gen, chk, d_min, verified)
+    if min(k, m) > gf2.MIN_DISTANCE_ROW_LIMIT:
+        return ProtectionCode(gen, declared, False)
+    return ProtectionCode(gen, gf2.min_distance(gen), True)
 
 
 def single_parity_code(n: int) -> ProtectionCode:
@@ -131,7 +122,7 @@ def single_parity_code(n: int) -> ProtectionCode:
             f"a parity code of n = {n} connections has too many rows to build "
             f"(at most {PARITY_LENGTH_LIMIT} connections)"
         )
-    return _build([1] * (n - 1), n - 1, 1, 2, True)
+    return _build([1] * (n - 1), n - 1, 1)
 
 
 def hamming_code(mu: int) -> ProtectionCode:
@@ -203,10 +194,7 @@ def shorten(code: ProtectionCode, drop: Iterable[int]) -> ProtectionCode:
         raise ValueError("at least one message position must remain")
     keep = [i for i in range(code.k) if i not in dropped]
     parity_rows = [code.generator.row_words[i] >> code.k for i in keep]
-    k2 = len(keep)
-    if min(k2, code.m) > gf2.MIN_DISTANCE_ROW_LIMIT:
-        return _build(parity_rows, k2, code.m, code.d_min, code.d_min_verified)
-    return _build(parity_rows, k2, code.m)
+    return _build(parity_rows, len(keep), code.m, code.d_min)
 
 
 def encode(code: ProtectionCode, message: BitVector | Sequence[int]) -> BitVector:
@@ -428,8 +416,7 @@ def parse_code_file(text: str) -> ProtectionCode:
         raise ValueError(
             f"header claims {k} x {n} but the matrix is {gen.rows} x {gen.cols}"
         )
-    _, chk = _assemble([w >> k for w in gen.row_words], k, n - k)
-    code = ProtectionCode(n, k, n - k, gen, chk, d_min, head[4] == "verified")
+    code = ProtectionCode(gen, d_min, head[4] == "verified")
     if min(k, n - k) <= gf2.MIN_DISTANCE_ROW_LIMIT:
         measured = gf2.min_distance(gen)
         if measured != d_min:

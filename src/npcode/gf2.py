@@ -387,9 +387,10 @@ def _span_weights(rows: Sequence[int], n: int) -> list[int]:
 def _weight_counts(g: BitMatrix) -> Iterator[int]:
     """Yield A_0, A_1, ..., A_n, the number of codewords of each weight in
     the code spanned by the k rows of g, enumerating the code if k <= n - k
-    and its dual otherwise. From the dual's counts B_j, each A_w is the
-    MacWilliams sum 2^-m * sum_j B_j K_w(j), m = n - k, with the Krawtchouk
-    value K_w(j) = sum_s (-1)^s C(j, s) C(n - j, w - s).
+    and its dual otherwise. A generator already in the form [I_k | P] is
+    read as it stands; any other is row-reduced first. From the dual's
+    counts B_j, each A_w is the MacWilliams sum 2^-m * sum_j B_j K_w(j),
+    m = n - k, with the Krawtchouk value K_w(j) = sum_s (-1)^s C(j, s) C(n - j, w - s).
 
     Raises:
         TooLarge: both k and n - k exceed MIN_DISTANCE_ROW_LIMIT.
@@ -400,9 +401,13 @@ def _weight_counts(g: BitMatrix) -> Iterator[int]:
     m = n - k
     if min(k, m) > MIN_DISTANCE_ROW_LIMIT:
         raise TooLarge(f"enumeration supports min(k, n - k) <= {MIN_DISTANCE_ROW_LIMIT}, got {k}, {m}")
-    words, pivots, _ = _eliminate(list(g.row_words), range(n))
-    if len(pivots) != k:
-        raise ValueError("generator matrix must have full row rank")
+    words = list(g.row_words)
+    if all(w & ((1 << k) - 1) == 1 << i for i, w in enumerate(words)):
+        pivots = range(k)  # already [I_k | P]: nothing to eliminate
+    else:
+        words, pivots, _ = _eliminate(words, range(n))
+        if len(pivots) != k:
+            raise ValueError("generator matrix must have full row rank")
     if k <= m:
         yield from _span_weights(words, n)
         return

@@ -80,9 +80,30 @@ MUTANTS = [
     Mutant(
         "verified-flag-check-dropped",
         "codes.py",
-        "        if self.d_min_verified and min(self.k, self.m) > gf2.MIN_DISTANCE_ROW_LIMIT:",
+        "        if self.d_min_verified and min(k, n - k) > gf2.MIN_DISTANCE_ROW_LIMIT:",
         "        if False:",
         ("tests/test_codes.py::TestInvariants", "tests/test_codes.py::TestCodeFile"),
+    ),
+    Mutant(
+        "systematic-form-check-dropped",
+        "codes.py",
+        "        if any(g & ident != 1 << i for i, g in enumerate(self.generator.row_words)):",
+        "        if False:",
+        ("tests/test_codes.py::TestInvariants", "tests/test_codes.py::TestCodeFile"),
+    ),
+    Mutant(
+        "derived-check-identity-dropped",
+        "codes.py",
+        "        chk = BitMatrix.from_row_words((w | 1 << (k + j) for j, w in enumerate(p_t)), n)",
+        "        chk = BitMatrix.from_row_words(p_t, n)",
+        ("tests/test_codes.py::TestDerivedParityCheck",),
+    ),
+    Mutant(
+        "systematic-shortcut-for-every-generator",
+        "gf2.py",
+        "    if all(w & ((1 << k) - 1) == 1 << i for i, w in enumerate(words)):",
+        "    if True:",
+        ("tests/test_gf2.py::TestMinDistance",),
     ),
 ]
 

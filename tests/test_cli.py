@@ -54,7 +54,7 @@ GOLDEN_REPORTS = {
 
 
 def unbuildable(*args):
-    """Stands in for ``codes._assemble`` where a code must not be built."""
+    """Stands in for ``codes._build`` where a code must not be built."""
     raise AssertionError("a code past the length bound was built")
 
 
@@ -122,7 +122,7 @@ class TestCodegen:
     def test_parity_past_the_length_bound_exits_2(self, tmp_path, capsys, monkeypatch):
         # the build is stubbed out, so a missing bound fails the test
         # instead of building n^2 bits
-        monkeypatch.setattr(codes, "_assemble", unbuildable)
+        monkeypatch.setattr(codes, "_build", unbuildable)
         n = codes.PARITY_LENGTH_LIMIT + 1
         rc = main(["codegen", "--family", "parity", "--n", str(n), "--out", str(tmp_path / "x")])
         assert rc == 2
@@ -428,7 +428,7 @@ class TestSimulate:
         assert capsys.readouterr().err.startswith("error:")
 
     def test_parity_past_the_length_bound_exits_2(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setattr(codes, "_assemble", unbuildable)
+        monkeypatch.setattr(codes, "_build", unbuildable)
         n = codes.PARITY_LENGTH_LIMIT + 1
         cfg = write_config(tmp_path, f"code_family = parity\nn = {n}\nrounds = 2\n")
         assert main(["simulate", str(cfg), "--out", str(tmp_path / "r.csv")]) == 2

@@ -91,7 +91,7 @@ class TestSingleParity:
         def build(*args):
             raise AssertionError("built")
 
-        monkeypatch.setattr(codes, "_assemble", build)
+        monkeypatch.setattr(codes, "_build", build)
         with pytest.raises(ValueError, match="too many rows"):
             single_parity_code(codes.PARITY_LENGTH_LIMIT + 1)
         with pytest.raises(AssertionError, match="built"):
@@ -258,38 +258,55 @@ class TestInvariants:
             assert code.d_min_verified
             assert gf2.min_distance(code.generator) == code.d_min
 
-    def test_constructor_rejects_non_systematic(self):
-        with pytest.raises(ValueError):
-            ProtectionCode(
-                3, 2, 1,
-                BitMatrix([[0, 1, 1], [1, 0, 1]]),
-                BitMatrix([[1, 1, 1]]),
-                2, False,
-            )
+    def test_distance_is_measured_without_eliminating(self, monkeypatch):
+        # a generator already [I_k | P] is read as it stands; the
+        # non-systematic generators of test_gf2 keep the elimination covered
+        small = all_codes_small()
+        parity = single_parity_code(codes.PARITY_LENGTH_LIMIT)
+        text = format_code_file(parity)
 
-    def test_constructor_rejects_non_orthogonal(self):
-        with pytest.raises(ValueError):
-            ProtectionCode(
-                3, 2, 1,
-                BitMatrix([[1, 0, 1], [0, 1, 1]]),
-                BitMatrix([[1, 0, 1]]),
-                2, False,
-            )
-        # every H that verify could be handed with a G it does not annihilate
-        # is refused when the code is made, by either way of making one
-        for code in (hamming_code(3), bch_code(15, 2)):
-            for c in corrupted_parity_checks(code):
-                with pytest.raises(ValueError, match="not orthogonal"):
-                    ProtectionCode(c.n, c.k, c.m, c.generator, c.parity_check, c.d_min, c.d_min_verified)
-                with pytest.raises(ValueError, match="not orthogonal"):
-                    dataclasses.replace(code, parity_check=c.parity_check)
+        def eliminate(*args):
+            raise AssertionError("eliminated")
+
+        monkeypatch.setattr(gf2, "_eliminate", eliminate)
+        for code in small:
+            assert gf2.min_distance(code.generator) == min_distance_naive(as_lists(code.generator))
+        assert gf2.min_distance(parity.generator) == 2
+        assert parse_code_file(text) == parity
+
+    def test_constructor_rejects_non_systematic(self):
+        with pytest.raises(ValueError, match="not in systematic form"):
+            ProtectionCode(BitMatrix([[0, 1, 1], [1, 0, 1]]), 2, False)
+
+    def test_only_the_generator_is_given(self):
+        # H, n, k and m are derived from G, so no H of another code can be
+        # handed in, such as the rank-2 H [h0, h1, h0 ^ h1], under which a
+        # "verified" [7,4,3] code would fail 9 double erasures
+        code = hamming_code(3)
+        h0, h1, _ = code.parity_check.row_words
+        foreign = BitMatrix.from_row_words([h0, h1, h0 ^ h1], 7)
+        for name, value in (("parity_check", foreign), ("n", 8), ("k", 3), ("m", 2)):
+            with pytest.raises(ValueError, match="init=False"):
+                dataclasses.replace(code, **{name: value})
+        with pytest.raises(TypeError):
+            ProtectionCode(7, 4, 3, code.generator, foreign, 3, True)
+        rebuilt = ProtectionCode(code.generator, 3, True)
+        assert rebuilt == code
+        assert rank_naive(as_lists(rebuilt.parity_check)) == 3
+        assert verify_protection(rebuilt, 2).failing_patterns == ()
+        word = [None if j in (0, 3) else b for j, b in enumerate(encode(rebuilt, [1, 0, 1, 1]))]
+        assert erasure_decode(rebuilt, word, ErasurePattern(7, {0, 3})) == BitVector([1, 0, 1, 1])
+        # a generator with its first two rows exchanged is not [I_k | P]
+        g0, g1, *rest = code.generator.row_words
+        with pytest.raises(ValueError, match="not in systematic form"):
+            ProtectionCode(BitMatrix.from_row_words([g1, g0, *rest], 7), 3, True)
 
     def test_constructor_rejects_verified_above_enumeration_bound(self):
         # [I_22 | I_22]: k = m = 22, so no distance of it can be measured
-        code = codes._build([1 << i for i in range(22)], 22, 22, 2, False)
+        code = codes._build([1 << i for i in range(22)], 22, 22, 2)
         unmeasurable = r"min\(k, n - k\) = 22 is too large to verify the distance by enumeration"
         with pytest.raises(ValueError, match=unmeasurable):
-            ProtectionCode(code.n, code.k, code.m, code.generator, code.parity_check, 2, True)
+            ProtectionCode(code.generator, 2, True)
         with pytest.raises(ValueError, match=unmeasurable):
             dataclasses.replace(code, d_min_verified=True)
         # a measurable code may carry either flag
@@ -298,7 +315,7 @@ class TestInvariants:
     def test_a_declared_code_shortens_to_a_declared_code(self):
         # shortening past the bound keeps the parent's distance unmeasured,
         # so the shortened code is declared and its file loads back
-        code = codes._build([1 << i for i in range(22)], 22, 22, 2, False)
+        code = codes._build([1 << i for i in range(22)], 22, 22, 2)
         short = shorten(code, {0})
         assert (short.n, short.k, short.d_min, short.d_min_verified) == (43, 21, 2, False)
         assert parse_code_file(format_code_file(short)) == short
@@ -503,7 +520,9 @@ def systematic_code(k, m, parity_rows):
     """The code with generator [I_k | P] for the packed rows of P, built
     without the library's constructors; d_min is measured naively."""
     gen, chk = systematic_matrices(k, m, parity_rows)
-    return ProtectionCode(k + m, k, m, gen, chk, min_distance_naive(as_lists(gen)), True)
+    code = ProtectionCode(gen, min_distance_naive(as_lists(gen)), True)
+    assert (code.n, code.k, code.m, code.parity_check) == (k + m, k, m, chk)
+    return code
 
 
 def poly_mod(a, g):
@@ -623,6 +642,26 @@ def plan_disagreements(code, masks, apply):
             if outcome(lambda: bits_of(apply(mask, word), n)) != expected:
                 found.append((mask, word))
     return found
+
+
+class TestDerivedParityCheck:
+    """H and (n, k, m) as :class:`ProtectionCode` derives them, against the
+    naive [P^T | I_m] of :func:`systematic_matrices` and the generator's shape."""
+
+    @pytest.mark.parametrize("code", all_codes_small(), ids=lambda c: f"{c.n}-{c.k}-{c.d_min}")
+    def test_constructions(self, code):
+        g = code.generator
+        rows = [w >> g.rows for w in g.row_words]
+        assert systematic_matrices(g.rows, g.cols - g.rows, rows) == (g, code.parity_check)
+        assert (code.n, code.k, code.m) == (g.cols, g.rows, g.cols - g.rows)
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(systematic_parity_rows())
+    def test_random_parity_parts(self, drawn):
+        k, m, rows = drawn
+        gen, chk = systematic_matrices(k, m, rows)
+        code = ProtectionCode(gen, 1, False)
+        assert (code.n, code.k, code.m, code.parity_check) == (k + m, k, m, chk)
 
 
 class TestRepairPlanOracle:
