@@ -400,18 +400,21 @@ def parse_code_file(text: str) -> ProtectionCode:
     The header's distance is measured whenever min(k, n - k) fits the
     enumeration bound; past it, :class:`ProtectionCode` refuses ``verified``.
     """
-    lines = text.splitlines()
-    if not lines:
+    # The header is the first line as str.splitlines reads it, with its end.
+    first = text[: text.find("\n") + 1 or None].splitlines(keepends=True)
+    if not first:
         raise ValueError("empty code file")
-    head = lines[0].split(" ")
+    line = first[0].splitlines()[0]
+    head = line.split(" ")
     if len(head) != 5 or head[0] != "NPC":
-        raise ValueError(f"malformed code file header: {lines[0]!r}")
+        raise ValueError(f"malformed code file header: {line!r}")
     if not all(part.isascii() and part.isdigit() for part in head[1:4]):
-        raise ValueError(f"malformed code file header: {lines[0]!r}")
+        raise ValueError(f"malformed code file header: {line!r}")
     n, k, d_min = int(head[1]), int(head[2]), int(head[3])
     if head[4] not in ("verified", "declared"):
         raise ValueError(f"unknown distance flag: {head[4]!r}")
-    gen = BitMatrix.from_text("\n".join(lines[1:]) + "\n")
+    # A header alone leaves a blank matrix header, not an empty matrix text.
+    gen = BitMatrix.from_text(text[len(first[0]) :] or "\n")
     if (gen.rows, gen.cols) != (k, n):
         raise ValueError(
             f"header claims {k} x {n} but the matrix is {gen.rows} x {gen.cols}"

@@ -302,54 +302,49 @@ def _column_tables(rows: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
 class SolvePlan:
     """The part of :func:`solve_with_cost` that depends only on the rows and
     the (distinct) unknown positions, worked out once so that :meth:`apply`
-    can solve any number of words in syndrome space: a word solves the rows
-    exactly when the syndrome of its known bits (bit i: the parity of row
-    i's overlap with them) is the sum of the columns of the unknowns it sets.
+    can solve any number of words: one Gauss-Jordan elimination of the rows
+    on the unknowns, whose reduced rows each pin one unknown to the parity
+    of the word over the rest of the row.
 
     Attributes:
         known: mask of the bits that are not unknowns.
-        tables: the rows' column tables, one object shared by all their plans.
-        steps: (pivot, step) per row of the Gauss-Jordan basis of the
-            unknowns' columns, each with its position bit above bit m: the
-            pivot is set in that step alone, so the steps apply in any order.
-        m: the number of rows.
+        tables: the rows' column tables, one object shared by all their plans:
+            a word's syndrome by :func:`xor_rows_by_tables`.
+        steps: (row, bit) per pivot of the elimination: the reduced row and
+            the bit of its pivot unknown. A row is zero at every other pivot,
+            so the steps apply in any order.
         free: the number of unknowns that no row pins down.
         ops: the XOR count that :func:`solve_with_cost` reports.
     """
 
-    __slots__ = ("known", "tables", "steps", "m", "free", "ops")
+    __slots__ = ("known", "tables", "steps", "free", "ops")
 
     def __init__(self, rows: Sequence[int], unknowns: Sequence[int]):
         rows = tuple(rows)
-        m = len(rows)
-        self.tables = tables = _column_tables(rows)
-        # Column j of the rows is the syndrome of the word with bit j alone.
-        columns = [xor_rows_by_tables(tables, 1 << j) | 1 << m + j for j in unknowns]
-        columns, pivots, _ = _eliminate(columns, range(m))
+        self.tables = _column_tables(rows)
         self.known = known = ~functools.reduce(operator.or_, (1 << j for j in unknowns), 0)
-        self.steps = tuple((1 << p, w) for p, w in zip(pivots, columns))
-        self.m = m
+        reduced, pivots, combos = _eliminate(list(rows), unknowns)
+        self.steps = tuple((row, 1 << p) for row, p in zip(reduced, pivots))
         self.free = len(unknowns) - len(pivots)
-        combos = _eliminate(list(rows), unknowns)[2]
         self.ops = sum(max(0, (row & known).bit_count() - 1) for row in rows) + combos
 
     def apply(self, word: int) -> int:
-        """Fill the unknown bits of ``word``; its bits there are ignored.
+        """Fill the unknown bits of ``word`` (its bits there are ignored), then
+        check the filled word against every row by its syndrome.
 
         Raises:
             Inconsistent: no filling satisfies every row.
             NoUniqueSolution: the rows are consistent but leave unknowns free.
         """
         word &= self.known
-        syndrome = xor_rows_by_tables(self.tables, word)
-        for pivot, step in self.steps:
-            if syndrome & pivot:
-                syndrome ^= step
-        if syndrome & ((1 << self.m) - 1):
+        for row, bit in self.steps:
+            if (row & word).bit_count() & 1:
+                word |= bit
+        if xor_rows_by_tables(self.tables, word):
             raise Inconsistent("contradictory equations: no solution exists")
         if self.free:
             raise NoUniqueSolution(f"{self.free} free unknown(s): solution is not unique")
-        return word | syndrome >> self.m
+        return word
 
 
 def solve_with_cost(

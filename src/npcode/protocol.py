@@ -362,10 +362,10 @@ def simulate_rounds(
 
     Data symbols come from a stream seeded by ``seed``, so identical
     arguments replay identical rounds. Each round is one packed codeword
-    handed to :func:`recover_codeword`. The generator is [I_k | P], so a
-    round's codeword is its data followed by the data times P, read from
-    :func:`~npcode.gf2.subset_tables` of P built once per run: one lookup
-    per 8 data bits.
+    handed to :func:`recover_codeword`. Columns j < k of H = [P^T | I_m]
+    are the rows of P, so a round's codeword is its data followed by the
+    data's syndrome, read from the column tables the repair plans share:
+    one lookup per 8 data bits.
     """
     _require_fit(code, sched)
     if net.n != code.n:
@@ -374,7 +374,7 @@ def simulate_rounds(
         raise ValueError(f"rounds must be in [1, {sched.rounds}]")
     rng = random.Random(seed)
     k = code.k
-    parity = gf2.subset_tables([w >> k for w in code.generator.row_words])
+    parity = gf2._column_tables(code.parity_check.row_words)[: (k + 7) // 8]
     for r in range(rounds):
         failed = failure_model(r)
         data = rng.getrandbits(k)

@@ -105,6 +105,21 @@ MUTANTS = [
         "    if True:",
         ("tests/test_gf2.py::TestMinDistance",),
     ),
+    Mutant(
+        "plan-fill-check-dropped",
+        "gf2.py",
+        "        if xor_rows_by_tables(self.tables, word):\n"
+        '            raise Inconsistent("contradictory equations: no solution exists")\n',
+        "",
+        ("tests/test_codes.py::TestRepairPlanOracle",),
+    ),
+    Mutant(
+        "plan-step-bit-shifted",
+        "gf2.py",
+        "        self.steps = tuple((row, 1 << p) for row, p in zip(reduced, pivots))",
+        "        self.steps = tuple((row, 2 << p) for row, p in zip(reduced, pivots))",
+        ("tests/test_codes.py::TestRepairPlanOracle",),
+    ),
 ]
 
 

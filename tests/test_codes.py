@@ -6,6 +6,7 @@ import itertools
 import math
 import operator
 import random
+import re
 import sys
 import tracemalloc
 
@@ -698,22 +699,53 @@ class TestRepairPlanOracle:
         assert plan_disagreements(code, masks, apply_mutant)
 
     def test_steps_apply_in_any_order(self):
-        # each pivot bit is set in one step alone, so a plan with its steps
-        # reversed fills every word as the plan itself does
+        # each step's pivot bit is set in its own row alone, so a plan with
+        # its steps reversed fills every word as the plan itself does
         code = bch_code(15, 2)
         rows = code.parity_check.row_words
         masks = [m for m in range(1 << code.n) if 3 <= m.bit_count() <= 5]
 
         def apply_reversed(mask, word):
             plan = codes.repair_plan(rows, mask)
-            for pivot, _ in plan.steps:
-                assert sum(1 for _, step in plan.steps if step & pivot) == 1
+            for _, bit in plan.steps:
+                assert sum(1 for row, _ in plan.steps if row & bit) == 1
             reversed_plan = copy.copy(plan)
             reversed_plan.steps = plan.steps[::-1]
             assert outcome(lambda: reversed_plan.apply(word)) == outcome(lambda: plan.apply(word))
             return reversed_plan.apply(word)
 
         assert plan_disagreements(code, masks, apply_reversed) == []
+
+    @pytest.mark.parametrize("t", [2, 3, 4])
+    def test_a_corrupted_step_raises_rather_than_fill_a_wrong_word(self, t):
+        # every set of t < d erasures of [31,21,5] decodes uniquely, so once
+        # the filled word is checked against H a plan with one step corrupted
+        # (its bit moved to another erased position, one known bit of its row
+        # flipped, or the step dropped) fills the oracle's word or raises
+        code = bch_code(31, 2)
+        rows, n = code.parity_check.row_words, code.n
+        h_rows = as_lists(code.parity_check)
+        rng = random.Random(t)
+        raised = tried = 0
+        for _ in range(1000):
+            erased = rng.sample(range(n), t)
+            mask = sum(1 << j for j in erased)
+            plan = codes.repair_plan(rows, mask)
+            i = rng.randrange(len(plan.steps))
+            row, bit = plan.steps[i]
+            moved = (row, 1 << rng.choice([j for j in erased if 1 << j != bit]))
+            flipped = (row ^ 1 << rng.choice([j for j in range(n) if not mask >> j & 1]), bit)
+            codeword = encode(code, BitVector.from_int(rng.getrandbits(code.k), code.k)).bits
+            for word in (codeword, rng.getrandbits(n)):
+                filled = outcome(lambda: erasure_fill_naive(h_rows, erased, bits_of(word, n)))
+                for corrupt in ((moved,), (flipped,), ()):
+                    mutant = copy.copy(plan)
+                    mutant.steps = plan.steps[:i] + corrupt + plan.steps[i + 1 :]
+                    got = outcome(lambda: bits_of(mutant.apply(word), n))
+                    assert got == filled or got is Inconsistent
+                    raised += got is Inconsistent and filled is not Inconsistent
+                    tried += 1
+        assert raised > tried // 8
 
 
 def random_parity_checks(rng, count):
@@ -1127,6 +1159,32 @@ class TestCodeFile:
         lines = format_code_file(single_parity_code(5)).splitlines()
         with pytest.raises(ValueError):
             parse_code_file("\n".join(mutate(lines)) + "\n")
+
+    @pytest.mark.parametrize(
+        "edit, error",
+        [
+            (lambda text: text.replace("\n", "\r\n"), None),
+            (lambda text: text.replace("\n", "\r"), None),
+            (lambda text: text.replace("\n", "\x85", 1), None),
+            (lambda text: text.replace("\n", "\x0b\n", 1), "malformed matrix header: ''"),
+            (lambda text: text + "\n", "expected 4 rows, found 5"),
+            (lambda text: text.splitlines()[0], "malformed matrix header: ''"),
+            (lambda text: text.splitlines()[0] + "\n", "malformed matrix header: ''"),
+            (lambda text: text.splitlines()[0] + "\r\n", "malformed matrix header: ''"),
+            (lambda text: text.replace(" 4 ", "\x0b4 ", 1), "malformed code file header: 'NPC 5'"),
+            (lambda text: text.replace("verified", "veri\x85fied", 1), "unknown distance flag: 'veri'"),
+        ],
+        ids=["crlf", "cr", "x85-ends-header", "x0b-before-header-newline", "trailing-blank-line",
+             "header-only", "header-only-newline", "header-only-crlf", "x0b-in-header", "x85-in-header"],
+    )
+    def test_lines_end_as_str_splitlines_ends_them(self, edit, error):
+        code = single_parity_code(5)
+        text = edit(format_code_file(code))
+        if error is None:
+            assert parse_code_file(text) == code
+        else:
+            with pytest.raises(ValueError, match=re.escape(error)):
+                parse_code_file(text)
 
     def test_rejects_verified_flag_above_enumeration_bound(self):
         # [I_21 | I_21]: k = m = 21, both above the bound, and d_min = 2

@@ -263,6 +263,22 @@ class TestSolve:
             assert solve_system(a, b)[0] == x0
             done += 1
 
+    def test_a_plan_is_one_elimination_of_the_rows(self, monkeypatch):
+        # the plan's steps are the rows reduced on the unknowns: one
+        # _eliminate per plan, and every step a row of the original width
+        # with the bit of an unknown
+        calls = []
+        eliminate = gf2._eliminate
+        monkeypatch.setattr(gf2, "_eliminate", lambda *args: calls.append(args) or eliminate(*args))
+        rng = random.Random(57)
+        for _ in range(40):
+            width = rng.randrange(2, 12)
+            rows = [rng.randrange(1 << width) for _ in range(rng.randrange(1, 6))]
+            unknowns = rng.sample(range(width), rng.randrange(width + 1))
+            calls.clear()
+            plan = SolvePlan(rows, unknowns)
+            assert len(calls) == 1
+            assert all(row >> width == 0 and bit in {1 << j for j in unknowns} for row, bit in plan.steps)
 
     def test_one_plan_serves_every_word(self):
         # a plan applied to word after word gives what a fresh solve gives
