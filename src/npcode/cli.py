@@ -69,10 +69,10 @@ _CONFIG_KEYS = {f.name for f in fields(ScenarioConfig)}
 _INT_KEYS = {"n", "mu", "design_t", "rounds", "t", "seed"}
 
 
-def _integer(text: str) -> int:
-    """``text`` read as code-file headers are read: ASCII digits only, where
-    int() alone also takes other scripts' digits, "_" and "+". An optional
-    "-" stays, so a negative value reaches its own message."""
+def integer(text: str) -> int:
+    """``text`` read as code-file headers are read, in configs and flags
+    alike: ASCII digits only, where int() also takes other scripts' digits,
+    "_" and "+". A "-" stays, so a negative value reaches its own message."""
     digits = text.removeprefix("-")
     if not (digits.isascii() and digits.isdigit()):
         raise ValueError(text)
@@ -104,12 +104,12 @@ def parse_config(text: str) -> ScenarioConfig:
     for key, value in values.items():
         if key in _INT_KEYS:
             try:
-                setattr(cfg, key, _integer(value))
+                setattr(cfg, key, integer(value))
             except ValueError:
                 raise ConfigError(f"key {key!r} needs an integer, got {value!r}") from None
         elif key == "failed":
             try:
-                cfg.failed = tuple(_integer(part.strip()) for part in value.split(","))
+                cfg.failed = tuple(integer(part.strip()) for part in value.split(","))
             except ValueError:
                 raise ConfigError(f"key 'failed' needs comma-separated integers, got {value!r}") from None
             seen = set()
@@ -156,9 +156,9 @@ def cmd_codegen(args) -> int:
     params = {key: value for key, value in vars(args).items() if key in _FAMILY_KEYS}
     code = build_code(args.family, **params)
     out = args.out or FAMILIES[args.family].codegen_out.format(**params)
-    Path(out).write_text(codes.format_code_file(code))
-    flag = "verified" if code.d_min_verified else "declared"
-    print(f"{code.n} {code.k} {code.d_min} {flag}")
+    text = codes.format_code_file(code)
+    Path(out).write_text(text)
+    print(text[: text.index("\n")].removeprefix("NPC "))
     return 0
 
 
@@ -263,13 +263,13 @@ def make_parser() -> argparse.ArgumentParser:
     p_gen.add_argument("--family", required=True, choices=built)
     for key, text in (("n", "code length"), ("mu", "parity-bit count"), ("design_t", "designed loss budget")):
         readers = [name for name in built if key in FAMILIES[name].keys]
-        p_gen.add_argument("--" + key.replace("_", "-"), dest=key, type=int, help=f"{text} ({', '.join(readers)})")
+        p_gen.add_argument("--" + key.replace("_", "-"), dest=key, type=integer, help=f"{text} ({', '.join(readers)})")
     p_gen.add_argument("--out", help="output path (default: derived from the parameters)")
     p_gen.set_defaults(func=cmd_codegen)
 
     p_ver = sub.add_parser("verify", help="exhaustively check every t-erasure pattern")
     p_ver.add_argument("code_file")
-    p_ver.add_argument("--t", type=int, required=True, help="number of simultaneous erasures")
+    p_ver.add_argument("--t", type=integer, required=True, help="number of simultaneous erasures")
     p_ver.set_defaults(func=cmd_verify)
 
     p_sim = sub.add_parser("simulate", help="run a scenario config and emit the round report")

@@ -12,7 +12,7 @@ import functools
 import itertools
 import math
 from collections.abc import Iterable, Iterator, Sequence
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 
 from . import gf2
 from .gf2 import BitMatrix, BitVector, DimensionMismatch, Inconsistent
@@ -63,9 +63,10 @@ class ProtectionCode:
     The generator [I_k | P] is the only matrix a code is given: n and k are
     its shape, m = n - k, and the parity check [P^T | I_m] is built from P,
     so it has full rank and annihilates the generator by construction.
-    ``d_min_verified`` records whether d_min was confirmed by exhaustive
-    search or merely declared by the construction, as it must be when both
-    k and m exceed ``gf2.MIN_DISTANCE_ROW_LIMIT``.
+    d_min is measured (``d_min_verified``) whenever min(k, m) fits
+    ``gf2.MIN_DISTANCE_ROW_LIMIT``, and past it is the required ``declared``
+    distance: a lower bound the construction guarantees, so a measured
+    distance below it is refused and one above it is kept.
     """
 
     n: int = field(init=False)
@@ -73,23 +74,28 @@ class ProtectionCode:
     m: int = field(init=False)
     generator: BitMatrix
     parity_check: BitMatrix = field(init=False)
-    d_min: int
-    d_min_verified: bool
+    d_min: int = field(init=False)
+    d_min_verified: bool = field(init=False)
+    declared: InitVar[int | None] = None
 
-    def __post_init__(self):
+    def __post_init__(self, declared):
         k, n = self.generator.rows, self.generator.cols
         if not 1 <= k < n:
             raise ValueError(f"need 1 <= k < n, got k={k}, n={n}")
-        if not 1 <= self.d_min <= n:
+        if declared is not None and not 1 <= declared <= n:
             raise ValueError("d_min out of range")
         ident = (1 << k) - 1
         if any(g & ident != 1 << i for i, g in enumerate(self.generator.row_words)):
             raise ValueError("generator is not in systematic form")
-        if self.d_min_verified and min(k, n - k) > gf2.MIN_DISTANCE_ROW_LIMIT:
-            raise ValueError(f"min(k, n - k) = {min(k, n - k)} is too large to verify the distance by enumeration")
+        verified = min(k, n - k) <= gf2.MIN_DISTANCE_ROW_LIMIT
+        if not verified and declared is None:
+            raise ValueError(f"min(k, n - k) = {min(k, n - k)} is too large to verify the distance by enumeration: declare it")
+        d_min = gf2.min_distance(self.generator) if verified else declared
+        if declared is not None and d_min < declared:
+            raise ValueError(f"declared d_min = {declared} but the code has d_min = {d_min}")
         p_t = gf2._columns([g >> k for g in self.generator.row_words], n - k)
         chk = BitMatrix.from_row_words((w | 1 << (k + j) for j, w in enumerate(p_t)), n)
-        for name, value in (("n", n), ("k", k), ("m", n - k), ("parity_check", chk)):
+        for name, value in dict(n=n, k=k, m=n - k, parity_check=chk, d_min=d_min, d_min_verified=verified).items():
             object.__setattr__(self, name, value)
 
 
@@ -103,14 +109,10 @@ class ProtectionReport:
 
 
 def _build(parity_rows: Sequence[int], k: int, m: int, declared: int | None = None) -> ProtectionCode:
-    """The code with parity part ``parity_rows`` (bit j = parity column j).
-    Its distance is measured by :func:`gf2.min_distance` and flagged verified
-    when min(k, m) fits the enumeration bound; past it, ``declared`` is taken
-    and flagged declared."""
+    """The code with parity part ``parity_rows`` (bit j = parity column j),
+    its distance measured or ``declared`` as :class:`ProtectionCode` decides."""
     gen = BitMatrix.from_row_words(((1 << i) | (parity_rows[i] << k) for i in range(k)), k + m)
-    if min(k, m) > gf2.MIN_DISTANCE_ROW_LIMIT:
-        return ProtectionCode(gen, declared, False)
-    return ProtectionCode(gen, gf2.min_distance(gen), True)
+    return ProtectionCode(gen, declared)
 
 
 def single_parity_code(n: int) -> ProtectionCode:
@@ -388,17 +390,19 @@ def verify_protection(code: ProtectionCode, t: int) -> ProtectionReport:
     return ProtectionReport(not failing, tuple(failing), math.comb(code.n, t))
 
 
+_FLAGS = ("declared", "verified")  # a header's distance flag, by d_min_verified
+
+
 def format_code_file(code: ProtectionCode) -> str:
     """Serialize: an ``NPC n k d_min verified|declared`` header, then the generator."""
-    flag = "verified" if code.d_min_verified else "declared"
-    return f"NPC {code.n} {code.k} {code.d_min} {flag}\n" + code.generator.to_text()
+    return f"NPC {code.n} {code.k} {code.d_min} {_FLAGS[code.d_min_verified]}\n" + code.generator.to_text()
 
 
 def parse_code_file(text: str) -> ProtectionCode:
     """Parse :func:`format_code_file` output, rejecting mismatched dimensions.
 
-    The header's distance is measured whenever min(k, n - k) fits the
-    enumeration bound; past it, :class:`ProtectionCode` refuses ``verified``.
+    A ``verified`` header has the distance measured and a ``declared`` one
+    declares it; the code built must carry the header's d_min and flag.
     """
     # The header is the first line as str.splitlines reads it, with its end.
     first = text[: text.find("\n") + 1 or None].splitlines(keepends=True)
@@ -411,7 +415,7 @@ def parse_code_file(text: str) -> ProtectionCode:
     if not all(part.isascii() and part.isdigit() for part in head[1:4]):
         raise ValueError(f"malformed code file header: {line!r}")
     n, k, d_min = int(head[1]), int(head[2]), int(head[3])
-    if head[4] not in ("verified", "declared"):
+    if head[4] not in _FLAGS:
         raise ValueError(f"unknown distance flag: {head[4]!r}")
     # A header alone leaves a blank matrix header, not an empty matrix text.
     gen = BitMatrix.from_text(text[len(first[0]) :] or "\n")
@@ -419,9 +423,7 @@ def parse_code_file(text: str) -> ProtectionCode:
         raise ValueError(
             f"header claims {k} x {n} but the matrix is {gen.rows} x {gen.cols}"
         )
-    code = ProtectionCode(gen, d_min, head[4] == "verified")
-    if min(k, n - k) <= gf2.MIN_DISTANCE_ROW_LIMIT:
-        measured = gf2.min_distance(gen)
-        if measured != d_min:
-            raise ValueError(f"header claims d_min = {d_min} but the code has d_min = {measured}")
+    code = ProtectionCode(gen, None if head[4] == "verified" else d_min)
+    if (code.d_min, _FLAGS[code.d_min_verified]) != (d_min, head[4]):
+        raise ValueError(f"header claims d_min = {d_min} {head[4]} but the code has d_min = {code.d_min} {_FLAGS[code.d_min_verified]}")
     return code

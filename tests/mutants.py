@@ -78,11 +78,25 @@ MUTANTS = [
         ("tests/test_cli.py",),
     ),
     Mutant(
-        "verified-flag-check-dropped",
+        "declared-taken-for-measured",
         "codes.py",
-        "        if self.d_min_verified and min(k, n - k) > gf2.MIN_DISTANCE_ROW_LIMIT:",
+        "        d_min = gf2.min_distance(self.generator) if verified else declared",
+        "        d_min = declared or gf2.min_distance(self.generator) if verified else declared",
+        ("tests/test_codes.py::TestInvariants", "tests/test_codes.py::TestCodeFile"),
+    ),
+    Mutant(
+        "declared-lower-bound-dropped",
+        "codes.py",
+        "        if declared is not None and d_min < declared:",
         "        if False:",
         ("tests/test_codes.py::TestInvariants", "tests/test_codes.py::TestCodeFile"),
+    ),
+    Mutant(
+        "header-flag-comparison-dropped",
+        "codes.py",
+        "    if (code.d_min, _FLAGS[code.d_min_verified]) != (d_min, head[4]):",
+        "    if code.d_min != d_min:",
+        ("tests/test_codes.py::TestCodeFile",),
     ),
     Mutant(
         "systematic-form-check-dropped",
@@ -119,6 +133,27 @@ MUTANTS = [
         "        self.steps = tuple((row, 1 << p) for row, p in zip(reduced, pivots))",
         "        self.steps = tuple((row, 2 << p) for row, p in zip(reduced, pivots))",
         ("tests/test_codes.py::TestRepairPlanOracle",),
+    ),
+    Mutant(
+        "unrank-scan-one-too-far",
+        "protocol.py",
+        "        while (below := math.comb(c, i)) > index:",
+        "        while (below := math.comb(c, i)) >= index:",
+        ("tests/test_protocol.py::TestFailureModels",),
+    ),
+    Mutant(
+        "encode-tables-drop-partial-group",
+        "protocol.py",
+        "    parity = gf2._column_tables(code.parity_check.row_words)[: (k + 7) // 8]",
+        "    parity = gf2._column_tables(code.parity_check.row_words)[: k // 8]",
+        ("tests/test_protocol.py::TestPackedEncode",),
+    ),
+    Mutant(
+        "columns-read-unreversed",
+        "gf2.py",
+        "    return tuple(int(text[width - 1 - j :: width][::-1], 2) for j in range(width))",
+        "    return tuple(int(text[width - 1 - j :: width], 2) for j in range(width))",
+        ("tests/test_gf2.py::TestColumns",),
     ),
 ]
 

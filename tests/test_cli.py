@@ -4,6 +4,7 @@ import io
 import os
 import subprocess
 import sys
+import types
 from fractions import Fraction
 from pathlib import Path
 
@@ -314,6 +315,29 @@ class TestVerify:
 
 
 class TestConfigParsing:
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["codegen", "--family", "parity", "--n", "1_0"],
+            ["codegen", "--family", "hamming", "--mu", "\uff13"],
+            ["codegen", "--family", "bch", "--n", "+7", "--design-t", "1"],
+            ["verify", "{path}", "--t", "+1"],
+            ["verify", "{path}", "--t", "\u0662"],
+        ],
+        ids=["underscore", "fullwidth-digit", "plus", "verify-plus", "verify-arabic-indic-digit"],
+    )
+    def test_integer_flags_read_like_config_integers(self, tmp_path, monkeypatch, capsys, args):
+        # int() alone would take each of these; a config's integers do not
+        path = tmp_path / "code.npc"
+        path.write_text(codes.format_code_file(codes.hamming_code(3)))
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            main([arg.format(path=path) for arg in args])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "invalid integer value" in captured.err
+        assert [p.name for p in tmp_path.iterdir()] == ["code.npc"]
+
     def test_full_roundtrip(self):
         cfg = parse_config(PARITY_CONFIG)
         assert cfg.code_family == "parity"
@@ -434,6 +458,34 @@ class TestSimulate:
         assert main(["simulate", str(cfg), "--out", str(tmp_path / "r.csv")]) == 2
         assert capsys.readouterr().err.startswith("error:")
         assert not (tmp_path / "r.csv").exists()
+
+    def test_a_round_that_raises_ends_the_run_with_an_incomplete_report(self, tmp_path, capsys, monkeypatch):
+        # the third repair plan fills a word that H rejects: the command
+        # exits 2 with the error, and the report holds the header and the
+        # rows of the rounds before, with no summary line
+        cfg = write_config(tmp_path, HAMMING_RANDOM_CONFIG)
+        full = tmp_path / "full.csv"
+        assert main(["simulate", str(cfg), "--out", str(full)]) == 0
+        lines = full.read_text().splitlines(keepends=True)
+        planned = [i for i, line in enumerate(lines[1:-1], 1) if ",NoActionNeeded," not in line]
+
+        def inconsistent(word):
+            raise gf2.Inconsistent("contradictory equations: no solution exists")
+
+        plans = []
+        repair_plan = codes.repair_plan
+
+        def third_plan_broken(rows, erased):
+            plans.append(erased)
+            return types.SimpleNamespace(apply=inconsistent) if len(plans) == 3 else repair_plan(rows, erased)
+
+        monkeypatch.setattr(codes, "repair_plan", third_plan_broken)
+        out = tmp_path / "r.csv"
+        capsys.readouterr()
+        assert main(["simulate", str(cfg), "--out", str(out)]) == 2
+        assert capsys.readouterr() == ("", "error: contradictory equations: no solution exists\n")
+        assert len(plans) == 3 and planned[2] < len(lines) - 1
+        assert out.read_text() == "".join(lines[: planned[2]])
 
     def test_rerun_with_a_fresh_code_adds_no_plans(self, tmp_path):
         # each command builds its own code object; plans are keyed by the

@@ -277,21 +277,25 @@ class TestInvariants:
 
     def test_constructor_rejects_non_systematic(self):
         with pytest.raises(ValueError, match="not in systematic form"):
-            ProtectionCode(BitMatrix([[0, 1, 1], [1, 0, 1]]), 2, False)
+            ProtectionCode(BitMatrix([[0, 1, 1], [1, 0, 1]]))
 
     def test_only_the_generator_is_given(self):
-        # H, n, k and m are derived from G, so no H of another code can be
-        # handed in, such as the rank-2 H [h0, h1, h0 ^ h1], under which a
-        # "verified" [7,4,3] code would fail 9 double erasures
+        # H, n, k, m and the distance are derived from G, so no H of another
+        # code can be handed in, such as the rank-2 H [h0, h1, h0 ^ h1],
+        # under which a "verified" [7,4,3] code would fail 9 double erasures,
+        # and no distance the generator does not have
         code = hamming_code(3)
         h0, h1, _ = code.parity_check.row_words
         foreign = BitMatrix.from_row_words([h0, h1, h0 ^ h1], 7)
-        for name, value in (("parity_check", foreign), ("n", 8), ("k", 3), ("m", 2)):
+        fields = (("parity_check", foreign), ("n", 8), ("k", 3), ("m", 2), ("d_min", 5), ("d_min_verified", False))
+        for name, value in fields:
             with pytest.raises(ValueError, match="init=False"):
                 dataclasses.replace(code, **{name: value})
         with pytest.raises(TypeError):
             ProtectionCode(7, 4, 3, code.generator, foreign, 3, True)
-        rebuilt = ProtectionCode(code.generator, 3, True)
+        with pytest.raises(TypeError):
+            ProtectionCode(code.generator, 3, True)
+        rebuilt = ProtectionCode(code.generator)
         assert rebuilt == code
         assert rank_naive(as_lists(rebuilt.parity_check)) == 3
         assert verify_protection(rebuilt, 2).failing_patterns == ()
@@ -300,18 +304,32 @@ class TestInvariants:
         # a generator with its first two rows exchanged is not [I_k | P]
         g0, g1, *rest = code.generator.row_words
         with pytest.raises(ValueError, match="not in systematic form"):
-            ProtectionCode(BitMatrix.from_row_words([g1, g0, *rest], 7), 3, True)
+            ProtectionCode(BitMatrix.from_row_words([g1, g0, *rest], 7))
 
     def test_constructor_rejects_verified_above_enumeration_bound(self):
         # [I_22 | I_22]: k = m = 22, so no distance of it can be measured
         code = codes._build([1 << i for i in range(22)], 22, 22, 2)
-        unmeasurable = r"min\(k, n - k\) = 22 is too large to verify the distance by enumeration"
+        assert (code.d_min, code.d_min_verified) == (2, False)
+        unmeasurable = r"min\(k, n - k\) = 22 is too large to verify the distance by enumeration: declare it"
         with pytest.raises(ValueError, match=unmeasurable):
-            ProtectionCode(code.generator, 2, True)
-        with pytest.raises(ValueError, match=unmeasurable):
+            ProtectionCode(code.generator)
+        with pytest.raises(ValueError, match="init=False"):
             dataclasses.replace(code, d_min_verified=True)
-        # a measurable code may carry either flag
-        assert not dataclasses.replace(hamming_code(3), d_min_verified=False).d_min_verified
+        for bad in (0, 45):
+            with pytest.raises(ValueError, match="d_min out of range"):
+                ProtectionCode(code.generator, bad)
+
+    def test_a_measurable_distance_is_measured(self):
+        # a declared distance is a lower bound: the measured one wins when
+        # it is larger, and a smaller one is refused
+        code = hamming_code(3)
+        assert ProtectionCode(code.generator, 2) == code
+        assert ProtectionCode(code.generator, 3) == code
+        with pytest.raises(ValueError, match="declared d_min = 5 but the code has d_min = 3"):
+            ProtectionCode(code.generator, 5)
+        for bad in (0, 8):
+            with pytest.raises(ValueError, match="d_min out of range"):
+                ProtectionCode(code.generator, bad)
 
     def test_a_declared_code_shortens_to_a_declared_code(self):
         # shortening past the bound keeps the parent's distance unmeasured,
@@ -521,8 +539,9 @@ def systematic_code(k, m, parity_rows):
     """The code with generator [I_k | P] for the packed rows of P, built
     without the library's constructors; d_min is measured naively."""
     gen, chk = systematic_matrices(k, m, parity_rows)
-    code = ProtectionCode(gen, min_distance_naive(as_lists(gen)), True)
-    assert (code.n, code.k, code.m, code.parity_check) == (k + m, k, m, chk)
+    d_min = min_distance_naive(as_lists(gen))
+    code = ProtectionCode(gen, d_min)
+    assert (code.n, code.k, code.m, code.parity_check, code.d_min, code.d_min_verified) == (k + m, k, m, chk, d_min, True)
     return code
 
 
@@ -661,8 +680,9 @@ class TestDerivedParityCheck:
     def test_random_parity_parts(self, drawn):
         k, m, rows = drawn
         gen, chk = systematic_matrices(k, m, rows)
-        code = ProtectionCode(gen, 1, False)
+        code = ProtectionCode(gen)
         assert (code.n, code.k, code.m, code.parity_check) == (k + m, k, m, chk)
+        assert (code.d_min, code.d_min_verified) == (min_distance_naive(as_lists(gen)), True)
 
 
 class TestRepairPlanOracle:
@@ -1150,6 +1170,8 @@ class TestCodeFile:
             # distances the [5,4,2] generator does not have
             lambda lines: ["NPC 5 4 3 verified"] + lines[1:],
             lambda lines: ["NPC 5 4 1 declared"] + lines[1:],
+            # a measurable distance is measured, so it cannot be declared
+            lambda lines: ["NPC 5 4 2 declared"] + lines[1:],
             # digits other than ASCII ones, in either header
             lambda lines: ["NPC \u0665 \u0664 \u0662 verified"] + lines[1:],
             lambda lines: lines[:1] + ["\uff14 5"] + lines[2:],
@@ -1204,9 +1226,21 @@ class TestCodeFile:
         assert text.startswith("NPC 63 51 5 verified\n")
         code = parse_code_file(text)
         assert code.d_min == 5 and code.d_min_verified
-        for bad in ("NPC 63 51 4 verified", "NPC 63 51 6 declared"):
+        for bad in ("NPC 63 51 4 verified", "NPC 63 51 6 declared", "NPC 63 51 5 declared"):
             with pytest.raises(ValueError, match="the code has d_min = 5"):
                 parse_code_file(text.replace("NPC 63 51 5 verified", bad, 1))
+
+    def test_one_measurement_per_code(self, monkeypatch):
+        # the distance is measured once per built or loaded code: a second
+        # measurement would add a whole enumeration to every verify command
+        text = format_code_file(bch_code(31, 2))
+        calls = []
+        measure = gf2.min_distance
+        monkeypatch.setattr(gf2, "min_distance", lambda g: calls.append(g) or measure(g))
+        code = bch_code(31, 2)
+        assert calls == [code.generator]
+        assert parse_code_file(text) == code
+        assert calls == [code.generator] * 2
 
     def test_rejects_non_systematic_matrix(self):
         text = "NPC 3 2 2 declared\n2 3\n011\n101\n"
