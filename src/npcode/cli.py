@@ -202,19 +202,20 @@ def render_report(records, sched: protocol.Schedule, out) -> None:
     # rounds repeat an earlier set, and the counters take few values in a run
     texts: dict[frozenset[int], str] = {}
     tails: dict[tuple, str] = {}
+    add, write, text_of, tail_of = metrics.add, out.write, texts.get, tails.get  # bound once per run
     for rec in records:
-        metrics.add(rec)
+        add(rec)
         report = rec.report
-        failed = texts.get(rec.failed)
+        failed = text_of(rec.failed)
         if failed is None:
             if len(texts) == FAILED_TEXTS_KEPT:  # a long run of distinct sets
                 texts.clear()
             failed = texts[rec.failed] = ";".join(str(c) for c in sorted(rec.failed)) or "-"
         counters = (report.outcome, report.queries_sent, report.xor_operations, report.transmissions)
-        tail = tails.get(counters)
+        tail = tail_of(counters)
         if tail is None:
             tail = tails[counters] = ",".join([report.outcome.value, *map(str, counters[1:]), capacity]) + "\n"
-        out.write(f"{rec.index},{failed},{tail}")
+        write(f"{rec.index},{failed},{tail}")
     out.write(
         "summary,"
         f"rounds={metrics.rounds},"

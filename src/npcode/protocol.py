@@ -13,13 +13,12 @@ A round is one codeword packed into an int (bit j = coordinate j), and
 Coordinate layout per round r: parity coordinate k+j rides connection
 (r + j) mod n, and the data coordinates 0..k-1 fill the remaining
 connections in ascending index order. For m = 1 this puts the parity
-symbol on connection r, the diagonal rotation. As arithmetic, with
-offset = r mod n and d = (c - offset) mod n, connection c carries
-
-- parity coordinate k + d when d < m;
-- otherwise data coordinate c - m when c >= offset + m, and
-  c - max(0, offset + m - n) when it does not (only the wrapped part of
-  the parity block lies below c).
+symbol on connection r, the diagonal rotation. As one expression, with
+offset = r mod n, e = (c - offset - m) mod n and shift = offset when the
+parity block does not wrap past connection n - 1 (offset + m <= n) and 0
+when it does, connection c carries parity coordinate e when e >= k and
+data coordinate (e + shift) mod k otherwise: the data coordinates follow
+the parity block cyclically.
 """
 
 from __future__ import annotations
@@ -83,7 +82,7 @@ def build_schedule(n: int, m: int, rounds: int) -> Schedule:
     return Schedule(n, m, rounds)
 
 
-@dataclass
+@dataclass(slots=True)
 class RecoveryReport:
     """What one round's recovery did and what it cost."""
 
@@ -100,17 +99,6 @@ def connection_of_coordinate(sched: Schedule, r: int) -> tuple[int, ...]:
     return tuple(c for c in range(sched.n) if c not in scheduled) + scheduled
 
 
-def _coordinate(n: int, m: int, offset: int, c: int) -> int:
-    """The coordinate that connection ``c`` carries at rotation offset
-    ``offset``: the inverse of :func:`connection_of_coordinate`."""
-    d = (c - offset) % n
-    if d < m:
-        return n - m + d
-    if c >= offset + m:
-        return c - m
-    return c - max(0, offset + m - n)
-
-
 def _require_fit(code: ProtectionCode, sched: Schedule) -> None:
     if code.n != sched.n or code.m != sched.m:
         raise DimensionMismatch(
@@ -123,9 +111,9 @@ def recover_codeword(
 ) -> RecoveryReport:
     """Rebuild the data symbols lost in one round and account for the work.
 
-    ``offset`` is the round's rotation offset r mod n, ``failed`` the failed
-    connections and ``codeword`` the sent codeword packed into an int (bit j
-    = coordinate j); the bits on failed connections are never read.
+    ``offset`` is the round's rotation offset r mod n, in [0, n); ``failed``
+    the failed connections and ``codeword`` the sent codeword packed into an
+    int (bit j = coordinate j); the bits on failed connections are never read.
 
     Failures confined to parity connections need no action. Otherwise a
     receiver gathers the surviving symbols and solves for the lost ones:
@@ -136,20 +124,32 @@ def recover_codeword(
     one reduction step per lost symbol. Only lost data symbols appear in the
     report; lost parity is not worth rebuilding.
     """
-    n, k, m = code.n, code.k, code.m
-    lost = []  # (connection, coordinate) per failed connection
+    n = code.n
+    if not 0 <= offset < n:
+        raise ValueError(f"offset {offset} outside [0, {n})")
+    if not failed:
+        return RecoveryReport({}, 0, 0, n, _NO_ACTION_NEEDED)
+    k, m = code.k, code.m
+    base = offset + m
+    shift = offset if base <= n else 0
+    lost = []  # (connection, coordinate) per failed data connection
     erased = 0
     for c in failed:
         if not 0 <= c < n:
             raise ValueError(f"failed connections {sorted(failed)} reach outside [0, {n})")
-        j = _coordinate(n, m, offset, c)
-        lost.append((c, j))
-        erased |= 1 << j
-    if not erased & ((1 << k) - 1):
+        # the module docstring's layout rule, written out: this runs every round
+        e = (c - base) % n
+        if e >= k:
+            erased |= 1 << e
+        else:
+            j = (e + shift) % k
+            lost.append((c, j))
+            erased |= 1 << j
+    if not lost:
         return RecoveryReport({}, 0, 0, n, _NO_ACTION_NEEDED)
 
     t = len(failed)
-    queries = n - 1 if m == 1 and t == 1 else max(0, n - t - 1)
+    queries = n - 1 if m == 1 and t == 1 else n - t - 1 if t < n else 0
     plan = codes.repair_plan(code.parity_check.row_words, erased)
     try:
         word = plan.apply(codeword)
@@ -157,8 +157,7 @@ def recover_codeword(
         return RecoveryReport({}, queries, 0, n, _UNRECOVERABLE)
     recovered = {}  # a loop: on 3.11 a comprehension builds a function each call
     for c, j in lost:
-        if j < k:
-            recovered[c] = word >> j & 1
+        recovered[c] = word >> j & 1
     return RecoveryReport(recovered, queries, plan.ops, n, _FULL_RECOVERY)
 
 
@@ -245,21 +244,29 @@ def random_failures(n: int, t: int, seed: int) -> Callable[[int], frozenset[int]
         raise ValueError(f"t must be in [0, {n}], got {t}")
     count = math.comb(n, t)
     blocks = (count.bit_length() + 95) // 64
-    steps = range(1, blocks + 1)
     key = random.Random(seed).getrandbits(64)
 
-    def draw(r: int) -> frozenset[int]:
+    def output(j: int) -> int:
+        # output j of the stream: the splitmix64 finaliser of key + j * gamma
+        z = key + j * _GOLDEN_GAMMA & _MASK64
+        z = (z ^ z >> 30) * 0xBF58476D1CE4E5B9 & _MASK64
+        z = (z ^ z >> 27) * 0x94D049BB133111EB & _MASK64
+        return z ^ z >> 31
+
+    if blocks == 1:  # C(n, t) below 2^32, as on every benchmark workload: no loop
+
+        def draw(r: int) -> frozenset[int]:
+            return _unrank(n, t, output(r + 1) % count)
+
+        return draw
+
+    def draw_blocks(r: int) -> frozenset[int]:
         word = 0
-        base = r * blocks
-        for i in steps:
-            # the splitmix64 finaliser, written out: this runs every round
-            z = key + (base + i) * _GOLDEN_GAMMA & _MASK64
-            z = (z ^ z >> 30) * 0xBF58476D1CE4E5B9 & _MASK64
-            z = (z ^ z >> 27) * 0x94D049BB133111EB & _MASK64
-            word = word << 64 | z ^ z >> 31
+        for j in range(r * blocks + 1, (r + 1) * blocks + 1):
+            word = word << 64 | output(j)
         return _unrank(n, t, word % count)
 
-    return draw
+    return draw_blocks
 
 
 _GOLDEN_GAMMA = 0x9E3779B97F4A7C15
@@ -288,7 +295,7 @@ def _unrank(n: int, t: int, index: int) -> frozenset[int]:
     return frozenset(members)
 
 
-@dataclass
+@dataclass(slots=True)
 class RoundRecord:
     """One simulated round: its sent codeword (bit j = coordinate j), failed
     connections and report."""
@@ -372,15 +379,16 @@ def simulate_rounds(
         raise DimensionMismatch(f"network has {net.n} connections, code has n = {code.n}")
     if not 1 <= rounds <= sched.rounds:
         raise ValueError(f"rounds must be in [1, {sched.rounds}]")
-    rng = random.Random(seed)
-    k = code.k
+    n, k = code.n, code.k
     parity = gf2._column_tables(code.parity_check.row_words)[: (k + 7) // 8]
+    # bound once per run: each round would otherwise look every one of them up
+    getrandbits, syndrome = random.Random(seed).getrandbits, gf2.xor_rows_by_tables
+    recover_one, record = recover_codeword, RoundRecord
     for r in range(rounds):
         failed = failure_model(r)
-        data = rng.getrandbits(k)
-        codeword = data | gf2.xor_rows_by_tables(parity, data) << k
-        report = recover_codeword(code, r % code.n, failed, codeword)
-        yield RoundRecord(r, codeword, failed, report)
+        data = getrandbits(k)
+        codeword = data | syndrome(parity, data) << k
+        yield record(r, codeword, failed, recover_one(code, r % n, failed, codeword))
 
 
 def run_simulation(

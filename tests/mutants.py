@@ -149,6 +149,34 @@ MUTANTS = [
         ("tests/test_protocol.py::TestPackedEncode",),
     ),
     Mutant(
+        "layout-shift-dropped",
+        "protocol.py",
+        "    shift = offset if base <= n else 0",
+        "    shift = 0",
+        ("tests/test_protocol.py::TestSchedule",),
+    ),
+    Mutant(
+        "parity-loss-counted-as-data",
+        "protocol.py",
+        "        if e >= k:",
+        "        if e > k:",
+        ("tests/test_protocol.py::TestSchedule", "tests/test_protocol.py::TestRecover"),
+    ),
+    Mutant(
+        "offset-range-check-dropped",
+        "protocol.py",
+        "    if not 0 <= offset < n:",
+        "    if False:",
+        ("tests/test_protocol.py::TestRecover",),
+    ),
+    Mutant(
+        "one-block-draw-reads-block-r",
+        "protocol.py",
+        "            return _unrank(n, t, output(r + 1) % count)",
+        "            return _unrank(n, t, output(r) % count)",
+        ("tests/test_protocol.py::TestFailureModels",),
+    ),
+    Mutant(
         "columns-read-unreversed",
         "gf2.py",
         "    return tuple(int(text[width - 1 - j :: width][::-1], 2) for j in range(width))",

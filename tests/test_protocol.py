@@ -5,6 +5,7 @@ import math
 import random
 from collections import Counter
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
@@ -25,7 +26,6 @@ from npcode.protocol import (
     RecoveryReport,
     Schedule,
     build_schedule,
-    _coordinate,
     _unrank,
     connection_of_coordinate,
     encode_round,
@@ -117,15 +117,36 @@ class TestSchedule:
                     counts[c] += 1
             assert counts == [3] * 7
 
-    def test_coordinate_inverts_the_layout(self):
-        # every n <= 40, 1 <= m < n and offset < n: parity blocks that wrap
-        # past connection n - 1 and blocks that do not
+    def test_coordinate_inverts_the_layout(self, monkeypatch):
+        # the erased mask recover_codeword hands to its repair plan is the
+        # inverse of connection_of_coordinate, for every n <= 40, 1 <= m < n
+        # and offset < n (parity blocks that wrap past connection n - 1 and
+        # blocks that do not): each single failed data connection, and at
+        # n <= 12 every failed pair
+        masks = []
+        plan = SimpleNamespace(apply=lambda word: 0, ops=0)
+        monkeypatch.setattr(codes, "repair_plan", lambda rows, erased: masks.append(erased) or plan)
         for n in range(2, 41):
             for m in range(1, n):
+                k = n - m
+                code = SimpleNamespace(n=n, k=k, m=m, parity_check=SimpleNamespace(row_words=()))
                 sched = Schedule(n, m, n)
                 for offset in range(n):
                     conn_of = connection_of_coordinate(sched, offset)
-                    assert [_coordinate(n, m, offset, c) for c in conn_of] == list(range(n))
+                    coordinate = {c: j for j, c in enumerate(conn_of)}
+                    failures = [(c,) for c in conn_of[:k]]
+                    if n <= 12:
+                        failures += itertools.combinations(range(n), 2)
+                    for failed in failures:
+                        masks.clear()
+                        report = recover_codeword(code, offset, frozenset(failed), 0)
+                        erased = sum(1 << coordinate[c] for c in failed)
+                        if erased & ((1 << k) - 1):
+                            assert masks == [erased]
+                            assert report.recovered.keys() == {c for c in failed if coordinate[c] < k}
+                        else:
+                            assert masks == []
+                            assert report.outcome is Outcome.NO_ACTION_NEEDED
 
     @pytest.mark.parametrize("n,m,rounds", [(5, 0, 1), (5, 5, 1), (1, 1, 1), (5, 1, 0)])
     def test_rejects_bad_parameters(self, n, m, rounds):
@@ -316,6 +337,34 @@ class TestRecover:
         sent[1] = dataclasses.replace(sent[1], payload=2)
         with pytest.raises(ValueError):
             recover(code, sent, frozenset(()), sched, 0)
+
+    @pytest.mark.parametrize(
+        "code", [single_parity_code(5), hamming_code(3), bch_code(31, 2)], ids=["parity5", "hamming3", "bch31"]
+    )
+    def test_no_data_lost_needs_no_plan(self, code, monkeypatch):
+        # an empty failed set and a set of parity connections only are
+        # answered before any repair plan is asked for
+        def no_plan(rows, erased):
+            raise AssertionError(f"a plan was asked for erased mask {erased:#x}")
+
+        monkeypatch.setattr(codes, "repair_plan", no_plan)
+        n = code.n
+        sched = build_schedule(n, code.m, n)
+        expected = RecoveryReport({}, 0, 0, n, Outcome.NO_ACTION_NEEDED)
+        for offset in range(n):
+            parity = sched.scheduled(offset)
+            for t in range(min(len(parity), 3) + 1):
+                for failed in itertools.combinations(parity, t):
+                    assert recover_codeword(code, offset, frozenset(failed), 0) == expected
+
+    @pytest.mark.parametrize("failed", [(), (0,), (4,), (0, 4)])
+    @pytest.mark.parametrize("offset", [7, 8, -1])
+    def test_rejects_offset_outside_rotation(self, offset, failed):
+        # the offset is r mod n: n, n + 1 and -1 are refused, whatever failed
+        code = hamming_code(3)
+        word = encode(code, BitVector.from_int(0b0010, 4)).bits
+        with pytest.raises(ValueError, match=rf"offset {offset} outside \[0, 7\)"):
+            recover_codeword(code, offset, frozenset(failed), word)
 
     @pytest.mark.parametrize("outside", [-1, 5])
     def test_rejects_failed_connection_outside_network(self, outside):
