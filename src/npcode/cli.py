@@ -187,47 +187,55 @@ def _ratio(q: Fraction) -> str:
 FAILED_TEXTS_KEPT = protocol.DRAW_MEMO_SIZE
 
 
-def render_report(records, sched: protocol.Schedule, out) -> None:
+def render_report(records, sched: protocol.Schedule, out) -> protocol.SimulationMetrics:
     """Write a fixed-order CSV to ``out``: one row per round as its record
-    arrives, then a summary line.
+    arrives, then a summary line; return the run's metrics.
 
     Capacities travel as reduced ``p/q`` strings so the file stays exact;
     the summary is the run's :class:`~npcode.protocol.SimulationMetrics`,
-    folded from the same records as the rows.
+    built from the rounds counted per row kind and per rotation offset as
+    the rows are written.
     """
     out.write("round,failed,outcome,queries,xor_ops,transmissions,capacity\n")
-    metrics = protocol.SimulationMetrics(sched)
-    capacity = _ratio(Fraction(sched.n - sched.m, sched.n))
-    # each failed set's text, and each row's text after it, is made once: most
-    # rounds repeat an earlier set, and the counters take few values in a run
+    n = sched.n
+    capacity = _ratio(Fraction(n - sched.m, n))
+    per_offset = [0] * n
+    # each failed set's text, and each row kind's text after it, is made once:
+    # most rounds repeat an earlier set, and a run has few kinds. A kind's
+    # entry is [its row tail, its rounds], so a round costs one lookup of its kind
     texts: dict[frozenset[int], str] = {}
-    tails: dict[tuple, str] = {}
-    add, write, text_of, tail_of = metrics.add, out.write, texts.get, tails.get  # bound once per run
+    kinds: dict[tuple, list] = {}
+    write, text_of, kind_of = out.write, texts.get, kinds.get  # bound once per run
     for rec in records:
-        add(rec)
+        per_offset[rec.index % n] += 1
         report = rec.report
         failed = text_of(rec.failed)
         if failed is None:
             if len(texts) == FAILED_TEXTS_KEPT:  # a long run of distinct sets
                 texts.clear()
             failed = texts[rec.failed] = ";".join(str(c) for c in sorted(rec.failed)) or "-"
-        counters = (report.outcome, report.queries_sent, report.xor_operations, report.transmissions)
-        tail = tail_of(counters)
-        if tail is None:
-            tail = tails[counters] = ",".join([report.outcome.value, *map(str, counters[1:]), capacity]) + "\n"
-        write(f"{rec.index},{failed},{tail}")
+        kind = (report.outcome, report.queries_sent, report.xor_operations, report.transmissions)
+        entry = kind_of(kind)
+        if entry is None:
+            tail = f"{report.outcome.value},{report.queries_sent},{report.xor_operations},{report.transmissions},{capacity}\n"
+            entry = kinds[kind] = [tail, 0]
+        entry[1] += 1
+        write(f"{rec.index},{failed},{entry[0]}")
+    metrics = protocol.SimulationMetrics(sched, {kind: entry[1] for kind, entry in kinds.items()}, per_offset)
+    outcomes = metrics.outcomes
     out.write(
         "summary,"
         f"rounds={metrics.rounds},"
         f"transmissions={metrics.total_transmissions},"
         f"queries={metrics.queries},"
         f"xor_ops={metrics.xor_operations},"
-        f"full_recovery={metrics.outcomes[protocol.Outcome.FULL_RECOVERY]},"
-        f"no_action={metrics.outcomes[protocol.Outcome.NO_ACTION_NEEDED]},"
-        f"unrecoverable={metrics.outcomes[protocol.Outcome.UNRECOVERABLE]},"
+        f"full_recovery={outcomes[protocol.Outcome.FULL_RECOVERY]},"
+        f"no_action={outcomes[protocol.Outcome.NO_ACTION_NEEDED]},"
+        f"unrecoverable={outcomes[protocol.Outcome.UNRECOVERABLE]},"
         f"avg_capacity={_ratio(metrics.avg_capacity)},"
         f"recovery_rate={_ratio(metrics.recovery_rate)}\n"
     )
+    return metrics
 
 
 def cmd_simulate(args) -> int:

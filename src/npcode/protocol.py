@@ -45,7 +45,7 @@ class Outcome(enum.Enum):
     UNRECOVERABLE = "Unrecoverable"
 
     # members are singletons, so identity hashing is sound, and it skips the
-    # Python-level Enum.__hash__ on every round's Counter update
+    # Python-level Enum.__hash__ each time a round's kind tuple is hashed
     __hash__ = object.__hash__
 
 
@@ -308,7 +308,13 @@ class RoundRecord:
 
 @dataclass
 class SimulationMetrics:
-    """Totals over the rounds of a run, folded in one record at a time.
+    """Totals over the rounds of a run, folded by row kind.
+
+    A round's kind is the tuple (outcome, queries, xor_ops, transmissions) of
+    its report, and a run has few kinds, so the fold counts rounds per kind
+    in ``kinds`` and sums the totals over the kinds when they are read.
+    ``add`` folds one record; a caller that counted kinds and offsets itself
+    passes both counts to the constructor.
 
     A connection contributes working capacity in a round exactly when the
     schedule gives it a data symbol, so the average capacity is (n - m)/n;
@@ -318,24 +324,52 @@ class SimulationMetrics:
     """
 
     sched: Schedule
-    rounds: int = 0
-    total_transmissions: int = 0
-    queries: int = 0
-    xor_operations: int = 0
-    outcomes: Counter[Outcome] = field(default_factory=Counter)
-    per_offset: list[int] = field(init=False)
+    kinds: dict[tuple[Outcome, int, int, int], int] = field(default_factory=dict)
+    per_offset: list[int] | None = None  # rounds per offset r mod n; None: all 0
 
     def __post_init__(self):
-        self.per_offset = [0] * self.sched.n
+        if self.per_offset is None:
+            self.per_offset = [0] * self.sched.n
+        elif len(self.per_offset) != self.sched.n:
+            raise ValueError(f"{len(self.per_offset)} offset counts for n = {self.sched.n}")
 
     def add(self, record: RoundRecord) -> None:
-        self.per_offset[record.index % self.sched.n] += 1
         report = record.report
-        self.rounds += 1
-        self.total_transmissions += report.transmissions
-        self.queries += report.queries_sent
-        self.xor_operations += report.xor_operations
-        self.outcomes[report.outcome] += 1
+        kind = (report.outcome, report.queries_sent, report.xor_operations, report.transmissions)
+        self.kinds[kind] = self.kinds.get(kind, 0) + 1
+        self.per_offset[record.index % self.sched.n] += 1
+
+    def _total(self, i: int) -> int:
+        return sum(kind[i] * rounds for kind, rounds in self.kinds.items())
+
+    @property
+    def rounds(self) -> int:
+        return sum(self.kinds.values())
+
+    @property
+    def queries(self) -> int:
+        return self._total(1)
+
+    @property
+    def xor_operations(self) -> int:
+        return self._total(2)
+
+    @property
+    def total_transmissions(self) -> int:
+        return self._total(3)
+
+    @property
+    def outcomes(self) -> Counter[Outcome]:
+        outcomes = Counter()
+        for kind, rounds in self.kinds.items():
+            outcomes[kind[0]] += rounds
+        return outcomes
+
+    def _nonempty_rounds(self) -> int:
+        rounds = self.rounds
+        if not rounds:
+            raise ValueError("the fold is empty: no round was added, so it has no average")
+        return rounds
 
     @property
     def per_connection_encoded_counts(self) -> tuple[int, ...]:
@@ -348,12 +382,13 @@ class SimulationMetrics:
 
     @property
     def avg_capacity(self) -> Fraction:
-        slots = self.rounds * self.sched.n
+        slots = self._nonempty_rounds() * self.sched.n
         return Fraction(slots - sum(self.per_connection_encoded_counts), slots)
 
     @property
     def recovery_rate(self) -> Fraction:
-        return Fraction(self.rounds - self.outcomes[Outcome.UNRECOVERABLE], self.rounds)
+        rounds = self._nonempty_rounds()
+        return Fraction(rounds - self.outcomes[Outcome.UNRECOVERABLE], rounds)
 
 
 def simulate_rounds(

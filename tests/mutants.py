@@ -41,6 +41,9 @@ class Mutant(NamedTuple):
     tests: tuple[str, ...]  # pytest arguments, relative to the checkout
 
 
+# the verify walk's tests: its unit tests and the pinned failing lists
+VERIFY_TESTS = ("tests/test_codes.py::TestVerifyProtection", "tests/test_verify_golden.py")
+
 MUTANTS = [
     Mutant(
         "family-keys-swapped",
@@ -175,6 +178,57 @@ MUTANTS = [
         "            return _unrank(n, t, output(r + 1) % count)",
         "            return _unrank(n, t, output(r) % count)",
         ("tests/test_protocol.py::TestFailureModels",),
+    ),
+    Mutant(
+        "fold-new-kind-first-round-dropped",
+        "cli.py",
+        "            entry = kinds[kind] = [tail, 0]",
+        "            entry = kinds[kind] = [tail, -1]",
+        ("tests/test_cli.py::TestReportSummary",),
+    ),
+    Mutant(
+        "fold-offset-by-index",
+        "cli.py",
+        "        per_offset[rec.index % n] += 1",
+        "        per_offset[rec.index] += 1",
+        ("tests/test_cli.py::TestReportSummary",),
+    ),
+    Mutant(
+        "fold-kind-without-xor-ops",
+        "cli.py",
+        "        kind = (report.outcome, report.queries_sent, report.xor_operations, report.transmissions)\n"
+        "        entry = kind_of(kind)",
+        "        kind = (report.outcome, report.queries_sent, 0, report.transmissions)\n"
+        "        entry = kind_of(kind)",
+        ("tests/test_cli.py::TestReportSummary",),
+    ),
+    Mutant(
+        "walk-depth-t-2-skip-on-one-equal-pair",
+        "codes.py",
+        "len(set(later)) == len(later)",
+        "len(set(later)) >= len(later) - 1",
+        VERIFY_TESTS,
+    ),
+    Mutant(
+        "walk-orbit-shift-keeps-one-too-many",
+        "codes.py",
+        "head[-1] + r < n - 1",
+        "head[-1] + r <= n - 1",
+        VERIFY_TESTS,
+    ),
+    Mutant(
+        "walk-last-level-ignores-equal-columns",
+        "codes.py",
+        "0 in leaves or column in leaves",
+        "0 in leaves",
+        VERIFY_TESTS,
+    ),
+    Mutant(
+        "cyclic-check-reads-rotated-rows-alone",
+        "codes.py",
+        "    rank = len(gf2._eliminate(rows + rotated, range(n))[1])",
+        "    rank = len(gf2._eliminate(rotated, range(n))[1])",
+        VERIFY_TESTS,
     ),
     Mutant(
         "columns-read-unreversed",

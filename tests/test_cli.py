@@ -1,4 +1,5 @@
 import argparse
+import collections
 import hashlib
 import io
 import os
@@ -691,3 +692,91 @@ class TestSimulate:
         out = tmp_path / "r.csv"
         assert main(["simulate", str(write_config(tmp_path, text)), "--out", str(out)]) == 0
         assert hashlib.sha256(out.read_bytes()).hexdigest() == sha256
+
+
+# every golden config, plus a schedule shorter than one rotation (rounds < n)
+SUMMARY_CONFIGS = {
+    **{name: text for name, (text, _) in GOLDEN_REPORTS.items()},
+    "bch15-short": "code_family = bch\nn = 15\ndesign_t = 2\nrounds = 7\nfailure_model = random\nt = 3\nseed = 2\n",
+}
+
+
+def simulation_inputs(text):
+    """The schedule and a fresh records stream of a config, as ``simulate`` builds them."""
+    cfg = parse_config(text)
+    code = build_code(cfg.code_family, **{key: getattr(cfg, key) for key in cli.FAMILIES[cfg.code_family].keys})
+    sched = protocol.build_schedule(code.n, code.m, cfg.rounds)
+    args = (netmodel.Network.direct(code.n), code, sched, cli.FAILURE_MODELS[cfg.failure_model].build(code, cfg), cfg.rounds)
+    return sched, args, cfg.seed
+
+
+def summary_of(metrics):
+    """The summary line from a fold's attributes."""
+    outcomes, capacity, rate = metrics.outcomes, metrics.avg_capacity, metrics.recovery_rate
+    return (
+        f"summary,rounds={metrics.rounds},"
+        f"transmissions={metrics.total_transmissions},"
+        f"queries={metrics.queries},"
+        f"xor_ops={metrics.xor_operations},"
+        f"full_recovery={outcomes[protocol.Outcome.FULL_RECOVERY]},"
+        f"no_action={outcomes[protocol.Outcome.NO_ACTION_NEEDED]},"
+        f"unrecoverable={outcomes[protocol.Outcome.UNRECOVERABLE]},"
+        f"avg_capacity={capacity.numerator}/{capacity.denominator},"
+        f"recovery_rate={rate.numerator}/{rate.denominator}"
+    )
+
+
+class TestReportSummary:
+    @pytest.mark.parametrize("name", sorted(SUMMARY_CONFIGS))
+    def test_summary_is_a_recount_of_the_rows(self, tmp_path, name):
+        out = tmp_path / "r.csv"
+        assert main(["simulate", str(write_config(tmp_path, SUMMARY_CONFIGS[name])), "--out", str(out)]) == 0
+        lines = out.read_text().splitlines()
+        rows = [line.split(",") for line in lines[1:-1]]
+        outcomes = collections.Counter(row[2] for row in rows)
+        capacity = sum(Fraction(row[6]) for row in rows) / len(rows)
+        rate = Fraction(len(rows) - outcomes["Unrecoverable"], len(rows))
+        assert lines[-1] == (
+            f"summary,rounds={len(rows)},"
+            f"transmissions={sum(int(row[5]) for row in rows)},"
+            f"queries={sum(int(row[3]) for row in rows)},"
+            f"xor_ops={sum(int(row[4]) for row in rows)},"
+            f"full_recovery={outcomes['FullRecovery']},"
+            f"no_action={outcomes['NoActionNeeded']},"
+            f"unrecoverable={outcomes['Unrecoverable']},"
+            f"avg_capacity={capacity.numerator}/{capacity.denominator},"
+            f"recovery_rate={rate.numerator}/{rate.denominator}"
+        )
+
+    @pytest.mark.parametrize("name", sorted(SUMMARY_CONFIGS))
+    def test_summary_is_run_simulations_fold(self, name):
+        sched, args, seed = simulation_inputs(SUMMARY_CONFIGS[name])
+        out = io.StringIO()
+        rendered = render_report(protocol.simulate_rounds(*args, seed=seed), sched, out)
+        folded = protocol.run_simulation(*args, seed=seed)
+        assert rendered == folded
+        assert out.getvalue().splitlines()[-1] == summary_of(folded)
+
+    @pytest.mark.parametrize("name", sorted(SUMMARY_CONFIGS))
+    def test_encoded_counts_of_every_other_record(self, name):
+        # indices 0, 2, 4, ...: the offsets a run reaches are not contiguous
+        sched, args, seed = simulation_inputs(SUMMARY_CONFIGS[name])
+        records = list(protocol.simulate_rounds(*args, seed=seed))[::2]
+        expected = [0] * sched.n
+        for rec in records:
+            for c in sched.scheduled(rec.index):
+                expected[c] += 1
+        rendered = render_report(iter(records), sched, io.StringIO())
+        added = protocol.SimulationMetrics(sched)
+        for rec in records:
+            added.add(rec)
+        assert rendered == added
+        assert rendered.per_connection_encoded_counts == tuple(expected)
+        assert rendered.avg_capacity == Fraction(sched.n - sched.m, sched.n)
+
+    def test_empty_stream_raises_value_error_after_the_header(self):
+        sched = protocol.build_schedule(7, 3, 5)
+        out = io.StringIO()
+        with pytest.raises(ValueError, match="the fold is empty"):
+            render_report(iter(()), sched, out)
+        assert out.getvalue() == "round,failed,outcome,queries,xor_ops,transmissions,capacity\n"

@@ -25,6 +25,7 @@ from npcode.protocol import (
     Outcome,
     RecoveryReport,
     Schedule,
+    SimulationMetrics,
     build_schedule,
     _unrank,
     connection_of_coordinate,
@@ -809,6 +810,36 @@ class TestRunSimulation:
                 expected[c] += 1
         assert metrics.per_connection_encoded_counts == tuple(expected)
         assert metrics.avg_capacity == Fraction(4, 7)
+
+    def test_empty_fold_raises_value_error(self):
+        # averages over zero rounds are undefined: a ValueError naming the
+        # empty fold, which the CLI reports, not a ZeroDivisionError
+        metrics = SimulationMetrics(build_schedule(5, 1, 10))
+        assert (metrics.rounds, metrics.queries, metrics.outcomes) == (0, 0, Counter())
+        assert metrics.per_connection_encoded_counts == (0,) * 5
+        for name in ("avg_capacity", "recovery_rate"):
+            with pytest.raises(ValueError, match="the fold is empty"):
+                getattr(metrics, name)
+
+    def test_fold_by_kind_against_a_recount(self):
+        # totals summed over the kinds equal sums over the records, and the
+        # kind and offset counts passed to the constructor give the same fold
+        code = hamming_code(3)
+        sched = build_schedule(7, 3, 30)
+        args = (Network.direct(7), code, sched, random_failures(7, 2, seed=3), 30)
+        reports = [rec.report for rec in simulate_rounds(*args)]
+        folded = run_simulation(*args)
+        assert (folded.rounds, folded.queries, folded.xor_operations, folded.total_transmissions) == (
+            30,
+            sum(r.queries_sent for r in reports),
+            sum(r.xor_operations for r in reports),
+            sum(r.transmissions for r in reports),
+        )
+        assert folded.outcomes == Counter(r.outcome for r in reports)
+        assert len(folded.outcomes) > 1 and len(folded.kinds) < 30
+        assert SimulationMetrics(sched, dict(folded.kinds), list(folded.per_offset)) == folded
+        with pytest.raises(ValueError, match="6 offset counts for n = 7"):
+            SimulationMetrics(sched, {}, [0] * 6)
 
     def test_size_mismatch_rejected(self):
         with pytest.raises(DimensionMismatch):
