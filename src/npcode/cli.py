@@ -193,13 +193,10 @@ def render_report(records, sched: protocol.Schedule, out) -> protocol.Simulation
 
     Capacities travel as reduced ``p/q`` strings so the file stays exact;
     the summary is the run's :class:`~npcode.protocol.SimulationMetrics`,
-    built from the rounds counted per row kind and per rotation offset as
-    the rows are written.
+    built from the rounds counted per row kind as the rows are written.
     """
     out.write("round,failed,outcome,queries,xor_ops,transmissions,capacity\n")
-    n = sched.n
-    capacity = _ratio(Fraction(n - sched.m, n))
-    per_offset = [0] * n
+    capacity = _ratio(Fraction(sched.n - sched.m, sched.n))
     # each failed set's text, and each row kind's text after it, is made once:
     # most rounds repeat an earlier set, and a run has few kinds. A kind's
     # entry is [its row tail, its rounds], so a round costs one lookup of its kind
@@ -207,7 +204,6 @@ def render_report(records, sched: protocol.Schedule, out) -> protocol.Simulation
     kinds: dict[tuple, list] = {}
     write, text_of, kind_of = out.write, texts.get, kinds.get  # bound once per run
     for rec in records:
-        per_offset[rec.index % n] += 1
         report = rec.report
         failed = text_of(rec.failed)
         if failed is None:
@@ -221,7 +217,7 @@ def render_report(records, sched: protocol.Schedule, out) -> protocol.Simulation
             entry = kinds[kind] = [tail, 0]
         entry[1] += 1
         write(f"{rec.index},{failed},{entry[0]}")
-    metrics = protocol.SimulationMetrics(sched, {kind: entry[1] for kind, entry in kinds.items()}, per_offset)
+    metrics = protocol.SimulationMetrics(sched, {kind: entry[1] for kind, entry in kinds.items()})
     outcomes = metrics.outcomes
     out.write(
         "summary,"

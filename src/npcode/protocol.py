@@ -313,31 +313,23 @@ class SimulationMetrics:
     A round's kind is the tuple (outcome, queries, xor_ops, transmissions) of
     its report, and a run has few kinds, so the fold counts rounds per kind
     in ``kinds`` and sums the totals over the kinds when they are read.
-    ``add`` folds one record; a caller that counted kinds and offsets itself
-    passes both counts to the constructor.
+    ``add`` folds one record; a caller that counted kinds itself passes the
+    counts to the constructor.
 
     A connection contributes working capacity in a round exactly when the
-    schedule gives it a data symbol, so the average capacity is (n - m)/n;
-    which connections carry parity depends only on the rotation offset
-    r mod n, so the fold counts rounds per offset. Failed links still
+    schedule gives it a data symbol, and every round gives m distinct
+    connections parity (``Schedule`` holds 1 <= m < n), so the average
+    capacity is (n - m)/n whatever rounds were folded. Failed links still
     transmit (erasure happens in flight), so transmissions total rounds * n.
     """
 
     sched: Schedule
     kinds: dict[tuple[Outcome, int, int, int], int] = field(default_factory=dict)
-    per_offset: list[int] | None = None  # rounds per offset r mod n; None: all 0
-
-    def __post_init__(self):
-        if self.per_offset is None:
-            self.per_offset = [0] * self.sched.n
-        elif len(self.per_offset) != self.sched.n:
-            raise ValueError(f"{len(self.per_offset)} offset counts for n = {self.sched.n}")
 
     def add(self, record: RoundRecord) -> None:
         report = record.report
         kind = (report.outcome, report.queries_sent, report.xor_operations, report.transmissions)
         self.kinds[kind] = self.kinds.get(kind, 0) + 1
-        self.per_offset[record.index % self.sched.n] += 1
 
     def _total(self, i: int) -> int:
         return sum(kind[i] * rounds for kind, rounds in self.kinds.items())
@@ -372,18 +364,9 @@ class SimulationMetrics:
         return rounds
 
     @property
-    def per_connection_encoded_counts(self) -> tuple[int, ...]:
-        counts = [0] * self.sched.n
-        for offset, rounds in enumerate(self.per_offset):
-            if rounds:  # an offset no round reached may lie past a short schedule
-                for c in self.sched.scheduled(offset):
-                    counts[c] += rounds
-        return tuple(counts)
-
-    @property
     def avg_capacity(self) -> Fraction:
-        slots = self._nonempty_rounds() * self.sched.n
-        return Fraction(slots - sum(self.per_connection_encoded_counts), slots)
+        self._nonempty_rounds()  # an empty fold has no average
+        return Fraction(self.sched.n - self.sched.m, self.sched.n)
 
     @property
     def recovery_rate(self) -> Fraction:

@@ -13,8 +13,9 @@ once and runs ``npcode simulate`` on it in process, the command that
 side fills the caches first. Each pair then runs both sides once, the parent
 first in even pairs and the change first in odd ones. Every report must pass
 the workload's own check and be byte-identical between the two sides. The
-script prints each side's median and quartiles in rounds/s, and the number
-of pairs the change won.
+script prints each side's count of non-blank lines in ``src/npcode`` (the
+size figure ROADMAP.md tracks), then each side's median and quartiles in
+rounds/s, and the number of pairs the change won.
 """
 
 from __future__ import annotations
@@ -47,6 +48,12 @@ def load_cli(checkout: Path, name: str):
     sys.modules[name] = module
     spec.loader.exec_module(module)
     return importlib.import_module(f"{name}.cli")
+
+
+def src_lines(checkout: Path) -> int:
+    """Non-blank lines in ``checkout``'s ``src/npcode/*.py``."""
+    files = (checkout / "src" / "npcode").glob("*.py")
+    return sum(1 for path in files for line in path.read_text().splitlines() if line.strip())
 
 
 def run(cli, wl, workdir: Path) -> tuple[float, str]:
@@ -95,6 +102,8 @@ def main(argv: list[str] | None = None) -> int:
         parser.error("need --pairs >= 2 (for quartiles) and --rounds >= 1")
     sides = {"parent": load_cli(args.parent, "npcode_parent"), "change": load_cli(ROOT, "npcode_change")}
     print(f"parent {args.parent.resolve()}, change {ROOT}; {args.pairs} pairs of {args.rounds} rounds, seed {args.seed}")
+    lines = {"parent": src_lines(args.parent), "change": src_lines(ROOT)}
+    print(f"src non-blank lines: parent {lines['parent']}, change {lines['change']} ({lines['change'] - lines['parent']:+d})")
     with tempfile.TemporaryDirectory(prefix="npcode-ab-") as tmp:
         for name in SIM_WORKLOADS:
             full = workloads.WORKLOADS[name]

@@ -187,13 +187,6 @@ MUTANTS = [
         ("tests/test_cli.py::TestReportSummary",),
     ),
     Mutant(
-        "fold-offset-by-index",
-        "cli.py",
-        "        per_offset[rec.index % n] += 1",
-        "        per_offset[rec.index] += 1",
-        ("tests/test_cli.py::TestReportSummary",),
-    ),
-    Mutant(
         "fold-kind-without-xor-ops",
         "cli.py",
         "        kind = (report.outcome, report.queries_sent, report.xor_operations, report.transmissions)\n"
@@ -201,6 +194,20 @@ MUTANTS = [
         "        kind = (report.outcome, report.queries_sent, 0, report.transmissions)\n"
         "        entry = kind_of(kind)",
         ("tests/test_cli.py::TestReportSummary",),
+    ),
+    Mutant(
+        "capacity-empty-check-dropped",
+        "protocol.py",
+        "        self._nonempty_rounds()  # an empty fold has no average\n",
+        "",
+        ("tests/test_protocol.py::TestRunSimulation",),
+    ),
+    Mutant(
+        "capacity-is-parity-share",
+        "protocol.py",
+        "        return Fraction(self.sched.n - self.sched.m, self.sched.n)",
+        "        return Fraction(self.sched.m, self.sched.n)",
+        ("tests/test_protocol.py::TestRunSimulation",),
     ),
     Mutant(
         "walk-depth-t-2-skip-on-one-equal-pair",

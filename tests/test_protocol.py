@@ -94,10 +94,14 @@ class TestSchedule:
         assert frozenset(sched.scheduled(4)) == frozenset({4, 0, 1})
 
     def test_every_round_has_m_indices(self):
-        for n, m in [(2, 1), (5, 2), (9, 4)]:
-            sched = build_schedule(n, m, 3 * n)
-            for r in range(3 * n):
-                assert len(frozenset(sched.scheduled(r))) == m
+        # every round gives parity to m distinct connections of the n, which
+        # is what makes SimulationMetrics.avg_capacity exactly (n - m)/n
+        for n in range(2, 41):
+            for m in range(1, n):
+                sched = build_schedule(n, m, 2 * n)
+                for r in range(2 * n):
+                    scheduled = frozenset(sched.scheduled(r))
+                    assert len(scheduled) == m and scheduled <= frozenset(range(n))
 
     def test_fairness_over_n_rounds(self):
         for n in range(2, 12):
@@ -737,13 +741,6 @@ class TestRunSimulation:
         metrics = run_simulation(net, code, sched, no_failures(), 21)
         assert metrics.avg_capacity == Fraction(4, 7)
 
-    def test_encoded_counts_one_rotation(self):
-        net = Network.direct(5)
-        code = single_parity_code(5)
-        sched = build_schedule(5, 1, 5)
-        metrics = run_simulation(net, code, sched, no_failures(), 5)
-        assert metrics.per_connection_encoded_counts == (1, 1, 1, 1, 1)
-
     def test_recovery_rate_with_recoverable_failures(self):
         net = Network.direct(7)
         code = hamming_code(3)
@@ -798,32 +795,18 @@ class TestRunSimulation:
             outcomes.add(report.outcome)
         assert outcomes == {Outcome.FULL_RECOVERY, Outcome.NO_ACTION_NEEDED}
 
-    @pytest.mark.parametrize("rounds", [1, 3, 7, 10, 22])
-    def test_encoded_counts_match_the_schedule(self, rounds):
-        # rounds below, at and off a multiple of n = 7, against a direct count
-        code = hamming_code(3)
-        sched = build_schedule(7, 3, rounds)
-        metrics = run_simulation(Network.direct(7), code, sched, no_failures(), rounds)
-        expected = [0] * 7
-        for r in range(rounds):
-            for c in sched.scheduled(r):
-                expected[c] += 1
-        assert metrics.per_connection_encoded_counts == tuple(expected)
-        assert metrics.avg_capacity == Fraction(4, 7)
-
     def test_empty_fold_raises_value_error(self):
         # averages over zero rounds are undefined: a ValueError naming the
         # empty fold, which the CLI reports, not a ZeroDivisionError
         metrics = SimulationMetrics(build_schedule(5, 1, 10))
         assert (metrics.rounds, metrics.queries, metrics.outcomes) == (0, 0, Counter())
-        assert metrics.per_connection_encoded_counts == (0,) * 5
         for name in ("avg_capacity", "recovery_rate"):
             with pytest.raises(ValueError, match="the fold is empty"):
                 getattr(metrics, name)
 
     def test_fold_by_kind_against_a_recount(self):
         # totals summed over the kinds equal sums over the records, and the
-        # kind and offset counts passed to the constructor give the same fold
+        # kind counts passed to the constructor give the same fold
         code = hamming_code(3)
         sched = build_schedule(7, 3, 30)
         args = (Network.direct(7), code, sched, random_failures(7, 2, seed=3), 30)
@@ -837,9 +820,7 @@ class TestRunSimulation:
         )
         assert folded.outcomes == Counter(r.outcome for r in reports)
         assert len(folded.outcomes) > 1 and len(folded.kinds) < 30
-        assert SimulationMetrics(sched, dict(folded.kinds), list(folded.per_offset)) == folded
-        with pytest.raises(ValueError, match="6 offset counts for n = 7"):
-            SimulationMetrics(sched, {}, [0] * 6)
+        assert SimulationMetrics(sched, dict(folded.kinds)) == folded
 
     def test_size_mismatch_rejected(self):
         with pytest.raises(DimensionMismatch):
