@@ -11,6 +11,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import operator
 from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import InitVar, dataclass, field
 
@@ -345,6 +346,30 @@ def _failure_events(cols: list[int], n: int, t: int, top: int) -> Iterator[tuple
             stack.pop()
 
 
+def _zero_sums(cols: list[int], n: int, t: int, top: int) -> Iterator[tuple[tuple[int, ...], int]]:
+    """The t-subsets (t >= 3) that start below ``top`` and whose columns
+    ``cols`` XOR to zero, in lexicographic order, as events ``(pattern, 0)``.
+
+    They are met in the middle: a table, local to the call, maps each XOR of
+    two columns to its pairs (i, l), i < l, in order, and each head of t - 2
+    positions takes the pairs after it under its own XOR. A head is a prefix
+    of t - 3 positions, the first below ``top``, then the innermost loop's
+    a, so its XOR is one XOR from its prefix's.
+    """
+    pairs: dict[int, list[tuple[int, int]]] = {}
+    for pair in itertools.combinations(range(n), 2):
+        pairs.setdefault(cols[pair[0]] ^ cols[pair[1]], []).append(pair)
+    prefixes = [()] if t == 3 else (
+        (first, *mid) for first in range(top) for mid in itertools.combinations(range(first + 1, n - 3), t - 4)
+    )
+    for prefix in prefixes:
+        p = functools.reduce(operator.xor, map(cols.__getitem__, prefix), 0)
+        for a in range(prefix[-1] + 1, n - 2) if prefix else range(top):
+            for i, l in pairs.get(p ^ cols[a], ()):
+                if i > a:
+                    yield (*prefix, a, i, l), 0
+
+
 def _expansions(events: Iterable[tuple[tuple[int, ...], int]], n: int, shifts: int) -> Iterator[Iterable[tuple[int, ...]]]:
     """Each event's failures in turn, at shifts a = 0 .. shifts - 1: event
     (head, r) at shift a is head + a followed by every r-subset of the
@@ -362,12 +387,19 @@ def _expansions(events: Iterable[tuple[tuple[int, ...], int]], n: int, shifts: i
 
 def unrecoverable_patterns(code: ProtectionCode, t: int) -> Iterator[tuple[int, ...]]:
     """Every unrecoverable t-subset of erased positions, in lexicographic
-    order, listed lazily as :func:`_failure_events` finds them.
+    order, listed lazily as :func:`_failure_events` or :func:`_zero_sums`
+    finds them.
 
     The range of t and the pattern bound are checked at the call. When H
     is cyclic (:func:`_is_cyclic`, asked only for t >= 2), a pattern fails
     exactly when its rotations do: only the subsets that contain position
-    0 are walked, and their events are held and shifted.
+    0 are searched, and their events are held and shifted.
+
+    Up to the distance (3 <= t <= d_min), where it is less work, a walk at
+    t - 1 is asked for one failure; with none, no t - 1 columns of H are
+    dependent, and :func:`_zero_sums` lists the failures, the t-subsets whose
+    columns XOR to zero, with no walk to depth t. d_min only picks the
+    method: the check reads H, so a wrong d_min changes no output.
     """
     if not 0 <= t <= code.n:
         raise ValueError(f"t must be in [0, {code.n}], got {t}")
@@ -378,9 +410,21 @@ def unrecoverable_patterns(code: ProtectionCode, t: int) -> Iterator[tuple[int, 
         )
     n = code.n
     cols = gf2._columns(code.parity_check.row_words, n)
-    shifts = n - t + 1 if t > 1 and _is_cyclic(code.parity_check) else 1
-    events = _failure_events(cols, n, t, 1 if shifts > 1 else n - t + 1)
-    return itertools.chain.from_iterable(_expansions(events, n, shifts))
+    cyclic = t > 1 and _is_cyclic(code.parity_check)
+    top = 1 if cyclic else n - t + 1
+    events = _failure_events(cols, n, t, top)
+    if 3 <= t <= code.d_min:
+        # Work on the subsets below top: the listing's C(n, 2) table entries
+        # plus at most t - 2 XORs per head, against the walk's step per
+        # (t - 1)-subset, or per t-subset at the distance, where it meets failures.
+        def below_top(size: int) -> int:
+            return math.comb(n, size) - math.comb(n - top, size)
+
+        listing = math.comb(n, 2) + (t - 2) * below_top(t - 2)
+        walk = below_top(t if t == code.d_min else t - 1)
+        if listing < walk and next(_failure_events(cols, n, t - 1, top if cyclic else top + 1), None) is None:
+            events = _zero_sums(cols, n, t, top)
+    return itertools.chain.from_iterable(_expansions(events, n, n - t + 1 if cyclic else 1))
 
 
 def verify_protection(code: ProtectionCode, t: int) -> ProtectionReport:

@@ -1,21 +1,24 @@
-"""Time the benchmark's two simulate commands on this checkout against another.
+"""Time the benchmark's commands on this checkout against another.
 
 pytest does not collect this module. Run from any directory:
 
     python tests/ab_rounds.py PARENT_CHECKOUT [--pairs N] [--rounds R] [--seed S]
 
 Both trees' ``src/npcode`` are loaded into this one process, under the
-package names ``npcode_parent`` and ``npcode_change``. For each simulate
-workload of ``bench/workloads.py`` (the [31,21,5] BCH code with no failures,
-and with 2 random failures a round) the script writes the workload's config
-once and runs ``npcode simulate`` on it in process, the command that
-``bench/worker.py`` times, with the rounds set to R. One untimed command per
-side fills the caches first. Each pair then runs both sides once, the parent
-first in even pairs and the change first in odd ones. Every report must pass
-the workload's own check and be byte-identical between the two sides. The
-script prints each side's count of non-blank lines in ``src/npcode`` (the
-size figure ROADMAP.md tracks), then each side's median and quartiles in
-rounds/s, and the number of pairs the change won.
+package names ``npcode_parent`` and ``npcode_change``. Each workload of
+``bench/workloads.py`` runs in process the command that ``bench/worker.py``
+times: ``npcode simulate`` on the [31,21,5] BCH code with no failures and
+with 2 random failures a round, with the rounds set to R, and ``npcode
+verify --t 5`` on that code. Each side gets its own directory, where the
+workload writes its inputs and prepares once (for verify, one ``npcode
+codegen``). One untimed command per side fills the caches first. Each pair
+then runs both sides once, the parent first in even pairs and the change
+first in odd ones. Every command must pass the workload's own check, and
+the two sides' outputs (exit code, stdout, stderr and report) must be
+byte-identical. The script prints each side's count of non-blank lines in
+``src/npcode`` (the size figure ROADMAP.md tracks), then per workload each
+side's median and quartiles in rounds/s (simulate) or patterns/s (verify),
+and the number of pairs the change won.
 """
 
 from __future__ import annotations
@@ -35,7 +38,7 @@ sys.path.insert(0, str(ROOT / "bench"))
 
 import workloads  # noqa: E402  (bench/workloads.py)
 
-SIM_WORKLOADS = ("sim-bch31-clean", "sim-bch31-t2")
+TIMED = ("sim-bch31-clean", "sim-bch31-t2", "verify-bch31-t5")
 
 
 def load_cli(checkout: Path, name: str):
@@ -56,10 +59,11 @@ def src_lines(checkout: Path) -> int:
     return sum(1 for path in files for line in path.read_text().splitlines() if line.strip())
 
 
-def run(cli, wl, workdir: Path) -> tuple[float, str]:
-    """One simulate command: its wall time and its report, which must pass the check."""
+def run(cli, wl, workdir: Path) -> tuple[float, workloads.Output]:
+    """One command: its wall time and its output, which must pass the check."""
     report = wl.report_path(workdir)
-    report.unlink(missing_ok=True)
+    if report is not None:
+        report.unlink(missing_ok=True)
     gc.collect()
     start = perf_counter()
     out = workloads.run_cli(cli, wl.argv(workdir), report)
@@ -67,26 +71,27 @@ def run(cli, wl, workdir: Path) -> tuple[float, str]:
     problems = wl.check(out)
     if problems:
         raise SystemExit(f"{wl.name}: {problems[0]}")
-    return seconds, out.report
+    return seconds, out
 
 
-def compare(sides: dict, wl, pairs: int, workdir: Path) -> None:
+def compare(sides: dict, wl, pairs: int, workdirs: dict) -> None:
+    unit = "rounds/s" if isinstance(wl, workloads.Simulate) else "patterns/s"
     rates = {name: [] for name in sides}
     won = 0
-    for cli in sides.values():  # untimed: fills each side's caches
-        run(cli, wl, workdir)
+    for name, cli in sides.items():  # untimed: fills each side's caches
+        run(cli, wl, workdirs[name])
     for i in range(pairs):
         order = list(sides) if i % 2 == 0 else list(sides)[::-1]
-        reports = {}
+        outputs = {}
         for name in order:
-            seconds, reports[name] = run(sides[name], wl, workdir)
-            rates[name].append(wl.rounds / seconds)
-        if reports["parent"] != reports["change"]:
-            raise SystemExit(f"{wl.name}: the two reports differ in pair {i}")
+            seconds, outputs[name] = run(sides[name], wl, workdirs[name])
+            rates[name].append(wl.items() / seconds)
+        if outputs["parent"] != outputs["change"]:
+            raise SystemExit(f"{wl.name}: the two sides' outputs differ in pair {i}")
         won += rates["change"][-1] > rates["parent"][-1]
     for name, values in rates.items():
         q1, median, q3 = statistics.quantiles(values, n=4)
-        print(f"{wl.name:<16} {name:<6} median {median:>10.0f}  quartiles {q1:>10.0f} {q3:>10.0f}  rounds/s")
+        print(f"{wl.name:<16} {name:<6} median {median:>10.0f}  quartiles {q1:>10.0f} {q3:>10.0f}  {unit}")
     ratio = statistics.median(c / p for c, p in zip(rates["change"], rates["parent"]))
     print(f"{wl.name:<16} change won {won} of {pairs} pairs; pair-median ratio {ratio:.3f}")
 
@@ -105,14 +110,18 @@ def main(argv: list[str] | None = None) -> int:
     lines = {"parent": src_lines(args.parent), "change": src_lines(ROOT)}
     print(f"src non-blank lines: parent {lines['parent']}, change {lines['change']} ({lines['change'] - lines['parent']:+d})")
     with tempfile.TemporaryDirectory(prefix="npcode-ab-") as tmp:
-        for name in SIM_WORKLOADS:
-            full = workloads.WORKLOADS[name]
-            # the pinned CSV digest holds only for the workload's own round count
-            wl = dataclasses.replace(full, rounds=args.rounds, csv_sha256=full.csv_sha256 if args.rounds == full.rounds else None)
-            workdir = Path(tmp) / name
-            workdir.mkdir()
-            wl.write_inputs(workdir, args.seed)
-            compare(sides, wl, args.pairs, workdir)
+        for name in TIMED:
+            wl = workloads.WORKLOADS[name]
+            if isinstance(wl, workloads.Simulate):
+                # the pinned CSV digest holds only for the workload's own round count
+                pinned = wl.csv_sha256 if args.rounds == wl.rounds else None
+                wl = dataclasses.replace(wl, rounds=args.rounds, csv_sha256=pinned)
+            workdirs = {side: Path(tmp) / name / side for side in sides}
+            for side, workdir in workdirs.items():
+                workdir.mkdir(parents=True)
+                wl.write_inputs(workdir, args.seed)
+                wl.prepare(sides[side], workdir)
+            compare(sides, wl, args.pairs, workdirs)
     return 0
 
 

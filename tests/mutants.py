@@ -238,6 +238,34 @@ MUTANTS = [
         VERIFY_TESTS,
     ),
     Mutant(
+        "zero-sums-pair-may-start-at-the-head",
+        "codes.py",
+        "                if i > a:",
+        "                if i >= a:",
+        VERIFY_TESTS,
+    ),
+    Mutant(
+        "zero-sums-table-drops-the-last-position",
+        "codes.py",
+        "    for pair in itertools.combinations(range(n), 2):",
+        "    for pair in itertools.combinations(range(n - 1), 2):",
+        VERIFY_TESTS,
+    ),
+    Mutant(
+        "zero-sums-without-the-check",
+        "codes.py",
+        " and next(_failure_events(cols, n, t - 1, top if cyclic else top + 1), None) is None:",
+        ":",
+        VERIFY_TESTS,
+    ),
+    Mutant(
+        "zero-sums-check-at-t-2",
+        "codes.py",
+        "next(_failure_events(cols, n, t - 1, top if cyclic else top + 1), None)",
+        "next(_failure_events(cols, n, t - 2, top if cyclic else top + 2), None)",
+        VERIFY_TESTS,
+    ),
+    Mutant(
         "columns-read-unreversed",
         "gf2.py",
         "    return tuple(int(text[width - 1 - j :: width][::-1], 2) for j in range(width))",

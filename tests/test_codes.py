@@ -1,5 +1,6 @@
 import copy
 import dataclasses
+import functools
 import hashlib
 import inspect
 import itertools
@@ -862,10 +863,91 @@ class TestVerifyProtection:
 
     @pytest.mark.parametrize("code", all_codes_small(), ids=lambda c: f"{c.n}-{c.k}-{c.d_min}")
     def test_reads_the_parity_check_alone(self, code):
-        # a copy with no generator at all verifies the same
+        # a copy with no generator at all verifies the same, and so do copies
+        # whose d_min is wrong: d_min only picks the walk or the listing
         blind = unchecked_copy(code, generator=None)
+        wrong = [unchecked_copy(code, generator=None, d_min=d) for d in (1, code.n)]
         for t in range(min(code.d_min + 1, code.n) + 1):
-            assert verify_protection(blind, t) == verify_protection(code, t), t
+            report = verify_protection(code, t)
+            assert verify_protection(blind, t) == report, t
+            assert [verify_protection(c, t) for c in wrong] == [report, report], t
+
+    def test_zero_sums_are_the_subsets_whose_columns_add_to_zero(self):
+        # the listing alone, on any columns, zero and repeated ones included:
+        # every t-subset that starts below top and whose columns XOR to zero
+        cases = [
+            *(c for c in all_codes_small() if c.n <= 10),
+            *random_small_codes(random.Random(33), 40),
+            *corrupted_parity_checks(hamming_code(3)),
+        ]
+        listed_any = 0
+        for code in cases:
+            n = code.n
+            cols = gf2._columns(code.parity_check.row_words, n)
+            for t in range(3, n + 1):
+                zero = [p for p in itertools.combinations(range(n), t) if not functools.reduce(operator.xor, map(cols.__getitem__, p))]
+                for top in {1, n - t + 1}:
+                    listed = list(codes._zero_sums(cols, n, t, top))
+                    assert listed == [(p, 0) for p in zero if p[0] < top], (code.parity_check, t, top)
+                    listed_any += bool(listed)
+        assert listed_any > 100
+
+    def test_listing_after_a_passing_check_is_the_walk(self):
+        # where no (t - 1)-subset fails, the listing's failures are the
+        # walk's and the dependent t-subsets; each is its own witness, a word
+        # of ker H that is nonzero and inside the pattern
+        cases = [
+            *all_codes_small(),
+            *random_small_codes(random.Random(34), 40),
+            *corrupted_parity_checks(hamming_code(3)),
+            shorten(bch_code(15, 2), range(5)),
+            shorten(bch_code(31, 2), {0, 1}),
+        ]
+        taken = 0
+        for code in cases:
+            n = code.n
+            cols = gf2._columns(code.parity_check.row_words, n)
+            rows = as_lists(code.parity_check)
+            columns = list(zip(*rows))
+            cyclic = codes._is_cyclic(code.parity_check)
+            for t in range(3, n + 1):
+                top = 1 if cyclic else n - t + 1
+                if math.comb(n, t) > codes.PATTERN_ENUMERATION_LIMIT:
+                    continue
+                if next(codes._failure_events(cols, n, t - 1, top if cyclic else top + 1), None) is not None:
+                    continue
+                listed, walked = (
+                    list(itertools.chain.from_iterable(codes._expansions(events, n, n - t + 1 if cyclic else 1)))
+                    for events in (codes._zero_sums(cols, n, t, top), codes._failure_events(cols, n, t, top))
+                )
+                assert listed == walked, (code.parity_check, t)
+                if n <= 10:
+                    dependent = [p for p in itertools.combinations(range(n), t) if rank_naive([columns[j] for j in p]) < t]
+                    assert listed == dependent, (code.parity_check, t)
+                assert not any(sum(row[j] for j in p) % 2 for p in listed for row in rows)
+                taken += 1
+        assert taken >= 50
+
+    def test_listing_runs_only_past_a_passing_check(self, monkeypatch):
+        calls = []
+        zero_sums = codes._zero_sums
+        monkeypatch.setattr(codes, "_zero_sums", lambda cols, n, t, top: calls.append((n, t)) or zero_sums(cols, n, t, top))
+        assert len(verify_protection(bch_code(31, 2), 5).failing_patterns) == 186
+        assert calls == [(31, 5)]
+        calls.clear()
+        # t <= 2: the pair table of a long parity code would be its whole
+        # work, even with a d_min that allows the listing
+        parity = unchecked_copy(single_parity_code(100), d_min=100)
+        assert [verify_protection(parity, t).recoverable for t in (1, 2)] == [True, False]
+        # the (t - 1) check finds the weight-3 words of [15,11,3]
+        hamming = unchecked_copy(hamming_code(4), d_min=15)
+        assert verify_protection(hamming, 4) == verify_protection(hamming_code(4), 4)
+        # [100,1,100] at t = 99: the rule counts up to 97 XORs for each of
+        # C(99, 96) = 156,849 heads, plus 4,950 table entries, against the
+        # walk's C(99, 97) = 4,851 subsets of 98 positions
+        repetition = parse_code_file("NPC 100 1 100 verified\n1 100\n" + "1" * 100)
+        assert verify_protection(repetition, 99).recoverable
+        assert calls == []
 
     def test_matches_codeword_supports_on_small_random_codes(self):
         # every t: t = 1 scans the root's leaves with no cyclicity check;
