@@ -162,15 +162,26 @@ def cmd_codegen(args) -> int:
     return 0
 
 
+def _failure_lines(n: int, failures):
+    """Each failure (a, p) of :func:`codes.unrecoverable_patterns` of a
+    length-n code as its line: p's positions shifted by a, named from one
+    slice of the position names per shift (a never decreases)."""
+    names = [str(i) for i in range(n)]
+    shift, name = 0, names.__getitem__
+    for a, p in failures:
+        if a != shift:
+            shift, name = a, names[a:].__getitem__
+        yield ",".join(map(name, p)) + "\n"
+
+
 def cmd_verify(args) -> int:
     code = codes.parse_code_file(Path(args.code_file).read_text())
     patterns = codes.unrecoverable_patterns(code, args.t)
     total = math.comb(code.n, args.t)
-    names = [str(i) for i in range(code.n)]
     # each failure is printed as the walk finds it; zip takes from the
-    # counter only after a pattern, so what is left in it is the count
+    # counter only after a line, so what is left in it is the count
     counter = itertools.count()
-    sys.stdout.writelines(",".join(map(names.__getitem__, p)) + "\n" for p, _ in zip(patterns, counter))
+    sys.stdout.writelines(line for line, _ in zip(_failure_lines(code.n, patterns), counter))
     failed = next(counter)
     if not failed:
         print(f"ok: all {total} patterns of {args.t} erasure(s) recoverable", file=sys.stderr)

@@ -94,8 +94,7 @@ class ProtectionCode:
         d_min = gf2.min_distance(self.generator) if verified else declared
         if declared is not None and d_min < declared:
             raise ValueError(f"declared d_min = {declared} but the code has d_min = {d_min}")
-        p_t = gf2._columns([g >> k for g in self.generator.row_words], n - k)
-        chk = BitMatrix.from_row_words((w | 1 << (k + j) for j, w in enumerate(p_t)), n)
+        chk = BitMatrix.from_row_words(gf2._systematic_dual(self.generator.row_words, k, n), n)
         for name, value in dict(n=n, k=k, m=n - k, parity_check=chk, d_min=d_min, d_min_verified=verified).items():
             object.__setattr__(self, name, value)
 
@@ -282,13 +281,21 @@ def erasure_decode(
 
 def _is_cyclic(parity_check: BitMatrix) -> bool:
     """Whether rotating the coordinates by one maps the code ker H onto
-    itself: exactly when H's rows and their rotations by one have the rank
-    of H's rows alone, full or not. It reads H alone, so it is exact for any generator."""
+    itself: exactly when it maps H's row space onto itself, full rank or
+    not. One elimination reduces H's rows; each reduced row, rotated by one,
+    is reduced against them and must leave zero. It reads H alone, so it is
+    exact for any generator."""
     n = parity_check.cols
-    rows = list(parity_check.row_words)
-    rotated = [(h << 1 | h >> (n - 1)) & ((1 << n) - 1) for h in rows]
-    rank = len(gf2._eliminate(rows + rotated, range(n))[1])
-    return rank == len(gf2._eliminate(rows, range(n))[1])
+    reduced, pivots, _ = gf2._eliminate(list(parity_check.row_words), range(n))
+    steps = [(row, 1 << p) for row, p in zip(reduced, pivots)]
+    for row, _ in steps:
+        word = (row << 1 | row >> (n - 1)) & ((1 << n) - 1)
+        for other, bit in steps:
+            if word & bit:
+                word ^= other
+        if word:
+            return False
+    return True
 
 
 def _failure_events(cols: list[int], n: int, t: int, top: int) -> Iterator[tuple[tuple[int, ...], int]]:
@@ -346,19 +353,39 @@ def _failure_events(cols: list[int], n: int, t: int, top: int) -> Iterator[tuple
             stack.pop()
 
 
-def _zero_sums(cols: list[int], n: int, t: int, top: int) -> Iterator[tuple[tuple[int, ...], int]]:
-    """The t-subsets (t >= 3) that start below ``top`` and whose columns
-    ``cols`` XOR to zero, in lexicographic order, as events ``(pattern, 0)``.
-
-    They are met in the middle: a table, local to the call, maps each XOR of
-    two columns to its pairs (i, l), i < l, in order, and each head of t - 2
-    positions takes the pairs after it under its own XOR. A head is a prefix
-    of t - 3 positions, the first below ``top``, then the innermost loop's
-    a, so its XOR is one XOR from its prefix's.
-    """
+def _pair_sums(cols: Sequence[int], n: int) -> dict[int, list[tuple[int, int]]]:
+    """Each XOR of two of the columns ``cols`` mapped to its pairs (i, l),
+    i < l, in lexicographic order."""
     pairs: dict[int, list[tuple[int, int]]] = {}
     for pair in itertools.combinations(range(n), 2):
         pairs.setdefault(cols[pair[0]] ^ cols[pair[1]], []).append(pair)
+    return pairs
+
+
+def _independent(cols: Sequence[int], pairs: dict, n: int, size: int) -> bool:
+    """Whether no ``size`` (at most 4) of the columns ``cols`` are dependent,
+    read from their :func:`_pair_sums` ``pairs`` by the first ``size`` of four
+    tests, each made in C: no zero column; no zero pair sum (two equal
+    columns); no column equal to a pair sum (three dependent columns); no
+    sum shared by two pairs (four). When the tests before it pass, test j
+    fails exactly when some j columns are dependent."""
+    return (
+        0 not in cols
+        and (size < 2 or 0 not in pairs)
+        and (size < 3 or pairs.keys().isdisjoint(cols))
+        and (size < 4 or len(pairs) == math.comb(n, 2))
+    )
+
+
+def _zero_sums(cols: Sequence[int], pairs: dict, n: int, t: int, top: int) -> Iterator[tuple[tuple[int, ...], int]]:
+    """The t-subsets (t >= 3) that start below ``top`` and whose columns
+    ``cols`` XOR to zero, in lexicographic order, as events ``(pattern, 0)``.
+
+    They are met in the middle: each head of t - 2 positions takes the pairs
+    after it under its own XOR in ``pairs``, the columns' :func:`_pair_sums`.
+    A head is a prefix of t - 3 positions, the first below ``top``, then the
+    innermost loop's a, so its XOR is one XOR from its prefix's.
+    """
     prefixes = [()] if t == 3 else (
         (first, *mid) for first in range(top) for mid in itertools.combinations(range(first + 1, n - 3), t - 4)
     )
@@ -370,36 +397,42 @@ def _zero_sums(cols: list[int], n: int, t: int, top: int) -> Iterator[tuple[tupl
                     yield (*prefix, a, i, l), 0
 
 
-def _expansions(events: Iterable[tuple[tuple[int, ...], int]], n: int, shifts: int) -> Iterator[Iterable[tuple[int, ...]]]:
-    """Each event's failures in turn, at shifts a = 0 .. shifts - 1: event
-    (head, r) at shift a is head + a followed by every r-subset of the
-    positions after its last, while that fits in range(n). Shifting is
-    monotone, so the position-0 events of a cyclic code list every failure
-    in lexicographic order, those with least element a at shift a."""
+def _expansions(events: Iterable[tuple[tuple[int, ...], int]], n: int, shifts: int) -> Iterator[Iterable[tuple[int, tuple[int, ...]]]]:
+    """Each event's failures in turn, at shifts a = 0 .. shifts - 1, as
+    pairs (a, pattern at shift 0): the failure is the pattern with a added
+    to each position. Event (head, r) stands for head followed by every
+    r-subset of the positions after its last, and at shift a for those that
+    fit in range(n): while head[-1] + a + r < n, the r-subsets of the
+    positions below n - a. Shifting is monotone, so the position-0 events of
+    a cyclic code list every failure in lexicographic order, those with
+    least element a at shift a; no event is rebuilt to be shifted."""
     if shifts > 1:
         events = list(events)
     for a in range(shifts):
         if a:
-            events = [(tuple(map((1).__add__, head)), r) for head, r in events if head[-1] + r < n - 1]
+            events = [event for event in events if event[0][-1] + a + event[1] < n]
         for head, r in events:
-            yield map(head.__add__, itertools.combinations(range(head[-1] + 1, n), r)) if r else (head,)
+            yield zip(itertools.repeat(a), map(head.__add__, itertools.combinations(range(head[-1] + 1, n - a), r))) if r else ((a, head),)
 
 
-def unrecoverable_patterns(code: ProtectionCode, t: int) -> Iterator[tuple[int, ...]]:
+def unrecoverable_patterns(code: ProtectionCode, t: int) -> Iterator[tuple[int, tuple[int, ...]]]:
     """Every unrecoverable t-subset of erased positions, in lexicographic
     order, listed lazily as :func:`_failure_events` or :func:`_zero_sums`
-    finds them.
+    finds them, each as a pair (a, p) from :func:`_expansions`: the subset
+    is p with a added to each position (a = 0 unless H is cyclic).
 
     The range of t and the pattern bound are checked at the call. When H
     is cyclic (:func:`_is_cyclic`, asked only for t >= 2), a pattern fails
     exactly when its rotations do: only the subsets that contain position
     0 are searched, and their events are held and shifted.
 
-    Up to the distance (3 <= t <= d_min), where it is less work, a walk at
-    t - 1 is asked for one failure; with none, no t - 1 columns of H are
-    dependent, and :func:`_zero_sums` lists the failures, the t-subsets whose
-    columns XOR to zero, with no walk to depth t. d_min only picks the
-    method: the check reads H, so a wrong d_min changes no output.
+    Up to the distance (3 <= t <= d_min), where it is less work, the
+    failures are listed with no walk to depth t: when no t - 1 columns of H
+    are dependent, :func:`_zero_sums` lists them, the t-subsets whose
+    columns XOR to zero. For t <= 5 the listing's pair table decides that
+    (:func:`_independent`); past it, a walk at t - 1 is asked for one
+    failure. d_min only picks the method: both read H, so a wrong d_min
+    changes no output.
     """
     if not 0 <= t <= code.n:
         raise ValueError(f"t must be in [0, {code.n}], got {t}")
@@ -422,15 +455,23 @@ def unrecoverable_patterns(code: ProtectionCode, t: int) -> Iterator[tuple[int, 
 
         listing = math.comb(n, 2) + (t - 2) * below_top(t - 2)
         walk = below_top(t if t == code.d_min else t - 1)
-        if listing < walk and next(_failure_events(cols, n, t - 1, top if cyclic else top + 1), None) is None:
-            events = _zero_sums(cols, n, t, top)
+        # the listing needs no t - 1 dependent columns: up to t = 5 its pair
+        # table tells, and past it a walk at t - 1 does, before the table
+        if listing < walk and (t <= 5 or next(_failure_events(cols, n, t - 1, top if cyclic else top + 1), None) is None):
+            pairs = _pair_sums(cols, n)
+            if t > 5 or _independent(cols, pairs, n, t - 1):
+                events = _zero_sums(cols, pairs, n, t, top)
     return itertools.chain.from_iterable(_expansions(events, n, n - t + 1 if cyclic else 1))
 
 
 def verify_protection(code: ProtectionCode, t: int) -> ProtectionReport:
     """Check every t-subset of erased positions; list the failures in order
-    (:func:`unrecoverable_patterns`)."""
-    failing = list(unrecoverable_patterns(code, t))
+    (:func:`unrecoverable_patterns`), each shifted into place: the failures
+    of one shift a come in one run, whose patterns are shifted in C."""
+    failing = []
+    for a, run in itertools.groupby(unrecoverable_patterns(code, t), operator.itemgetter(0)):
+        patterns = map(operator.itemgetter(1), run)
+        failing += map(tuple, map(map, itertools.repeat(a.__add__), patterns)) if a else patterns
     return ProtectionReport(not failing, tuple(failing), math.comb(code.n, t))
 
 

@@ -54,6 +54,13 @@ def _columns(words: Sequence[int], width: int) -> tuple[int, ...]:
     return tuple(int(text[width - 1 - j :: width][::-1], 2) for j in range(width))
 
 
+def _systematic_dual(words: Sequence[int], k: int, n: int) -> list[int]:
+    """The rows of [P^T | I_m], m = n - k, for the rows ``words`` of a
+    generator [I_k | P]: a basis of the dual code, and the parity check
+    every ``ProtectionCode`` derives. P^T's rows are P's :func:`_columns`."""
+    return [w | 1 << (k + j) for j, w in enumerate(_columns([g >> k for g in words], n - k))]
+
+
 class BitVector:
     """Immutable vector over {0, 1} with XOR addition."""
 
@@ -383,7 +390,8 @@ def _weight_counts(g: BitMatrix) -> Iterator[int]:
     """Yield A_0, A_1, ..., A_n, the number of codewords of each weight in
     the code spanned by the k rows of g, enumerating the code if k <= n - k
     and its dual otherwise. A generator already in the form [I_k | P] is
-    read as it stands; any other is row-reduced first. From the dual's
+    read as it stands; any other is row-reduced first and its columns
+    moved into that form. The dual is then [P^T | I_m]. From the dual's
     counts B_j, each A_w is the MacWilliams sum 2^-m * sum_j B_j K_w(j),
     m = n - k, with the Krawtchouk value K_w(j) = sum_s (-1)^s C(j, s) C(n - j, w - s).
 
@@ -397,21 +405,20 @@ def _weight_counts(g: BitMatrix) -> Iterator[int]:
     if min(k, m) > MIN_DISTANCE_ROW_LIMIT:
         raise TooLarge(f"enumeration supports min(k, n - k) <= {MIN_DISTANCE_ROW_LIMIT}, got {k}, {m}")
     words = list(g.row_words)
-    if all(w & ((1 << k) - 1) == 1 << i for i, w in enumerate(words)):
-        pivots = range(k)  # already [I_k | P]: nothing to eliminate
-    else:
+    if not all(w & ((1 << k) - 1) == 1 << i for i, w in enumerate(words)):
         words, pivots, _ = _eliminate(words, range(n))
         if len(pivots) != k:
             raise ValueError("generator matrix must have full row rank")
+        # Moving columns keeps every weight: with each row's pivot moved to
+        # the row's index, and the other columns after them in order, the
+        # reduced rows are [I_k | P].
+        columns = _columns(words, n)
+        others = sorted(set(range(n)).difference(pivots))
+        words = list(_columns([columns[c] for c in pivots + others], k))
     if k <= m:
         yield from _span_weights(words, n)
         return
-    # The dual word of non-pivot column c: bit c plus the pivot of every row with bit c set.
-    dual = [
-        (1 << c) | sum(1 << p for row, p in zip(words, pivots) if (row >> c) & 1)
-        for c in range(n)
-        if c not in pivots
-    ]
+    dual = _systematic_dual(words, k, n)
     dual_counts = [(j, b) for j, b in enumerate(_span_weights(dual, n)) if b]
     for w in range(n + 1):
         total = sum(

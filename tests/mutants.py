@@ -110,16 +110,16 @@ MUTANTS = [
     ),
     Mutant(
         "derived-check-identity-dropped",
-        "codes.py",
-        "        chk = BitMatrix.from_row_words((w | 1 << (k + j) for j, w in enumerate(p_t)), n)",
-        "        chk = BitMatrix.from_row_words(p_t, n)",
+        "gf2.py",
+        "    return [w | 1 << (k + j) for j, w in enumerate(_columns([g >> k for g in words], n - k))]",
+        "    return list(_columns([g >> k for g in words], n - k))",
         ("tests/test_codes.py::TestDerivedParityCheck",),
     ),
     Mutant(
         "systematic-shortcut-for-every-generator",
         "gf2.py",
-        "    if all(w & ((1 << k) - 1) == 1 << i for i, w in enumerate(words)):",
-        "    if True:",
+        "    if not all(w & ((1 << k) - 1) == 1 << i for i, w in enumerate(words)):",
+        "    if False:",
         ("tests/test_gf2.py::TestMinDistance",),
     ),
     Mutant(
@@ -219,8 +219,8 @@ MUTANTS = [
     Mutant(
         "walk-orbit-shift-keeps-one-too-many",
         "codes.py",
-        "head[-1] + r < n - 1",
-        "head[-1] + r <= n - 1",
+        "event[0][-1] + a + event[1] < n]",
+        "event[0][-1] + a + event[1] <= n]",
         VERIFY_TESTS,
     ),
     Mutant(
@@ -233,9 +233,16 @@ MUTANTS = [
     Mutant(
         "cyclic-check-reads-rotated-rows-alone",
         "codes.py",
-        "    rank = len(gf2._eliminate(rows + rotated, range(n))[1])",
-        "    rank = len(gf2._eliminate(rotated, range(n))[1])",
+        "        word = (row << 1 | row >> (n - 1)) & ((1 << n) - 1)",
+        "        word = row",
         VERIFY_TESTS,
+    ),
+    Mutant(
+        "cyclic-reduction-skips-a-row",
+        "codes.py",
+        "        for other, bit in steps:",
+        "        for other, bit in steps[1:]:",
+        ("tests/test_codes.py::TestCyclicity",),
     ),
     Mutant(
         "zero-sums-pair-may-start-at-the-head",
@@ -254,16 +261,37 @@ MUTANTS = [
     Mutant(
         "zero-sums-without-the-check",
         "codes.py",
-        " and next(_failure_events(cols, n, t - 1, top if cyclic else top + 1), None) is None:",
-        ":",
+        "            if t > 5 or _independent(cols, pairs, n, t - 1):",
+        "            if True:",
         VERIFY_TESTS,
     ),
     Mutant(
         "zero-sums-check-at-t-2",
         "codes.py",
+        "_independent(cols, pairs, n, t - 1)",
+        "_independent(cols, pairs, n, t - 2)",
+        VERIFY_TESTS,
+    ),
+    Mutant(
+        "zero-sums-walk-check-at-t-2",
+        "codes.py",
         "next(_failure_events(cols, n, t - 1, top if cyclic else top + 1), None)",
         "next(_failure_events(cols, n, t - 2, top if cyclic else top + 2), None)",
         VERIFY_TESTS,
+    ),
+    Mutant(
+        "pair-table-check-without-shared-sums",
+        "codes.py",
+        "        and (size < 4 or len(pairs) == math.comb(n, 2))\n",
+        "",
+        VERIFY_TESTS,
+    ),
+    Mutant(
+        "dual-with-pivots-moved-last",
+        "gf2.py",
+        "[columns[c] for c in pivots + others]",
+        "[columns[c] for c in others + pivots]",
+        ("tests/test_gf2.py::TestMinDistance",),
     ),
     Mutant(
         "columns-read-unreversed",

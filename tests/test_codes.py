@@ -35,7 +35,15 @@ from npcode.codes import (
 )
 from npcode.gf2 import BitMatrix, BitVector, DimensionMismatch, NoUniqueSolution, mat_mul
 
-from oracles import agreeing_messages, cyclic_naive, encode_naive, erasure_fill_naive, min_distance_naive, rank_naive
+from oracles import (
+    agreeing_messages,
+    cyclic_naive,
+    encode_naive,
+    erasure_fill_naive,
+    min_distance_naive,
+    rank_naive,
+    transpose_naive,
+)
 
 
 def unchecked_copy(code, **changes):
@@ -553,6 +561,18 @@ def poly_mod(a, g):
     return a
 
 
+def cyclic_parity_rows(n, g):
+    """The packed rows of P for the cyclic code of length n whose generator
+    polynomial g divides x^n + 1, in a systematic form [I_k | P] that stays
+    cyclic in its stored order."""
+    m = g.bit_length() - 1
+    k = n - m
+    # x^(m + i) plus its remainder mod g is a codeword with message bit i at
+    # position m + i; rotating by k moves it to position i
+    words = [1 << m + i | poly_mod(1 << m + i, g) for i in range(k)]
+    return [((w << k | w >> m) & ((1 << n) - 1)) >> k for w in words]
+
+
 def random_small_codes(rng, count):
     """``count`` seeded systematic codes with n <= 10, made through
     :func:`unchecked_copy` with d_min left unmeasured, which the walk does
@@ -566,10 +586,7 @@ def random_small_codes(rng, count):
             g = rng.choice([g for g in range(3, 1 << n, 2) if poly_mod(1 << n | 1, g) == 0])
             m = g.bit_length() - 1
             k = n - m
-            # x^(m + i) plus its remainder mod g is a codeword with message
-            # bit i at position m + i; rotating by k moves it to position i
-            words = [1 << m + i | poly_mod(1 << m + i, g) for i in range(k)]
-            rows = [((w << k | w >> m) & ((1 << n) - 1)) >> k for w in words]
+            rows = cyclic_parity_rows(n, g)
         else:
             k = rng.randrange(1, n)
             m = n - k
@@ -623,6 +640,16 @@ def corrupted_parity_checks(code):
     ]
 
 
+def with_columns(code, changes):
+    """``code`` with some columns of H replaced, through
+    :func:`unchecked_copy`: ``changes`` maps a position to its new column,
+    packed with bit i = row i."""
+    columns = list(transpose_naive(code.parity_check.row_words, code.n))
+    for j, column in changes.items():
+        columns[j] = column
+    return unchecked_copy(code, parity_check=BitMatrix.from_row_words(transpose_naive(columns, code.m), code.n))
+
+
 def bch15_with_data_columns_swapped():
     """[15,7,5] with data positions 0 and 1 exchanged: the same distance and
     weights, but no longer cyclic in its stored order."""
@@ -630,6 +657,13 @@ def bch15_with_data_columns_swapped():
     rows = [w >> code.k for w in code.generator.row_words]
     rows[0], rows[1] = rows[1], rows[0]
     return systematic_code(code.k, code.m, rows)
+
+
+def shifted(failures):
+    """The patterns of a stream of failures (a, p), as
+    :func:`codes.unrecoverable_patterns` yields them: p with a added to each
+    position."""
+    return (tuple(map(a.__add__, p)) if a else p for a, p in failures)
 
 
 def bits_of(word, n):
@@ -796,6 +830,24 @@ class TestCyclicity:
         assert cyclic == [cyclic_naive(as_lists(h)) for h in checks]
         assert 200 < sum(cyclic) < len(checks) - 200
 
+    def test_agrees_with_kernel_oracle_on_codes(self):
+        # each small code; a copy with the columns of H moved, which is
+        # cyclic only by chance; and rank-deficient copies of H, with a zero
+        # row or the sum of two rows added, which span the same code
+        rng = random.Random(3434)
+        checks = []
+        for code in all_codes_small():
+            h = code.parity_check
+            n, rows = h.cols, h.row_words
+            order = rng.sample(range(n), n)
+            columns = transpose_naive(rows, n)
+            moved = transpose_naive([columns[c] for c in order], h.rows)
+            checks += [h, BitMatrix.from_row_words(moved, n), BitMatrix.from_row_words([*rows, 0], n)]
+            checks.append(BitMatrix.from_row_words([rows[0] ^ rows[-1], *rows], n))
+        cyclic = [codes._is_cyclic(h) for h in checks]
+        assert cyclic == [cyclic_naive(as_lists(h)) for h in checks]
+        assert 8 <= sum(cyclic) <= len(checks) - 8
+
     @pytest.mark.parametrize("n", [2, 3, 6, 9, 64])
     def test_every_parity_code_is_cyclic(self, n):
         assert codes._is_cyclic(single_parity_code(n).parity_check)
@@ -887,7 +939,7 @@ class TestVerifyProtection:
             for t in range(3, n + 1):
                 zero = [p for p in itertools.combinations(range(n), t) if not functools.reduce(operator.xor, map(cols.__getitem__, p))]
                 for top in {1, n - t + 1}:
-                    listed = list(codes._zero_sums(cols, n, t, top))
+                    listed = list(codes._zero_sums(cols, codes._pair_sums(cols, n), n, t, top))
                     assert listed == [(p, 0) for p in zero if p[0] < top], (code.parity_check, t, top)
                     listed_any += bool(listed)
         assert listed_any > 100
@@ -917,8 +969,8 @@ class TestVerifyProtection:
                 if next(codes._failure_events(cols, n, t - 1, top if cyclic else top + 1), None) is not None:
                     continue
                 listed, walked = (
-                    list(itertools.chain.from_iterable(codes._expansions(events, n, n - t + 1 if cyclic else 1)))
-                    for events in (codes._zero_sums(cols, n, t, top), codes._failure_events(cols, n, t, top))
+                    list(shifted(itertools.chain.from_iterable(codes._expansions(events, n, n - t + 1 if cyclic else 1))))
+                    for events in (codes._zero_sums(cols, codes._pair_sums(cols, n), n, t, top), codes._failure_events(cols, n, t, top))
                 )
                 assert listed == walked, (code.parity_check, t)
                 if n <= 10:
@@ -931,7 +983,9 @@ class TestVerifyProtection:
     def test_listing_runs_only_past_a_passing_check(self, monkeypatch):
         calls = []
         zero_sums = codes._zero_sums
-        monkeypatch.setattr(codes, "_zero_sums", lambda cols, n, t, top: calls.append((n, t)) or zero_sums(cols, n, t, top))
+        monkeypatch.setattr(
+            codes, "_zero_sums", lambda cols, pairs, n, t, top: calls.append((n, t)) or zero_sums(cols, pairs, n, t, top)
+        )
         assert len(verify_protection(bch_code(31, 2), 5).failing_patterns) == 186
         assert calls == [(31, 5)]
         calls.clear()
@@ -939,7 +993,7 @@ class TestVerifyProtection:
         # work, even with a d_min that allows the listing
         parity = unchecked_copy(single_parity_code(100), d_min=100)
         assert [verify_protection(parity, t).recoverable for t in (1, 2)] == [True, False]
-        # the (t - 1) check finds the weight-3 words of [15,11,3]
+        # the pair table's (t - 1) check finds the weight-3 words of [15,11,3]
         hamming = unchecked_copy(hamming_code(4), d_min=15)
         assert verify_protection(hamming, 4) == verify_protection(hamming_code(4), 4)
         # [100,1,100] at t = 99: the rule counts up to 97 XORs for each of
@@ -947,6 +1001,67 @@ class TestVerifyProtection:
         # walk's C(99, 97) = 4,851 subsets of 98 positions
         repetition = parse_code_file("NPC 100 1 100 verified\n1 100\n" + "1" * 100)
         assert verify_protection(repetition, 99).recoverable
+        assert calls == []
+
+    def test_pair_table_check_is_the_rank_oracle(self):
+        # for t = 3, 4 and 5 the table's check says whether no t - 1 columns
+        # of H are dependent, as the ranks of every (t - 1)-subset say; the
+        # copies of [15,7,5] (d = 5) have their least dependent set made of
+        # 1, 2, 3 and 4 columns, and claim d = 15, so the listing is asked
+        # for and must give way to the walk where the check fails
+        bch = bch_code(15, 2)
+        c = transpose_naive(bch.parity_check.row_words, bch.n)
+        built = {
+            1: with_columns(bch, {3: 0}),
+            2: with_columns(bch, {5: c[2]}),
+            3: with_columns(bch, {6: c[0] ^ c[1]}),
+            4: with_columns(bch, {0: c[1] ^ c[2] ^ c[4]}),
+        }
+        for size, code in [*((None, c) for c in all_codes_small()), *built.items()]:
+            n = code.n
+            cols = gf2._columns(code.parity_check.row_words, n)
+            columns = list(zip(*as_lists(code.parity_check)))
+            pairs = codes._pair_sums(cols, n)
+            # whether no s columns are dependent, for s = 1 .. 4
+            independent = {
+                s: all(rank_naive([columns[j] for j in p]) == s for p in itertools.combinations(range(n), s))
+                for s in range(1, 5)
+            }
+            for t in (t for t in (3, 4, 5) if t <= n):  # verify asks no t past n
+                assert codes._independent(cols, pairs, n, t - 1) == independent[t - 1], (code.parity_check, t)
+            if size is not None:
+                assert min(s for s, ok in independent.items() if not ok) == size
+        for size, code in built.items():
+            claimed = unchecked_copy(code, d_min=code.n)
+            columns = list(zip(*as_lists(code.parity_check)))
+            for t in (3, 4, 5):
+                dependent = tuple(
+                    p for p in itertools.combinations(range(code.n), t) if rank_naive([columns[j] for j in p]) < t
+                )
+                assert verify_protection(claimed, t).failing_patterns == dependent, (size, t)
+
+    def test_listing_past_five_runs_after_a_walk_at_t_1(self, monkeypatch):
+        # past t = 5 the pair table cannot tell whether t - 1 columns are
+        # dependent: a walk at t - 1 decides. The [23,12,7] Golay code is
+        # cyclic, and at t = 6 and 7 its listing is less work than the walk
+        golay = ProtectionCode(systematic_matrices(12, 11, cyclic_parity_rows(23, 0b110001110101))[0])
+        assert (golay.d_min, codes._is_cyclic(golay.parity_check)) == (7, True)
+        calls = []
+        zero_sums = codes._zero_sums
+        monkeypatch.setattr(
+            codes, "_zero_sums", lambda cols, pairs, n, t, top: calls.append(t) or zero_sums(cols, pairs, n, t, top)
+        )
+        walked = unchecked_copy(golay, d_min=1)
+        reports = [verify_protection(golay, t) for t in (6, 7)]
+        assert calls == [6, 7]
+        calls.clear()
+        assert reports == [verify_protection(walked, t) for t in (6, 7)]
+        # A_7 = 253: the weight-7 words of the Golay code
+        assert [len(r.failing_patterns) for r in reports] == [0, 253]
+        # [31,21,5] claiming d = 31: the walk at t - 1 = 5 meets its
+        # weight-5 words, so t = 6 is walked, not listed
+        code = bch_code(31, 2)
+        assert verify_protection(unchecked_copy(code, d_min=31), 6) == verify_protection(code, 6)
         assert calls == []
 
     def test_matches_codeword_supports_on_small_random_codes(self):
@@ -963,7 +1078,7 @@ class TestVerifyProtection:
 
     def test_cyclicity_is_checked_only_past_one_erasure(self, monkeypatch):
         # at t <= 1 the orbit walk would save no more than one scan of the
-        # columns, less than the two eliminations of the check
+        # columns, less than the elimination of the check
         calls = []
         is_cyclic = codes._is_cyclic
         monkeypatch.setattr(codes, "_is_cyclic", lambda h: calls.append(h) or is_cyclic(h))
@@ -995,10 +1110,10 @@ class TestVerifyProtection:
         for t in range(code.n + 1):
             if math.comb(code.n, t) > codes.PATTERN_ENUMERATION_LIMIT:
                 continue
-            orbit = codes.unrecoverable_patterns(code, t)
+            orbit = shifted(codes.unrecoverable_patterns(code, t))
             with monkeypatch.context() as m:
                 m.setattr(codes, "_is_cyclic", lambda h: False)
-                full = codes.unrecoverable_patterns(code, t)
+                full = shifted(codes.unrecoverable_patterns(code, t))
             assert all(itertools.starmap(operator.eq, itertools.zip_longest(orbit, full))), t
 
     @pytest.mark.parametrize("build", [lambda: hamming_code(6), lambda: bch_code(63, 2)], ids=["hamming6", "bch63-51"])
@@ -1009,7 +1124,7 @@ class TestVerifyProtection:
         code = build()
         tracemalloc.start()
         try:
-            first = list(itertools.islice(codes.unrecoverable_patterns(code, 59), 1000))
+            first = list(itertools.islice(shifted(codes.unrecoverable_patterns(code, 59)), 1000))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

@@ -5,6 +5,7 @@ import random
 import pytest
 
 from npcode import gf2
+from npcode.codes import ProtectionCode
 from npcode.gf2 import (
     BitMatrix,
     BitVector,
@@ -374,7 +375,7 @@ class TestMinDistance:
             assert min_distance(m) == min_distance_naive(lists)
             done += 1
 
-    def test_matches_naive_on_both_sides(self):
+    def test_matches_naive_on_both_sides(self, monkeypatch):
         # k <= n - k enumerates the code, k > n - k goes through the dual;
         # a few all-zero leading columns keep the pivots off the diagonal
         rng = random.Random(23)
@@ -388,6 +389,20 @@ class TestMinDistance:
             routes[k <= m + lead] += 1
             assert min_distance(g) == min_distance_naive(as_lists(g))
         assert min(routes.values()) >= 30
+        # [I_k | P] with k > m is read as it stands, and its dual is the
+        # parity check [P^T | I_m] that ProtectionCode derives from it
+        spans = []
+        span_weights = gf2._span_weights
+        for _ in range(40):
+            m = rng.randrange(1, 7)
+            k = m + rng.randrange(1, 7)
+            g = BitMatrix.from_row_words([1 << i | rng.getrandbits(m) << k for i in range(k)], k + m)
+            check = ProtectionCode(g).parity_check.row_words
+            with monkeypatch.context() as patch:
+                patch.setattr(gf2, "_span_weights", lambda rows, n: spans.append(tuple(rows)) or span_weights(rows, n))
+                assert min_distance(g) == min_distance_naive(as_lists(g))
+            assert spans.pop() == check
+            assert not spans
 
     def test_non_leading_pivots(self):
         rng = random.Random(24)
