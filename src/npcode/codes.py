@@ -91,10 +91,12 @@ class ProtectionCode:
         verified = min(k, n - k) <= gf2.MIN_DISTANCE_ROW_LIMIT
         if not verified and declared is None:
             raise ValueError(f"min(k, n - k) = {min(k, n - k)} is too large to verify the distance by enumeration: declare it")
-        d_min = gf2.min_distance(self.generator) if verified else declared
+        # H's rows, derived once: the dual the distance is measured on
+        dual = gf2._systematic_dual(self.generator.row_words, k, n)
+        d_min = gf2.min_distance(self.generator, dual=dual) if verified else declared
         if declared is not None and d_min < declared:
             raise ValueError(f"declared d_min = {declared} but the code has d_min = {d_min}")
-        chk = BitMatrix.from_row_words(gf2._systematic_dual(self.generator.row_words, k, n), n)
+        chk = BitMatrix.from_row_words(dual, n)
         for name, value in dict(n=n, k=k, m=n - k, parity_check=chk, d_min=d_min, d_min_verified=verified).items():
             object.__setattr__(self, name, value)
 

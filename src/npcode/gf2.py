@@ -9,7 +9,6 @@ safe to share between threads.
 from __future__ import annotations
 
 import functools
-import math
 import operator
 from collections.abc import Iterable, Iterator, Sequence
 
@@ -376,24 +375,53 @@ def solve_with_cost(
 
 
 def _span_weights(rows: Sequence[int], n: int) -> list[int]:
-    """Weight histogram (index 0..n) of every XOR combination of the rows,
-    walked in Gray-code order: each word is one XOR away from the last."""
-    hist = [1] + [0] * n
+    """Weight histogram (index 0..n) of every XOR combination of the rows.
+    The span of the first 8 rows is listed once (at most 256 words); the
+    combinations of the rest are walked in Gray-code order, each one XOR
+    away from the last, and each is counted against every listed word."""
+    low = [0]
+    for row in rows[:8]:
+        low += [w ^ row for w in low]
+    step = [0, *rows[8:]]  # step[b + 1] is row 8 + b; the first block takes no step
+    hist = [0] * (n + 1)
     word = 0
-    for i in range(1, 1 << len(rows)):
-        word ^= rows[(i & -i).bit_length() - 1]
-        hist[word.bit_count()] += 1
+    for i in range(1 << (len(step) - 1)):
+        word ^= step[(i & -i).bit_length()]
+        for w in low:
+            hist[(word ^ w).bit_count()] += 1
     return hist
 
 
-def _weight_counts(g: BitMatrix) -> Iterator[int]:
+def _krawtchouk(n: int, js: Sequence[int]) -> Iterator[list[int]]:
+    """Yield, for w = 0, 1, ..., n, the Krawtchouk values [K_w(j) for j in js],
+    K_w(j) = sum_s (-1)^s C(j, s) C(n - j, w - s), by the exact three-term
+    recurrence (w + 1) K_{w+1}(j) = (n - 2j) K_w(j) - (n - w + 1) K_{w-1}(j).
+
+    Raises:
+        RuntimeError: a step does not divide exactly.
+    """
+    back, lead = [0] * len(js), [1] * len(js)
+    yield lead
+    for w in range(n):
+        step = []
+        for j, a, b in zip(js, lead, back):
+            value, rest = divmod((n - 2 * j) * a - (n - w + 1) * b, w + 1)
+            if rest:
+                raise RuntimeError(f"Krawtchouk step to weight {w + 1} at {j} is not exact")
+            step.append(value)
+        back, lead = lead, step
+        yield lead
+
+
+def _weight_counts(g: BitMatrix, dual: Sequence[int] | None = None) -> Iterator[int]:
     """Yield A_0, A_1, ..., A_n, the number of codewords of each weight in
     the code spanned by the k rows of g, enumerating the code if k <= n - k
-    and its dual otherwise. A generator already in the form [I_k | P] is
-    read as it stands; any other is row-reduced first and its columns
-    moved into that form. The dual is then [P^T | I_m]. From the dual's
-    counts B_j, each A_w is the MacWilliams sum 2^-m * sum_j B_j K_w(j),
-    m = n - k, with the Krawtchouk value K_w(j) = sum_s (-1)^s C(j, s) C(n - j, w - s).
+    and its dual otherwise. Given the rows ``dual`` of [P^T | I_m], g is
+    taken to be [I_k | P] and neither is checked. Otherwise a generator
+    already in that form is read as it stands, and any other is row-reduced
+    first and its columns moved into that form; the dual is then [P^T | I_m].
+    From the dual's counts B_j, each A_w is the MacWilliams sum
+    2^-m * sum_j B_j K_w(j), m = n - k (see :func:`_krawtchouk`).
 
     Raises:
         TooLarge: both k and n - k exceed MIN_DISTANCE_ROW_LIMIT.
@@ -404,9 +432,9 @@ def _weight_counts(g: BitMatrix) -> Iterator[int]:
     m = n - k
     if min(k, m) > MIN_DISTANCE_ROW_LIMIT:
         raise TooLarge(f"enumeration supports min(k, n - k) <= {MIN_DISTANCE_ROW_LIMIT}, got {k}, {m}")
-    words = list(g.row_words)
-    if not all(w & ((1 << k) - 1) == 1 << i for i, w in enumerate(words)):
-        words, pivots, _ = _eliminate(words, range(n))
+    words = g.row_words
+    if dual is None and not all(w & ((1 << k) - 1) == 1 << i for i, w in enumerate(words)):
+        words, pivots, _ = _eliminate(list(words), range(n))
         if len(pivots) != k:
             raise ValueError("generator matrix must have full row rank")
         # Moving columns keeps every weight: with each row's pivot moved to
@@ -414,31 +442,33 @@ def _weight_counts(g: BitMatrix) -> Iterator[int]:
         # reduced rows are [I_k | P].
         columns = _columns(words, n)
         others = sorted(set(range(n)).difference(pivots))
-        words = list(_columns([columns[c] for c in pivots + others], k))
+        words = _columns([columns[c] for c in pivots + others], k)
     if k <= m:
         yield from _span_weights(words, n)
         return
-    dual = _systematic_dual(words, k, n)
-    dual_counts = [(j, b) for j, b in enumerate(_span_weights(dual, n)) if b]
-    for w in range(n + 1):
-        total = sum(
-            b * sum((-1) ** s * math.comb(j, s) * math.comb(n - j, w - s) for s in range(min(j, w) + 1))
-            for j, b in dual_counts
-        )
+    if dual is None:
+        dual = _systematic_dual(words, k, n)
+    dual_counts = _span_weights(dual, n)
+    js = [j for j, b in enumerate(dual_counts) if b]
+    counts = [dual_counts[j] for j in js]
+    for w, values in enumerate(_krawtchouk(n, js)):
+        total = sum(map(operator.mul, counts, values))
         count, rest = divmod(total, 1 << m)
         if rest or count < 0:
             raise RuntimeError(f"MacWilliams sum {total} for weight {w} is not 2^{m} times a count")
         yield count
 
 
-def min_distance(g: BitMatrix) -> int:
+def min_distance(g: BitMatrix, *, dual: Sequence[int] | None = None) -> int:
     """True minimum distance of the code spanned by the rows of g: the first
     w >= 1 with A_w > 0 (see :func:`_weight_counts`; later A_w are not summed).
+    A caller that has checked g is [I_k | P] and derived the rows of its dual
+    [P^T | I_m] passes them as ``dual``, and neither is done again.
 
     Raises:
         TooLarge: both k and n - k exceed MIN_DISTANCE_ROW_LIMIT.
         ValueError: g does not have full row rank.
     """
-    counts = _weight_counts(g)
+    counts = _weight_counts(g, dual)
     next(counts)  # A_0, the zero word
     return next(w for w, count in enumerate(counts, 1) if count)

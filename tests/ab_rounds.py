@@ -2,14 +2,15 @@
 
 pytest does not collect this module. Run from any directory:
 
-    python tests/ab_rounds.py PARENT_CHECKOUT [--pairs N] [--rounds R] [--seed S]
+    python tests/ab_rounds.py PARENT_CHECKOUT [--pairs N] [--rounds R] [--seed S] [--workloads NAME[,NAME]]
 
 Both trees' ``src/npcode`` are loaded into this one process, under the
 package names ``npcode_parent`` and ``npcode_change``. Each workload of
 ``bench/workloads.py`` runs in process the command that ``bench/worker.py``
 times: ``npcode simulate`` on the [31,21,5] BCH code with no failures and
 with 2 random failures a round, with the rounds set to R, and ``npcode
-verify --t 5`` on that code. Each side gets its own directory, where the
+verify --t 5`` on that code; ``--workloads`` picks some of the three, in
+their order here (all by default). Each side gets its own directory, where the
 workload writes its inputs and prepares once (for verify, one ``npcode
 codegen``). One untimed command per side fills the caches first. Each pair
 then runs both sides once, the parent first in even pairs and the change
@@ -102,15 +103,20 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--rounds", type=int, default=workloads.ROUNDS)
     parser.add_argument("--seed", type=int, default=11)
+    parser.add_argument("--workloads", default=",".join(TIMED), help=f"comma-separated, of {', '.join(TIMED)}")
     args = parser.parse_args(argv)
     if args.pairs < 2 or args.rounds < 1:
         parser.error("need --pairs >= 2 (for quartiles) and --rounds >= 1")
+    chosen = args.workloads.split(",")
+    if set(chosen) - set(TIMED):
+        parser.error(f"--workloads takes names of {', '.join(TIMED)}, got {args.workloads!r}")
+    chosen = [name for name in TIMED if name in chosen]
     sides = {"parent": load_cli(args.parent, "npcode_parent"), "change": load_cli(ROOT, "npcode_change")}
     print(f"parent {args.parent.resolve()}, change {ROOT}; {args.pairs} pairs of {args.rounds} rounds, seed {args.seed}")
     lines = {"parent": src_lines(args.parent), "change": src_lines(ROOT)}
     print(f"src non-blank lines: parent {lines['parent']}, change {lines['change']} ({lines['change'] - lines['parent']:+d})")
     with tempfile.TemporaryDirectory(prefix="npcode-ab-") as tmp:
-        for name in TIMED:
+        for name in chosen:
             wl = workloads.WORKLOADS[name]
             if isinstance(wl, workloads.Simulate):
                 # the pinned CSV digest holds only for the workload's own round count

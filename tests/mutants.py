@@ -83,8 +83,8 @@ MUTANTS = [
     Mutant(
         "declared-taken-for-measured",
         "codes.py",
-        "        d_min = gf2.min_distance(self.generator) if verified else declared",
-        "        d_min = declared or gf2.min_distance(self.generator) if verified else declared",
+        "        d_min = gf2.min_distance(self.generator, dual=dual) if verified else declared",
+        "        d_min = declared or gf2.min_distance(self.generator, dual=dual) if verified else declared",
         ("tests/test_codes.py::TestInvariants", "tests/test_codes.py::TestCodeFile"),
     ),
     Mutant(
@@ -118,7 +118,7 @@ MUTANTS = [
     Mutant(
         "systematic-shortcut-for-every-generator",
         "gf2.py",
-        "    if not all(w & ((1 << k) - 1) == 1 << i for i, w in enumerate(words)):",
+        "    if dual is None and not all(w & ((1 << k) - 1) == 1 << i for i, w in enumerate(words)):",
         "    if False:",
         ("tests/test_gf2.py::TestMinDistance",),
     ),
@@ -291,6 +291,27 @@ MUTANTS = [
         "gf2.py",
         "[columns[c] for c in pivots + others]",
         "[columns[c] for c in others + pivots]",
+        ("tests/test_gf2.py::TestMinDistance",),
+    ),
+    Mutant(
+        "span-split-drops-a-row",
+        "gf2.py",
+        "    step = [0, *rows[8:]]",
+        "    step = [0, *rows[9:]]",
+        ("tests/test_gf2.py::TestMinDistance",),
+    ),
+    Mutant(
+        "span-walk-skips-the-first-block",
+        "gf2.py",
+        "    for i in range(1 << (len(step) - 1)):",
+        "    for i in range(1, 1 << (len(step) - 1)):",
+        ("tests/test_gf2.py::TestMinDistance",),
+    ),
+    Mutant(
+        "krawtchouk-back-term-sign-flipped",
+        "gf2.py",
+        "(n - 2 * j) * a - (n - w + 1) * b",
+        "(n - 2 * j) * a + (n - w + 1) * b",
         ("tests/test_gf2.py::TestMinDistance",),
     ),
     Mutant(

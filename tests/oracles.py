@@ -31,6 +31,19 @@ def min_distance_naive(g_rows):
     return best
 
 
+def span_weights_naive(rows):
+    """Weight histogram (index 0..n) of every XOR combination of the 0/1
+    lists ``rows``, each of length n: the span is listed word by word,
+    doubled by each row in turn, and every word's ones are summed."""
+    span = [[0] * len(rows[0])]
+    for row in rows:
+        span += [[a ^ b for a, b in zip(word, row)] for word in span]
+    hist = [0] * (len(rows[0]) + 1)
+    for word in span:
+        hist[sum(word)] += 1
+    return hist
+
+
 def rank_naive(rows):
     mat = [list(r) for r in rows]
     nrows, ncols = len(mat), len(mat[0])

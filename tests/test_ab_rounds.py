@@ -1,6 +1,7 @@
 """``tests/ab_rounds.py`` runs end to end: this checkout against itself, with
 2 pairs of 200 rounds on each simulate workload and 2 pairs of the verify
-workload, after the two sides' ``src`` line counts."""
+workload, after the two sides' ``src`` line counts; ``--workloads`` runs
+only the workloads it names."""
 
 import re
 import subprocess
@@ -10,11 +11,15 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def test_against_itself():
-    done = subprocess.run(
-        [sys.executable, str(ROOT / "tests" / "ab_rounds.py"), str(ROOT), "--pairs", "2", "--rounds", "200"],
+def ab_rounds(*args):
+    return subprocess.run(
+        [sys.executable, str(ROOT / "tests" / "ab_rounds.py"), str(ROOT), "--pairs", "2", *args],
         capture_output=True, text=True, timeout=60,
     )
+
+
+def test_against_itself():
+    done = ab_rounds("--rounds", "200")
     assert done.returncode == 0, done.stderr
     lines = done.stdout.splitlines()
     assert lines[0].endswith("; 2 pairs of 200 rounds, seed 11")
@@ -25,3 +30,21 @@ def test_against_itself():
         assert re.fullmatch(rf"{name} +change{side}", lines[at + 1])
         assert re.fullmatch(rf"{name} +change won [012] of 2 pairs; pair-median ratio \d+\.\d{{3}}", lines[at + 2])
     assert len(lines) == 11
+
+
+def test_named_workloads_only():
+    done = ab_rounds("--workloads", "verify-bch31-t5")
+    assert done.returncode == 0, done.stderr
+    lines = done.stdout.splitlines()
+    assert [line.split()[:2] for line in lines[2:]] == [["verify-bch31-t5", w] for w in ("parent", "change", "change")]
+    done = ab_rounds("--rounds", "200", "--workloads", "verify-bch31-t5,sim-bch31-clean")
+    assert done.returncode == 0, done.stderr
+    names = [line.split()[0] for line in done.stdout.splitlines()[2:]]
+    assert names == ["sim-bch31-clean"] * 3 + ["verify-bch31-t5"] * 3
+
+
+def test_unknown_workload_is_refused():
+    done = ab_rounds("--workloads", "verify-bch31-t5,sim-bch31-t3")
+    assert done.returncode == 2
+    assert "--workloads takes names of sim-bch31-clean, sim-bch31-t2, verify-bch31-t5, got 'verify-bch31-t5,sim-bch31-t3'" in done.stderr
+    assert not done.stdout

@@ -1433,11 +1433,28 @@ class TestCodeFile:
         text = format_code_file(bch_code(31, 2))
         calls = []
         measure = gf2.min_distance
-        monkeypatch.setattr(gf2, "min_distance", lambda g: calls.append(g) or measure(g))
+        monkeypatch.setattr(gf2, "min_distance", lambda g, **kw: calls.append(g) or measure(g, **kw))
         code = bch_code(31, 2)
         assert calls == [code.generator]
         assert parse_code_file(text) == code
         assert calls == [code.generator] * 2
+
+    @pytest.mark.parametrize("build", [lambda: bch_code(31, 2), lambda: bch_code(15, 2), lambda: hamming_code(3)],
+                             ids=["31-21", "15-7", "7-4"])
+    def test_one_dual_per_code(self, monkeypatch, build):
+        # building or loading a code derives H = [P^T | I_m] once, and the
+        # measurement, when it enumerates the dual (k > m), reads those rows
+        text = format_code_file(build())
+        duals, spans = [], []
+        derive, span_weights = gf2._systematic_dual, gf2._span_weights
+        monkeypatch.setattr(gf2, "_systematic_dual", lambda *a: duals.append(derive(*a)) or duals[-1])
+        monkeypatch.setattr(gf2, "_span_weights", lambda rows, n: spans.append(tuple(rows)) or span_weights(rows, n))
+        for make in (build, lambda: parse_code_file(text)):
+            code = make()
+            assert duals == [list(code.parity_check.row_words)]
+            assert spans == [code.parity_check.row_words if code.k > code.m else code.generator.row_words]
+            duals.clear()
+            spans.clear()
 
     def test_rejects_non_systematic_matrix(self):
         text = "NPC 3 2 2 declared\n2 3\n011\n101\n"

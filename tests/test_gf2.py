@@ -24,11 +24,11 @@ from npcode.gf2 import (
 )
 
 from oracles import (
-    encode_naive,
     erasure_fill_naive,
     mat_vec_naive,
     min_distance_naive,
     rank_naive,
+    span_weights_naive,
     transpose_naive,
 )
 
@@ -46,14 +46,6 @@ def random_bit_matrix(rng, rows, cols):
 
 def as_lists(m):
     return [[m[i, j] for j in range(m.cols)] for i in range(m.rows)]
-
-
-def weight_histogram_naive(g_rows):
-    """Codewords of each weight 0..n, by encoding every message."""
-    hist = [0] * (len(g_rows[0]) + 1)
-    for u in itertools.product((0, 1), repeat=len(g_rows)):
-        hist[sum(encode_naive(g_rows, u))] += 1
-    return hist
 
 
 def rank(m):
@@ -426,7 +418,7 @@ class TestMinDistance:
             g = random_full_rank(rng, k, k + rng.randrange(0, 7))
             dist = list(gf2._weight_counts(g))
             assert sum(dist) == 1 << k
-            assert dist == weight_histogram_naive(as_lists(g))
+            assert dist == span_weights_naive(as_lists(g))
 
     def test_wide_dual_side_direct_sum(self):
         # Six [12, 9] blocks on disjoint columns: n = 72 spans two 64-bit
@@ -442,7 +434,7 @@ class TestMinDistance:
         rows, want, d_min = [], [1], n
         for b in range(blocks):
             block = random_full_rank(rng, k_block, n_block)
-            hist = weight_histogram_naive(as_lists(block))
+            hist = span_weights_naive(as_lists(block))
             want = [sum(want[i] * hist[w - i] for i in range(len(want)) if 0 <= w - i < len(hist))
                     for w in range(len(want) + n_block)]
             d_min = min(d_min, min_distance_naive(as_lists(block)))
@@ -453,6 +445,31 @@ class TestMinDistance:
         assert rank(g) == len(rows)
         assert list(gf2._weight_counts(g)) == want
         assert min_distance(g) == d_min
+
+    @pytest.mark.parametrize("n", [1, 31, 64, 72, 300])
+    def test_span_weights_match_naive_histogram(self, n):
+        # 1..13 rows cross the split after the first 8; zero, repeated and
+        # dependent rows make words repeat in the span
+        rng = random.Random(27 + n)
+        for count in range(1, 14):
+            words = [rng.getrandbits(n) for _ in range(count)]
+            for _ in range(count // 3):
+                i, j, l = (rng.randrange(count) for _ in range(3))
+                words[i] = rng.choice([0, words[j], words[j] ^ words[l]])
+            lists = [[(w >> c) & 1 for c in range(n)] for w in words]
+            assert gf2._span_weights(words, n) == span_weights_naive(lists), (count, words)
+        assert gf2._span_weights([0] * 9, n) == [512] + [0] * n
+        assert gf2._span_weights([1] * 10, n) == [512, 512] + [0] * (n - 1)
+
+    def test_krawtchouk_recurrence_matches_closed_form(self):
+        for n in range(41):
+            values = list(gf2._krawtchouk(n, range(n + 1)))
+            assert len(values) == n + 1
+            for w, row in enumerate(values):
+                assert row == [
+                    sum((-1) ** s * math.comb(j, s) * math.comb(n - j, w - s) for s in range(min(j, w) + 1))
+                    for j in range(n + 1)
+                ], (n, w)
 
     def test_corrupt_dual_count_is_caught(self, monkeypatch):
         # one word too many on the dual side cannot give whole counts
