@@ -29,7 +29,6 @@ from .gf2 import (
     min_distance,
 )
 from .netmodel import (
-    Connection,
     Network,
     Packet,
     PacketKind,

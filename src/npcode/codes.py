@@ -26,10 +26,10 @@ PATTERN_ENUMERATION_LIMIT = 10**6
 # of that code takes 0.5 KB (2 erasures) to 0.8 KB (5), so at most 1.6 MiB.
 PLAN_MEMO_SIZE = 2048
 
-# The longest parity code built. Its generator is n - 1 rows of n bits, so
-# the bits grow as n squared: about 2 MiB at this length, where `npcode
-# codegen` writes a 16 MiB code file and peaks near 70 MiB.
-PARITY_LENGTH_LIMIT = 4096
+# The longest code built or loaded. What a code derives grows as n squared:
+# a parity generator is n - 1 rows of n bits, about 2 MiB at this length,
+# where `npcode codegen` writes a 16 MiB code file and peaks near 70 MiB.
+LENGTH_LIMIT = 4096
 
 
 class AmbiguousErasure(ValueError):
@@ -62,8 +62,9 @@ class ProtectionCode:
     """An [n, k, d_min] systematic code over the two-element field.
 
     The generator [I_k | P] is the only matrix a code is given: n and k are
-    its shape, m = n - k, and the parity check [P^T | I_m] is built from P,
-    so it has full rank and annihilates the generator by construction.
+    its shape (n at most ``LENGTH_LIMIT``), m = n - k, and the parity check
+    [P^T | I_m] is built from P, so it has full rank and annihilates the
+    generator by construction.
     d_min is measured (``d_min_verified``) whenever min(k, m) fits
     ``gf2.MIN_DISTANCE_ROW_LIMIT``, and past it is the required ``declared``
     distance: a lower bound the construction guarantees, so a measured
@@ -83,6 +84,8 @@ class ProtectionCode:
         k, n = self.generator.rows, self.generator.cols
         if not 1 <= k < n:
             raise ValueError(f"need 1 <= k < n, got k={k}, n={n}")
+        if n > LENGTH_LIMIT:
+            raise ValueError(f"a code of n = {n} connections is too long (at most {LENGTH_LIMIT} connections)")
         if declared is not None and not 1 <= declared <= n:
             raise ValueError("d_min out of range")
         ident = (1 << k) - 1
@@ -121,10 +124,10 @@ def single_parity_code(n: int) -> ProtectionCode:
     """The [n, n-1, 2] code: one connection carries the XOR of all the others."""
     if n < 2:
         raise ValueError(f"a parity code needs n >= 2 connections, got {n}")
-    if n > PARITY_LENGTH_LIMIT:
+    if n > LENGTH_LIMIT:
         raise ValueError(
             f"a parity code of n = {n} connections has too many rows to build "
-            f"(at most {PARITY_LENGTH_LIMIT} connections)"
+            f"(at most {LENGTH_LIMIT} connections)"
         )
     return _build([1] * (n - 1), n - 1, 1)
 

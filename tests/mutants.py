@@ -315,6 +315,20 @@ MUTANTS = [
         ("tests/test_gf2.py::TestMinDistance",),
     ),
     Mutant(
+        "empty-network-accepted",
+        "netmodel.py",
+        '        if n < 1:\n            raise ValueError("a network needs at least one connection")\n',
+        "",
+        ("tests/test_netmodel.py",),
+    ),
+    Mutant(
+        "length-bound-off-by-one",
+        "codes.py",
+        "        if n > LENGTH_LIMIT:",
+        "        if n > LENGTH_LIMIT + 1:",
+        ("tests/test_codes.py::TestInvariants", "tests/test_cli.py::TestVerify"),
+    ),
+    Mutant(
         "columns-read-unreversed",
         "gf2.py",
         "    return tuple(int(text[width - 1 - j :: width][::-1], 2) for j in range(width))",

@@ -6,6 +6,7 @@ package's two solve error types are imported, to raise.
 """
 
 from itertools import product
+from math import comb
 from operator import and_
 
 from npcode.gf2 import Inconsistent, NoUniqueSolution
@@ -29,6 +30,18 @@ def min_distance_naive(g_rows):
         w = sum(encode_naive(g_rows, u))
         best = w if best is None else min(best, w)
     return best
+
+
+def failure_count_by_weights(weights, t):
+    """F_t = sum over w <= t of A_w * C(n - w, t - w), from the weight counts
+    ``weights`` = [A_0, ..., A_n]: the t-subsets of the n positions that hold
+    the support of a nonzero codeword, each counted once per support it
+    holds. A t-set fails exactly when it holds one, and for d <= t < 3d/2 it
+    holds at most one (two supports S1, S2 would span
+    (|S1| + |S2| + |S1 ^ S2|) / 2 >= 3d/2 positions), so there F_t is the
+    number of unrecoverable t-subsets; past that range it overcounts."""
+    n = len(weights) - 1
+    return sum(weights[w] * comb(n - w, t - w) for w in range(1, t + 1))
 
 
 def span_weights_naive(rows):

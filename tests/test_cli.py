@@ -60,6 +60,17 @@ def unbuildable(*args):
     raise AssertionError("a code past the length bound was built")
 
 
+def repetition_file(tmp_path, n):
+    """The [n, 1, n] repetition code's file: n + 1 bits of generator, so a
+    long one is a small file."""
+    path = tmp_path / f"rep{n}.npc"
+    path.write_text(f"NPC {n} 1 {n} verified\n1 {n}\n" + "1" * n + "\n")
+    return path
+
+
+TOO_LONG = f"error: a code of n = {codes.LENGTH_LIMIT + 1} connections is too long (at most {codes.LENGTH_LIMIT} connections)\n"
+
+
 def write_config(tmp_path, text, name="scenario.cfg"):
     path = tmp_path / name
     path.write_text(text)
@@ -125,7 +136,7 @@ class TestCodegen:
         # the build is stubbed out, so a missing bound fails the test
         # instead of building n^2 bits
         monkeypatch.setattr(codes, "_build", unbuildable)
-        n = codes.PARITY_LENGTH_LIMIT + 1
+        n = codes.LENGTH_LIMIT + 1
         rc = main(["codegen", "--family", "parity", "--n", str(n), "--out", str(tmp_path / "x")])
         assert rc == 2
         assert capsys.readouterr().err.startswith("error:")
@@ -274,6 +285,18 @@ class TestVerify:
         assert hashlib.sha256(captured.out.encode()).hexdigest() == (
             "1b380abd4d1cb72615b89bf2006ce5beeeaf6440b6996459dc29071b9a68c86b"
         )
+
+    def test_code_file_past_the_length_bound_exits_2(self, tmp_path, capsys):
+        # a code file is held to the length codegen writes, so a small file
+        # cannot make the load derive n squared bits
+        path = repetition_file(tmp_path, codes.LENGTH_LIMIT + 1)
+        assert main(["verify", str(path), "--t", "1"]) == 2
+        assert capsys.readouterr() == ("", TOO_LONG)
+
+    def test_code_file_at_the_length_bound_verifies(self, tmp_path, capsys):
+        path = repetition_file(tmp_path, codes.LENGTH_LIMIT)
+        assert main(["verify", str(path), "--t", "1"]) == 0
+        assert capsys.readouterr().err == f"ok: all {codes.LENGTH_LIMIT} patterns of 1 erasure(s) recoverable\n"
 
     def test_pattern_bound_exits_2(self, tmp_path):
         path = self.make_code_file(tmp_path, "bch", n=63, design_t=1)
@@ -454,7 +477,7 @@ class TestSimulate:
 
     def test_parity_past_the_length_bound_exits_2(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr(codes, "_build", unbuildable)
-        n = codes.PARITY_LENGTH_LIMIT + 1
+        n = codes.LENGTH_LIMIT + 1
         cfg = write_config(tmp_path, f"code_family = parity\nn = {n}\nrounds = 2\n")
         assert main(["simulate", str(cfg), "--out", str(tmp_path / "r.csv")]) == 2
         assert capsys.readouterr().err.startswith("error:")
@@ -628,6 +651,14 @@ class TestSimulate:
         out = tmp_path / "r.csv"
         assert main(["simulate", str(cfg), "--out", str(out)]) == 0
         assert "avg_capacity=4/7" in out.read_text().splitlines()[-1]
+
+    def test_code_file_past_the_length_bound_exits_2(self, tmp_path, capsys):
+        code_path = repetition_file(tmp_path, codes.LENGTH_LIMIT + 1)
+        cfg = write_config(tmp_path, f"code_family = file\ncode_file = {code_path}\nrounds = 10\nfailure_model = none\n")
+        out = tmp_path / "r.csv"
+        assert main(["simulate", str(cfg), "--out", str(out)]) == 2
+        assert capsys.readouterr() == ("", TOO_LONG)
+        assert not out.exists()
 
     def test_code_file_relative_to_config(self, tmp_path, monkeypatch):
         sub = tmp_path / "sub"

@@ -40,6 +40,7 @@ from oracles import (
     cyclic_naive,
     encode_naive,
     erasure_fill_naive,
+    failure_count_by_weights,
     min_distance_naive,
     rank_naive,
     transpose_naive,
@@ -103,9 +104,9 @@ class TestSingleParity:
 
         monkeypatch.setattr(codes, "_build", build)
         with pytest.raises(ValueError, match="too many rows"):
-            single_parity_code(codes.PARITY_LENGTH_LIMIT + 1)
+            single_parity_code(codes.LENGTH_LIMIT + 1)
         with pytest.raises(AssertionError, match="built"):
-            single_parity_code(codes.PARITY_LENGTH_LIMIT)
+            single_parity_code(codes.LENGTH_LIMIT)
 
     def test_distance_matches_exhaustive_search(self):
         for n in range(2, 12):
@@ -272,7 +273,7 @@ class TestInvariants:
         # a generator already [I_k | P] is read as it stands; the
         # non-systematic generators of test_gf2 keep the elimination covered
         small = all_codes_small()
-        parity = single_parity_code(codes.PARITY_LENGTH_LIMIT)
+        parity = single_parity_code(codes.LENGTH_LIMIT)
         text = format_code_file(parity)
 
         def eliminate(*args):
@@ -283,6 +284,21 @@ class TestInvariants:
             assert gf2.min_distance(code.generator) == min_distance_naive(as_lists(code.generator))
         assert gf2.min_distance(parity.generator) == 2
         assert parse_code_file(text) == parity
+
+    def test_length_bound_is_checked_before_h_is_derived(self, monkeypatch):
+        # one length holds every code: past it the repetition generator
+        # [1 ... 1] is refused before H is derived
+        def derive(*args):
+            raise AssertionError("derived")
+
+        def repetition(n):
+            return BitMatrix.from_row_words([(1 << n) - 1], n)
+
+        monkeypatch.setattr(gf2, "_systematic_dual", derive)
+        with pytest.raises(ValueError, match="too long"):
+            ProtectionCode(repetition(codes.LENGTH_LIMIT + 1))
+        with pytest.raises(AssertionError, match="derived"):
+            ProtectionCode(repetition(codes.LENGTH_LIMIT))
 
     def test_constructor_rejects_non_systematic(self):
         with pytest.raises(ValueError, match="not in systematic form"):
@@ -1281,6 +1297,46 @@ class TestVerifyProtection:
         if next_count is not None:
             assert next_count == (code.n - d) * a_d + dist[d + 1]
             assert len(verify_protection(code, d + 1).failing_patterns) == next_count
+
+
+def golden_grid_codes():
+    """The codes of the grid in tests/test_verify_golden.py."""
+    return [single_parity_code(6), single_parity_code(9), hamming_code(3), hamming_code(4), hamming_code(5),
+            bch_code(7, 1), bch_code(7, 2), bch_code(15, 2), bch_code(31, 2), bch_code(63, 2)]
+
+
+class TestFailureCountByWeights:
+    """Two independent counts of the failing t-sets: F_t from the weight
+    counts, which MacWilliams takes from the dual's span, and the number
+    that unrecoverable_patterns lists by column sums or by walk."""
+
+    def test_equals_the_listing_below_one_and_a_half_d(self):
+        cases = 0
+        for code in all_codes_small() + golden_grid_codes():
+            weights = list(gf2._weight_counts(code.generator))
+            for t in range(code.d_min, min(code.n, (3 * code.d_min - 1) // 2) + 1):
+                if math.comb(code.n, t) <= codes.PATTERN_ENUMERATION_LIMIT:
+                    listed = sum(1 for _ in codes.unrecoverable_patterns(code, t))
+                    assert failure_count_by_weights(weights, t) == listed, (code.n, code.k, t)
+                    cases += 1
+        # [63,51,5] has no such t within the pattern bound
+        assert cases == 28
+
+    @pytest.mark.parametrize(
+        "build, t, formula, listed",
+        [
+            # at the first t >= 1.5 d a t-set can hold two supports
+            (lambda: hamming_code(4), 5, 3633, 3003),
+            (lambda: single_parity_code(9), 3, 252, 84),
+            # the benchmark's verify-bch31-t5, inside the range
+            (lambda: bch_code(31, 2), 5, 186, 186),
+        ],
+        ids=["hamming4-t5", "parity9-t3", "bch31-t5"],
+    )
+    def test_edge_of_the_range(self, build, t, formula, listed):
+        code = build()
+        assert failure_count_by_weights(list(gf2._weight_counts(code.generator)), t) == formula
+        assert sum(1 for _ in codes.unrecoverable_patterns(code, t)) == listed
 
 
 class TestShorten:
