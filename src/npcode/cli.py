@@ -165,7 +165,7 @@ def cmd_codegen(args) -> int:
 def _failure_lines(n: int, failures):
     """Each failure (a, p) of :func:`codes.unrecoverable_patterns` of a
     length-n code as its line: p's positions shifted by a, named from one
-    slice of the position names per shift (a never decreases)."""
+    slice of the position names, taken again whenever a changes."""
     names = [str(i) for i in range(n)]
     shift, name = 0, names.__getitem__
     for a, p in failures:

@@ -286,21 +286,15 @@ def erasure_decode(
 
 def _is_cyclic(parity_check: BitMatrix) -> bool:
     """Whether rotating the coordinates by one maps the code ker H onto
-    itself: exactly when it maps H's row space onto itself, full rank or
-    not. One elimination reduces H's rows; each reduced row, rotated by one,
-    is reduced against them and must leave zero. It reads H alone, so it is
-    exact for any generator."""
-    n = parity_check.cols
-    reduced, pivots, _ = gf2._eliminate(list(parity_check.row_words), range(n))
-    steps = [(row, 1 << p) for row, p in zip(reduced, pivots)]
-    for row, _ in steps:
-        word = (row << 1 | row >> (n - 1)) & ((1 << n) - 1)
-        for other, bit in steps:
-            if word & bit:
-                word ^= other
-        if word:
-            return False
-    return True
+    itself: exactly when it maps H's row space onto itself. For H = [P^T | I_m]
+    a word lies in the row space exactly when it is the XOR of the rows that
+    its last m bits select: one row product per rotated row. On an H of any
+    other form those sums still prove every "cyclic", though some cyclic H
+    are missed."""
+    rows, n = parity_check.row_words, parity_check.cols
+    k = n - len(rows)
+    rotated = ((w << 1 | w >> (n - 1)) & ((1 << n) - 1) for w in rows)
+    return all(w == gf2.xor_rows(rows, w >> k) for w in rotated)
 
 
 def _failure_events(cols: list[int], n: int, t: int, top: int) -> Iterator[tuple[tuple[int, ...], int]]:
@@ -404,20 +398,23 @@ def _zero_sums(cols: Sequence[int], pairs: dict, n: int, t: int, top: int) -> It
 
 def _expansions(events: Iterable[tuple[tuple[int, ...], int]], n: int, shifts: int) -> Iterator[Iterable[tuple[int, tuple[int, ...]]]]:
     """Each event's failures in turn, at shifts a = 0 .. shifts - 1, as
-    pairs (a, pattern at shift 0): the failure is the pattern with a added
-    to each position. Event (head, r) stands for head followed by every
-    r-subset of the positions after its last, and at shift a for those that
-    fit in range(n): while head[-1] + a + r < n, the r-subsets of the
-    positions below n - a. Shifting is monotone, so the position-0 events of
-    a cyclic code list every failure in lexicographic order, those with
-    least element a at shift a; no event is rebuilt to be shifted."""
+    pairs (a, p): the failure is p with a added to each position. Event
+    (head, r) stands for head followed by every r-subset of the positions
+    after its last, and at shift a for those that fit in range(n): while
+    head[-1] + a + r < n, head shifted by a and the r-subsets of the
+    positions after it, listed in place (a = 0). A failing leaf (r = 0) keeps
+    its head and travels with a. Shifting is monotone, so the position-0
+    events of a cyclic code list every failure in lexicographic order, those
+    with least element a at shift a."""
     if shifts > 1:
         events = list(events)
     for a in range(shifts):
         if a:
             events = [event for event in events if event[0][-1] + a + event[1] < n]
         for head, r in events:
-            yield zip(itertools.repeat(a), map(head.__add__, itertools.combinations(range(head[-1] + 1, n - a), r))) if r else ((a, head),)
+            if r and a:
+                head = tuple(map(a.__add__, head))
+            yield zip(itertools.repeat(0), map(head.__add__, itertools.combinations(range(head[-1] + 1, n), r))) if r else ((a, head),)
 
 
 def unrecoverable_patterns(code: ProtectionCode, t: int) -> Iterator[tuple[int, tuple[int, ...]]]:

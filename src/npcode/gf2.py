@@ -416,16 +416,14 @@ def _krawtchouk(n: int, js: Sequence[int]) -> Iterator[list[int]]:
 def _weight_counts(g: BitMatrix, dual: Sequence[int] | None = None) -> Iterator[int]:
     """Yield A_0, A_1, ..., A_n, the number of codewords of each weight in
     the code spanned by the k rows of g, enumerating the code if k <= n - k
-    and its dual otherwise. Given the rows ``dual`` of [P^T | I_m], g is
-    taken to be [I_k | P] and neither is checked. Otherwise a generator
-    already in that form is read as it stands, and any other is row-reduced
-    first and its columns moved into that form; the dual is then [P^T | I_m].
-    From the dual's counts B_j, each A_w is the MacWilliams sum
-    2^-m * sum_j B_j K_w(j), m = n - k (see :func:`_krawtchouk`).
+    and its dual otherwise. g must be a systematic generator [I_k | P], whose
+    dual is [P^T | I_m]: given that dual's rows as ``dual``, neither is
+    checked or derived again. From the dual's counts B_j, each A_w is the
+    MacWilliams sum 2^-m * sum_j B_j K_w(j), m = n - k (see :func:`_krawtchouk`).
 
     Raises:
         TooLarge: both k and n - k exceed MIN_DISTANCE_ROW_LIMIT.
-        ValueError: g does not have full row rank.
+        ValueError: g is not in systematic form.
         RuntimeError: a MacWilliams sum is negative or not a multiple of 2^m.
     """
     k, n = g.rows, g.cols
@@ -434,15 +432,7 @@ def _weight_counts(g: BitMatrix, dual: Sequence[int] | None = None) -> Iterator[
         raise TooLarge(f"enumeration supports min(k, n - k) <= {MIN_DISTANCE_ROW_LIMIT}, got {k}, {m}")
     words = g.row_words
     if dual is None and not all(w & ((1 << k) - 1) == 1 << i for i, w in enumerate(words)):
-        words, pivots, _ = _eliminate(list(words), range(n))
-        if len(pivots) != k:
-            raise ValueError("generator matrix must have full row rank")
-        # Moving columns keeps every weight: with each row's pivot moved to
-        # the row's index, and the other columns after them in order, the
-        # reduced rows are [I_k | P].
-        columns = _columns(words, n)
-        others = sorted(set(range(n)).difference(pivots))
-        words = _columns([columns[c] for c in pivots + others], k)
+        raise ValueError("generator is not in systematic form")
     if k <= m:
         yield from _span_weights(words, n)
         return
@@ -460,14 +450,14 @@ def _weight_counts(g: BitMatrix, dual: Sequence[int] | None = None) -> Iterator[
 
 
 def min_distance(g: BitMatrix, *, dual: Sequence[int] | None = None) -> int:
-    """True minimum distance of the code spanned by the rows of g: the first
-    w >= 1 with A_w > 0 (see :func:`_weight_counts`; later A_w are not summed).
-    A caller that has checked g is [I_k | P] and derived the rows of its dual
-    [P^T | I_m] passes them as ``dual``, and neither is done again.
+    """True minimum distance of the code spanned by the rows of g = [I_k | P]:
+    the first w >= 1 with A_w > 0 (see :func:`_weight_counts`; later A_w are
+    not summed). A caller that has checked g's form and derived the rows of
+    its dual [P^T | I_m] passes them as ``dual``, and neither is done again.
 
     Raises:
         TooLarge: both k and n - k exceed MIN_DISTANCE_ROW_LIMIT.
-        ValueError: g does not have full row rank.
+        ValueError: g is not in systematic form.
     """
     counts = _weight_counts(g, dual)
     next(counts)  # A_0, the zero word

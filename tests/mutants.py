@@ -116,7 +116,7 @@ MUTANTS = [
         ("tests/test_codes.py::TestDerivedParityCheck",),
     ),
     Mutant(
-        "systematic-shortcut-for-every-generator",
+        "systematic-refusal-dropped",
         "gf2.py",
         "    if dual is None and not all(w & ((1 << k) - 1) == 1 << i for i, w in enumerate(words)):",
         "    if False:",
@@ -231,17 +231,24 @@ MUTANTS = [
         VERIFY_TESTS,
     ),
     Mutant(
-        "cyclic-check-reads-rotated-rows-alone",
+        "orbit-prune-expansion-starts-one-late",
         "codes.py",
-        "        word = (row << 1 | row >> (n - 1)) & ((1 << n) - 1)",
-        "        word = row",
+        "range(head[-1] + 1, n)",
+        "range(head[-1] + 2, n)",
         VERIFY_TESTS,
     ),
     Mutant(
-        "cyclic-reduction-skips-a-row",
+        "cyclic-membership-reads-one-bit-too-few",
         "codes.py",
-        "        for other, bit in steps:",
-        "        for other, bit in steps[1:]:",
+        "gf2.xor_rows(rows, w >> k)",
+        "gf2.xor_rows(rows, w >> (k + 1))",
+        ("tests/test_codes.py::TestCyclicity",),
+    ),
+    Mutant(
+        "cyclic-rotation-drops-the-wrap-bit",
+        "codes.py",
+        "(w << 1 | w >> (n - 1)) & ((1 << n) - 1)",
+        "(w << 1) & ((1 << n) - 1)",
         ("tests/test_codes.py::TestCyclicity",),
     ),
     Mutant(
@@ -285,13 +292,6 @@ MUTANTS = [
         "        and (size < 4 or len(pairs) == math.comb(n, 2))\n",
         "",
         VERIFY_TESTS,
-    ),
-    Mutant(
-        "dual-with-pivots-moved-last",
-        "gf2.py",
-        "[columns[c] for c in pivots + others]",
-        "[columns[c] for c in others + pivots]",
-        ("tests/test_gf2.py::TestMinDistance",),
     ),
     Mutant(
         "span-split-drops-a-row",

@@ -139,3 +139,15 @@ def cyclic_naive(h_rows):
         w for w in product((0, 1), repeat=n) if all(sum(map(and_, row, w)) % 2 == 0 for row in h_rows)
     }
     return {w[-1:] + w[:-1] for w in kernel} == kernel
+
+
+def cyclic_row_space_naive(h_rows):
+    """Whether rotating every word of H's row space by one position gives
+    the row space back, with the row space enumerated word by word: the
+    same answer as :func:`cyclic_naive`, since ker H is cyclic exactly when
+    its dual, the row space, is. It lists 2^rows words, not 2^n."""
+    columns = list(zip(*h_rows))
+    space = {
+        tuple(sum(map(and_, column, pick)) % 2 for column in columns) for pick in product((0, 1), repeat=len(h_rows))
+    }
+    return {w[-1:] + w[:-1] for w in space} == space

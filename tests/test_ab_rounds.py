@@ -1,7 +1,7 @@
 """``tests/ab_rounds.py`` runs end to end: this checkout against itself, with
 2 pairs of 200 rounds on each simulate workload and 2 pairs of the verify
 workload, after the two sides' ``src`` line counts; ``--workloads`` runs
-only the workloads it names."""
+only the workloads it names, the verify grid among them."""
 
 import re
 import subprocess
@@ -46,5 +46,17 @@ def test_named_workloads_only():
 def test_unknown_workload_is_refused():
     done = ab_rounds("--workloads", "verify-bch31-t5,sim-bch31-t3")
     assert done.returncode == 2
-    assert "--workloads takes names of sim-bch31-clean, sim-bch31-t2, verify-bch31-t5, got 'verify-bch31-t5,sim-bch31-t3'" in done.stderr
+    assert "--workloads takes names of sim-bch31-clean, sim-bch31-t2, verify-bch31-t5, verify-grid, got 'verify-bch31-t5,sim-bch31-t3'" in done.stderr
     assert not done.stdout
+
+
+def test_verify_grid():
+    done = ab_rounds("--workloads", "verify-grid")
+    assert done.returncode == 0, done.stderr
+    lines = done.stdout.splitlines()
+    assert len(lines) == 6
+    for side, line in zip(("parent", "change"), lines[2:4]):
+        assert re.fullmatch(rf"verify-grid +{side} +median +\d+\.\d +quartiles +\d+\.\d +\d+\.\d +ms total", line)
+    assert re.fullmatch(r"verify-grid +change won [012] of 2 pairs; pair-median ratio \d+\.\d{3}", lines[4])
+    case = r"(hamming-mu[45]|bch-(15-7|31-21|63-57|63-51|31-21-short2)|parity-n100)-t[2-8] \d+\.\d{3}"
+    assert re.fullmatch(rf"verify-grid +lowest case ratios: {case}, {case}, {case}", lines[5])

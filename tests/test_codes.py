@@ -38,6 +38,7 @@ from npcode.gf2 import BitMatrix, BitVector, DimensionMismatch, NoUniqueSolution
 from oracles import (
     agreeing_messages,
     cyclic_naive,
+    cyclic_row_space_naive,
     encode_naive,
     erasure_fill_naive,
     failure_count_by_weights,
@@ -270,8 +271,8 @@ class TestInvariants:
             assert gf2.min_distance(code.generator) == code.d_min
 
     def test_distance_is_measured_without_eliminating(self, monkeypatch):
-        # a generator already [I_k | P] is read as it stands; the
-        # non-systematic generators of test_gf2 keep the elimination covered
+        # a generator [I_k | P] is read as it stands, and a generator of any
+        # other form is refused (test_gf2): no distance eliminates
         small = all_codes_small()
         parity = single_parity_code(codes.LENGTH_LIMIT)
         text = format_code_file(parity)
@@ -841,15 +842,33 @@ def random_parity_checks(rng, count):
 
 class TestCyclicity:
     def test_agrees_with_kernel_oracle(self):
-        checks = random_parity_checks(random.Random(2890), 2400)
+        # exact on H = [P^T | I_m], the form every code's H has: the small
+        # library codes and 400 random small codes, every other one cyclic
+        # by construction
+        checks = [c.parity_check for c in [*all_codes_small(), *random_small_codes(random.Random(2890), 400)]]
         cyclic = [codes._is_cyclic(h) for h in checks]
         assert cyclic == [cyclic_naive(as_lists(h)) for h in checks]
-        assert 200 < sum(cyclic) < len(checks) - 200
+        assert 100 <= sum(cyclic) <= len(checks) - 100
 
     def test_agrees_with_kernel_oracle_on_codes(self):
-        # each small code; a copy with the columns of H moved, which is
-        # cyclic only by chance; and rank-deficient copies of H, with a zero
-        # row or the sum of two rows added, which span the same code
+        # the golden grid's codes; past n = 15 the kernel is too large to
+        # list, and the oracle rotates the row space of H instead
+        found = []
+        for code in golden_grid_codes():
+            h = as_lists(code.parity_check)
+            expected = cyclic_row_space_naive(h)
+            if code.n <= 15:
+                assert cyclic_naive(h) == expected
+            assert codes._is_cyclic(code.parity_check) == expected, (code.n, code.k)
+            found.append(expected)
+        assert 0 < sum(found) < len(found)
+
+    def test_never_cyclic_where_the_kernel_oracle_says_not(self):
+        # on an H of any other form the answer is sound, not exact: each
+        # small code's H with its columns moved, which is cyclic only by
+        # chance; rank-deficient copies, with a zero row or the sum of two
+        # rows added, which span the same code; and random H with fewer rows
+        # than columns
         rng = random.Random(3434)
         checks = []
         for code in all_codes_small():
@@ -858,11 +877,12 @@ class TestCyclicity:
             order = rng.sample(range(n), n)
             columns = transpose_naive(rows, n)
             moved = transpose_naive([columns[c] for c in order], h.rows)
-            checks += [h, BitMatrix.from_row_words(moved, n), BitMatrix.from_row_words([*rows, 0], n)]
+            checks += [BitMatrix.from_row_words(moved, n), BitMatrix.from_row_words([*rows, 0], n)]
             checks.append(BitMatrix.from_row_words([rows[0] ^ rows[-1], *rows], n))
-        cyclic = [codes._is_cyclic(h) for h in checks]
-        assert cyclic == [cyclic_naive(as_lists(h)) for h in checks]
-        assert 8 <= sum(cyclic) <= len(checks) - 8
+        checks += [h for h in random_parity_checks(random.Random(2890), 2400) if h.rows < h.cols]
+        answers = [(codes._is_cyclic(h), cyclic_naive(as_lists(h))) for h in checks]
+        assert (True, False) not in answers
+        assert answers.count((True, True)) > 50 and answers.count((False, False)) > 500
 
     @pytest.mark.parametrize("n", [2, 3, 6, 9, 64])
     def test_every_parity_code_is_cyclic(self, n):

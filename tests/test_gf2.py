@@ -60,6 +60,11 @@ def random_full_rank(rng, rows, cols):
             return m
 
 
+def random_systematic(rng, k, m):
+    """[I_k | P] with P a random k x m matrix."""
+    return BitMatrix.from_row_words([1 << i | rng.getrandbits(m) << k for i in range(k)], k + m)
+
+
 class TestConstruction:
     def test_vector_rejects_empty(self):
         with pytest.raises(ValueError):
@@ -341,44 +346,57 @@ class TestMinDistance:
         with pytest.raises(ValueError):
             min_distance(BitMatrix([[1, 0, 1], [1, 0, 1]]))
 
+    def test_non_systematic_generator_is_refused(self, monkeypatch):
+        # full rank, but not [I_k | P]: rows out of order, a zero leading
+        # column, identity columns last; refused before any elimination
+        rng = random.Random(24)
+        refused = [
+            BitMatrix([[0, 1, 1, 0], [1, 0, 0, 1]]),
+            BitMatrix([[0, 1, 0, 1], [0, 0, 1, 1]]),
+            BitMatrix([[1, 1, 1, 0], [0, 1, 0, 1]]),
+            BitMatrix([[1, 1, 0, 1, 0, 0], [1, 0, 1, 0, 1, 0], [0, 1, 1, 0, 0, 1]]),
+        ]
+        while len(refused) < 30:
+            k = rng.randrange(1, 8)
+            g = random_full_rank(rng, k, k + rng.randrange(0, 8))
+            if any(w & ((1 << k) - 1) != 1 << i for i, w in enumerate(g.row_words)):
+                refused.append(g)
+
+        def eliminate(*args):
+            raise AssertionError("eliminated")
+
+        for g in refused:
+            assert rank(g) == g.rows
+            with pytest.raises(ValueError, match="systematic form"):
+                min_distance(g)
+            with monkeypatch.context() as patch:
+                patch.setattr(gf2, "_eliminate", eliminate)
+                with pytest.raises(ValueError, match="systematic form"):
+                    list(gf2._weight_counts(g))
+
     def test_matches_naive_random(self):
         rng = random.Random(16)
-        done = 0
-        while done < 60:
-            rows = rng.randrange(1, 7)
-            cols = rng.randrange(rows, rows + 6)
-            m = random_bit_matrix(rng, rows, cols)
-            if rank(m) != rows:
-                continue
-            lists = [[m[i, j] for j in range(cols)] for i in range(rows)]
-            assert min_distance(m) == min_distance_naive(lists)
-            done += 1
+        for _ in range(60):
+            g = random_systematic(rng, rng.randrange(1, 7), rng.randrange(0, 6))
+            assert min_distance(g) == min_distance_naive(as_lists(g))
 
     def test_wide_matrix_multiword(self):
         # more than 64 columns forces the multi-word packed path
         rng = random.Random(20)
-        done = 0
-        while done < 10:
-            rows = rng.randrange(1, 6)
-            lists = [[rng.randrange(2) for _ in range(70)] for _ in range(rows)]
-            m = BitMatrix(lists)
-            if rank(m) != rows:
-                continue
-            assert min_distance(m) == min_distance_naive(lists)
-            done += 1
+        for _ in range(10):
+            k = rng.randrange(1, 6)
+            g = random_systematic(rng, k, 70 - k)
+            assert min_distance(g) == min_distance_naive(as_lists(g))
 
     def test_matches_naive_on_both_sides(self, monkeypatch):
-        # k <= n - k enumerates the code, k > n - k goes through the dual;
-        # a few all-zero leading columns keep the pivots off the diagonal
+        # k <= n - k enumerates the code, k > n - k goes through the dual
         rng = random.Random(23)
         routes = {True: 0, False: 0}
         for _ in range(120):
             k = rng.randrange(1, 9)
-            m = rng.randrange(0, 9)
-            lead = rng.randrange(0, 3)
-            g = random_full_rank(rng, k, k + m)
-            g = BitMatrix.from_row_words([w << lead for w in g.row_words], k + m + lead)
-            routes[k <= m + lead] += 1
+            m = rng.randrange(0, 11)
+            g = random_systematic(rng, k, m)
+            routes[k <= m] += 1
             assert min_distance(g) == min_distance_naive(as_lists(g))
         assert min(routes.values()) >= 30
         # [I_k | P] with k > m is read as it stands, and its dual is the
@@ -396,53 +414,35 @@ class TestMinDistance:
             assert spans.pop() == check
             assert not spans
 
-    def test_non_leading_pivots(self):
-        rng = random.Random(24)
-        checked = 0
-        for _ in range(40):
-            k, n = rng.randrange(2, 8), rng.randrange(9, 14)
-            g = random_full_rank(rng, k, n)
-            cols = list(range(n))
-            rng.shuffle(cols)
-            g = BitMatrix([[g[i, c] for c in cols] + [0] for i in range(k)][::-1])
-            if gf2._eliminate(list(g.row_words), range(g.cols))[1] == list(range(k)):
-                continue
-            assert min_distance(g) == min_distance_naive(as_lists(g))
-            checked += 1
-        assert checked >= 30
-
     def test_weight_distribution_matches_naive_histogram(self):
         rng = random.Random(25)
         for _ in range(60):
             k = rng.randrange(1, 8)
-            g = random_full_rank(rng, k, k + rng.randrange(0, 7))
+            g = random_systematic(rng, k, rng.randrange(0, 7))
             dist = list(gf2._weight_counts(g))
             assert sum(dist) == 1 << k
             assert dist == span_weights_naive(as_lists(g))
 
     def test_wide_dual_side_direct_sum(self):
-        # Six [12, 9] blocks on disjoint columns: n = 72 spans two 64-bit
-        # words and k = 54 > m = 18, so only the dual side is enumerable. The
-        # weight distribution of a direct sum is the convolution of the
-        # blocks' distributions; rows are mixed and columns shuffled so that
-        # nothing is systematic.
+        # Six [12, 9] blocks [I_9 | P_b] on disjoint columns, laid out as
+        # [I_54 | P]: every block's identity columns first, then every block's
+        # P columns. n = 72 spans two 64-bit words and k = 54 > m = 18, so only
+        # the dual side is enumerable. Moving columns keeps weights, so the
+        # weight distribution is the convolution of the blocks' distributions.
         rng = random.Random(26)
         n_block, k_block, blocks = 12, 9, 6
-        n = n_block * blocks
-        cols = list(range(n))
-        rng.shuffle(cols)
-        rows, want, d_min = [], [1], n
+        m_block = n_block - k_block
+        k = k_block * blocks
+        rows, want, d_min = [], [1], k + m_block * blocks
         for b in range(blocks):
-            block = random_full_rank(rng, k_block, n_block)
+            block = random_systematic(rng, k_block, m_block)
             hist = span_weights_naive(as_lists(block))
             want = [sum(want[i] * hist[w - i] for i in range(len(want)) if 0 <= w - i < len(hist))
                     for w in range(len(want) + n_block)]
             d_min = min(d_min, min_distance_naive(as_lists(block)))
-            for w in block.row_words:
-                rows.append(sum(1 << cols[b * n_block + j] for j in range(n_block) if (w >> j) & 1))
-        mixed = [rows[i] ^ rows[(i + 1) % len(rows)] if i % 2 else rows[i] for i in range(len(rows))]
-        g = BitMatrix.from_row_words(mixed, n)
-        assert rank(g) == len(rows)
+            rows += [1 << (b * k_block + i) | (w >> k_block) << (k + b * m_block) for i, w in enumerate(block.row_words)]
+        g = BitMatrix.from_row_words(rows, k + m_block * blocks)
+        assert g.cols == 72
         assert list(gf2._weight_counts(g)) == want
         assert min_distance(g) == d_min
 
@@ -486,16 +486,9 @@ class TestMinDistance:
 
     def test_bounded_by_min_row_weight(self):
         rng = random.Random(17)
-        done = 0
-        while done < 80:
-            rows = rng.randrange(1, 8)
-            cols = rng.randrange(rows, rows + 8)
-            m = random_bit_matrix(rng, rows, cols)
-            if rank(m) != rows:
-                continue
-            min_row_weight = min(w.bit_count() for w in m.row_words)
-            assert min_distance(m) <= min_row_weight
-            done += 1
+        for _ in range(80):
+            g = random_systematic(rng, rng.randrange(1, 8), rng.randrange(0, 8))
+            assert min_distance(g) <= min(w.bit_count() for w in g.row_words)
 
 
 class TestTextFormat:
