@@ -210,10 +210,13 @@ def render_report(records, sched: protocol.Schedule, out) -> protocol.Simulation
     capacity = _ratio(Fraction(sched.n - sched.m, sched.n))
     # each failed set's text, and each row kind's text after it, is made once:
     # most rounds repeat an earlier set, and a run has few kinds. A kind's
-    # entry is [its row tail, its rounds], so a round costs one lookup of its kind
+    # entry is [its row tail, its rounds], so a round costs at most one lookup
+    # of its kind: none when its report is the previous round's object, as
+    # every clean round's is
     texts: dict[frozenset[int], str] = {}
     kinds: dict[tuple, list] = {}
     write, text_of, kind_of = out.write, texts.get, kinds.get  # bound once per run
+    last = None
     for rec in records:
         report = rec.report
         failed = text_of(rec.failed)
@@ -221,11 +224,13 @@ def render_report(records, sched: protocol.Schedule, out) -> protocol.Simulation
             if len(texts) == FAILED_TEXTS_KEPT:  # a long run of distinct sets
                 texts.clear()
             failed = texts[rec.failed] = ";".join(str(c) for c in sorted(rec.failed)) or "-"
-        kind = (report.outcome, report.queries_sent, report.xor_operations, report.transmissions)
-        entry = kind_of(kind)
-        if entry is None:
-            tail = f"{report.outcome.value},{report.queries_sent},{report.xor_operations},{report.transmissions},{capacity}\n"
-            entry = kinds[kind] = [tail, 0]
+        if report is not last:
+            kind = (report.outcome, report.queries_sent, report.xor_operations, report.transmissions)
+            entry = kind_of(kind)
+            if entry is None:
+                tail = f"{report.outcome.value},{report.queries_sent},{report.xor_operations},{report.transmissions},{capacity}\n"
+                entry = kinds[kind] = [tail, 0]
+            last = report
         entry[1] += 1
         write(f"{rec.index},{failed},{entry[0]}")
     metrics = protocol.SimulationMetrics(sched, {kind: entry[1] for kind, entry in kinds.items()})

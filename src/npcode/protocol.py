@@ -28,8 +28,9 @@ import enum
 import functools
 import math
 import random
+import types
 from collections import Counter
-from collections.abc import Callable, Iterable, Iterator, Sequence
+from collections.abc import Callable, Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -86,7 +87,7 @@ def build_schedule(n: int, m: int, rounds: int) -> Schedule:
 class RecoveryReport:
     """What one round's recovery did and what it cost."""
 
-    recovered: dict[int, int]
+    recovered: Mapping[int, int]
     queries_sent: int
     xor_operations: int
     transmissions: int
@@ -386,8 +387,10 @@ def simulate_rounds(
     """Drive encode -> fail -> recover one round at a time.
 
     Data symbols come from a stream seeded by ``seed``, so identical
-    arguments replay identical rounds. Each round is one packed codeword
-    handed to :func:`recover_codeword`. Columns j < k of H = [P^T | I_m]
+    arguments replay identical rounds. Each round that loses a connection is
+    one packed codeword handed to :func:`recover_codeword`; every round that
+    loses none takes the run's one ``NoActionNeeded`` report, whose
+    ``recovered`` is a read-only empty mapping. Columns j < k of H = [P^T | I_m]
     are the rows of P, so a round's codeword is its data followed by the
     data's syndrome, read from the column tables the repair plans share:
     one lookup per 8 data bits.
@@ -402,11 +405,13 @@ def simulate_rounds(
     # bound once per run: each round would otherwise look every one of them up
     getrandbits, syndrome = random.Random(seed).getrandbits, gf2.xor_rows_by_tables
     recover_one, record = recover_codeword, RoundRecord
+    # read-only: a consumer that writes into it fails instead of changing later rounds
+    clean = RecoveryReport(types.MappingProxyType({}), 0, 0, n, _NO_ACTION_NEEDED)
     for r in range(rounds):
         failed = failure_model(r)
         data = getrandbits(k)
         codeword = data | syndrome(parity, data) << k
-        yield record(r, codeword, failed, recover_one(code, r % n, failed, codeword))
+        yield record(r, codeword, failed, recover_one(code, r % n, failed, codeword) if failed else clean)
 
 
 def run_simulation(

@@ -4,6 +4,7 @@ pytest does not collect this module. Run from any directory:
 
     python tests/ab_rounds.py PARENT_CHECKOUT [--pairs N] [--rounds R] [--seed S] [--workloads NAME[,NAME]]
     python tests/ab_rounds.py PARENT_CHECKOUT --workloads verify-grid
+    python tests/ab_rounds.py PARENT_CHECKOUT --workloads sim-grid [--rounds R] [--seed S]
 
 Both trees' ``src/npcode`` are loaded into this one process, under the
 package names ``npcode_parent`` and ``npcode_change``. Each workload of
@@ -11,7 +12,7 @@ package names ``npcode_parent`` and ``npcode_change``. Each workload of
 times: ``npcode simulate`` on the [31,21,5] BCH code with no failures and
 with 2 random failures a round, with the rounds set to R, and ``npcode
 verify --t 5`` on that code; ``--workloads`` picks some of the three, in
-their order here (all by default), or ``verify-grid`` below. Each side gets
+their order here (all by default), or the grids below. Each side gets
 its own directory, where the workload writes its inputs and prepares once
 (for verify, one ``npcode codegen``). One untimed command per side fills
 the caches first. Each pair then runs both sides once, the parent first in
@@ -32,6 +33,13 @@ each call timed with the garbage collector off, and the two sides' failing
 patterns must be equal. It prints each side's median and quartiles of the
 grid's total time, the pairs the change won, the pair-median ratio (parent
 time over change time), and the three cases with the lowest such ratio.
+
+``sim-grid`` is its simulate counterpart: five codes (parity n = 8, so
+m = 1; Hamming mu = 3; BCH [15,7], [31,21] and [63,51]), each under five
+failure models (none, fixed {0}, and random with t = 1, 2 and 3, seeded by
+S), each case R rounds of ``render_report(simulate_rounds(...))`` into a
+``StringIO``, timed and printed as the verify grid is. The two sides'
+report bytes must be equal.
 """
 
 from __future__ import annotations
@@ -40,6 +48,7 @@ import argparse
 import dataclasses
 import gc
 import importlib.util
+import io
 import math
 import statistics
 import sys
@@ -53,7 +62,7 @@ sys.path.insert(0, str(ROOT / "bench"))
 import workloads  # noqa: E402  (bench/workloads.py)
 
 TIMED = ("sim-bch31-clean", "sim-bch31-t2", "verify-bch31-t5")
-NAMES = (*TIMED, "verify-grid")
+NAMES = (*TIMED, "verify-grid", "sim-grid")
 
 
 def load_cli(checkout: Path, name: str):
@@ -111,9 +120,10 @@ def compare(sides: dict, wl, pairs: int, workdirs: dict) -> None:
     print(f"{wl.name:<16} change won {won} of {pairs} pairs; pair-median ratio {ratio:.3f}")
 
 
-def grid_cases(codes) -> list[tuple[str, object, int]]:
-    """The verify grid's (label, code, t), each code built by ``codes``, one
-    side's ``npcode.codes``."""
+def verify_cases(cli) -> list[tuple[str, object]]:
+    """The verify grid's (label, call), each code built by one side's ``cli``;
+    a call returns the failing patterns."""
+    codes = cli.codes
     built = {
         "hamming-mu4": codes.hamming_code(4),
         "hamming-mu5": codes.hamming_code(5),
@@ -125,45 +135,77 @@ def grid_cases(codes) -> list[tuple[str, object, int]]:
         "parity-n100": codes.single_parity_code(100),
     }
     return [
-        (f"{name}-t{t}", code, t)
+        (f"{name}-t{t}", lambda code=code, t=t: codes.verify_protection(code, t).failing_patterns)
         for name, code in built.items()
         for t in range(2, 9)
         if math.comb(code.n, t) <= codes.PATTERN_ENUMERATION_LIMIT and (name, t) != ("hamming-mu5", 6)
     ]
 
 
-def compare_grid(sides: dict, pairs: int) -> None:
-    cases = {name: grid_cases(cli.codes) for name, cli in sides.items()}
-    times = {name: [] for name in sides}  # per pair, each case's seconds
+def sim_cases(cli, rounds: int, seed: int) -> list[tuple[str, object]]:
+    """The simulate grid's (label, call), each code built by one side's
+    ``cli``; a call returns the report's text."""
+    codes, protocol = cli.codes, cli.protocol
+    built = {
+        "parity-n8": codes.single_parity_code(8),
+        "hamming-mu3": codes.hamming_code(3),
+        "bch-15-7": codes.bch_code(15, 2),
+        "bch-31-21": codes.bch_code(31, 2),
+        "bch-63-51": codes.bch_code(63, 2),
+    }
+
+    def report(code, failures):
+        sched = protocol.build_schedule(code.n, code.m, rounds)
+        net = cli.netmodel.Network.direct(code.n)
+        out = io.StringIO()
+        cli.render_report(protocol.simulate_rounds(net, code, sched, failures, rounds, seed=seed), sched, out)
+        return out.getvalue()
+
+    cases = []
+    for name, code in built.items():
+        models = {
+            "none": protocol.no_failures(),
+            "fixed0": protocol.fixed_failures({0}),
+            **{f"t{t}": protocol.random_failures(code.n, t, seed) for t in (1, 2, 3)},
+        }
+        cases += [(f"{name}-{model}", lambda code=code, f=f: report(code, f)) for model, f in models.items()]
+    return cases
+
+
+def compare_cases(workload: str, cases: dict, pairs: int) -> None:
+    """Time each side's calls of ``cases[side]``, a list of (label, call), in
+    alternating order, each with the garbage collector off; the two sides'
+    results must be equal."""
+    times = {name: [] for name in cases}  # per pair, each case's seconds
     for i in range(pairs):
-        order = list(sides) if i % 2 == 0 else list(sides)[::-1]
-        for name in sides:
+        order = list(cases) if i % 2 == 0 else list(cases)[::-1]
+        for name in cases:
             times[name].append([])
-        for j, (label, _, t) in enumerate(cases["parent"]):
-            failing = {}
+        for j, (label, _) in enumerate(cases["parent"]):
+            results = {}
             for name in order:
-                code = cases[name][j][1]
+                call = cases[name][j][1]
                 gc.collect()
                 gc.disable()
                 start = perf_counter()
-                failing[name] = sides[name].codes.verify_protection(code, t).failing_patterns
+                results[name] = call()
                 times[name][-1].append(perf_counter() - start)
                 gc.enable()
-            if failing["parent"] != failing["change"]:
-                raise SystemExit(f"verify-grid: the two sides' failing patterns differ on {label} in pair {i}")
+            if results["parent"] != results["change"]:
+                raise SystemExit(f"{workload}: the two sides' results differ on {label} in pair {i}")
     totals = {name: [sum(pair) * 1e3 for pair in values] for name, values in times.items()}
     for name, values in totals.items():
         q1, median, q3 = statistics.quantiles(values, n=4)
-        print(f"{'verify-grid':<16} {name:<6} median {median:>10.1f}  quartiles {q1:>10.1f} {q3:>10.1f}  ms total")
+        print(f"{workload:<16} {name:<6} median {median:>10.1f}  quartiles {q1:>10.1f} {q3:>10.1f}  ms total")
     won = sum(c < p for c, p in zip(totals["change"], totals["parent"]))
     ratio = statistics.median(p / c for c, p in zip(totals["change"], totals["parent"]))
-    print(f"{'verify-grid':<16} change won {won} of {pairs} pairs; pair-median ratio {ratio:.3f}")
+    print(f"{workload:<16} change won {won} of {pairs} pairs; pair-median ratio {ratio:.3f}")
     by_case = {
         label: statistics.median(p[j] / c[j] for p, c in zip(times["parent"], times["change"]))
-        for j, (label, _, _) in enumerate(cases["parent"])
+        for j, (label, _) in enumerate(cases["parent"])
     }
     lowest = sorted(by_case, key=by_case.get)[:3]
-    print(f"{'verify-grid':<16} lowest case ratios: " + ", ".join(f"{label} {by_case[label]:.3f}" for label in lowest))
+    print(f"{workload:<16} lowest case ratios: " + ", ".join(f"{label} {by_case[label]:.3f}" for label in lowest))
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -187,7 +229,11 @@ def main(argv: list[str] | None = None) -> int:
     with tempfile.TemporaryDirectory(prefix="npcode-ab-") as tmp:
         for name in chosen:
             if name == "verify-grid":
-                compare_grid(sides, args.pairs)
+                compare_cases(name, {side: verify_cases(cli) for side, cli in sides.items()}, args.pairs)
+                continue
+            if name == "sim-grid":
+                cases = {side: sim_cases(cli, args.rounds, args.seed) for side, cli in sides.items()}
+                compare_cases(name, cases, args.pairs)
                 continue
             wl = workloads.WORKLOADS[name]
             if isinstance(wl, workloads.Simulate):

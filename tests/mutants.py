@@ -189,11 +189,32 @@ MUTANTS = [
     Mutant(
         "fold-kind-without-xor-ops",
         "cli.py",
-        "        kind = (report.outcome, report.queries_sent, report.xor_operations, report.transmissions)\n"
-        "        entry = kind_of(kind)",
-        "        kind = (report.outcome, report.queries_sent, 0, report.transmissions)\n"
-        "        entry = kind_of(kind)",
+        "            kind = (report.outcome, report.queries_sent, report.xor_operations, report.transmissions)\n"
+        "            entry = kind_of(kind)",
+        "            kind = (report.outcome, report.queries_sent, 0, report.transmissions)\n"
+        "            entry = kind_of(kind)",
         ("tests/test_cli.py::TestReportSummary",),
+    ),
+    Mutant(
+        "row-entry-kept-after-report-changes",
+        "cli.py",
+        "            last = report\n",
+        "",
+        ("tests/test_cli.py::TestReportSummary",),
+    ),
+    Mutant(
+        "row-entry-reused-for-every-report",
+        "cli.py",
+        "        if report is not last:",
+        "        if last is None:",
+        ("tests/test_cli.py::TestReportSummary",),
+    ),
+    Mutant(
+        "clean-skip-on-one-failure",
+        "protocol.py",
+        "recover_one(code, r % n, failed, codeword) if failed else clean",
+        "recover_one(code, r % n, failed, codeword) if len(failed) > 1 else clean",
+        ("tests/test_protocol.py::TestCleanRounds", "tests/test_protocol.py::TestEndToEnd"),
     ),
     Mutant(
         "capacity-empty-check-dropped",

@@ -1,5 +1,6 @@
 import argparse
 import collections
+import dataclasses
 import hashlib
 import io
 import os
@@ -814,6 +815,62 @@ class TestReportSummary:
             added.add(rec)
         assert rendered == added
         assert rendered.avg_capacity == Fraction(sched.n - sched.m, sched.n)
+
+    def test_repeated_report_object_reuses_its_row(self):
+        # one report object repeated, a distinct object of the same kind, one
+        # of another kind, then the first object again: the rows, summary and
+        # fold equal those of the same rounds each carrying its own copy
+        sched = protocol.build_schedule(5, 1, 8)
+        shared = protocol.RecoveryReport({}, 0, 0, 5, protocol.Outcome.NO_ACTION_NEEDED)
+        other = protocol.RecoveryReport({1: 1}, 4, 3, 5, protocol.Outcome.FULL_RECOVERY)
+        reports = [shared, shared, shared, dataclasses.replace(shared), other, shared, shared]
+        failed = [frozenset({1}) if report is other else frozenset() for report in reports]
+
+        def render(copy):
+            records = (
+                protocol.RoundRecord(r, 0, f, dataclasses.replace(report) if copy else report)
+                for r, (f, report) in enumerate(zip(failed, reports))
+            )
+            out = io.StringIO()
+            metrics = render_report(records, sched, out)
+            return out.getvalue(), metrics
+
+        text, metrics = render(copy=False)
+        assert (text, metrics) == render(copy=True)
+        assert text.splitlines()[1:-1] == [
+            "0,-,NoActionNeeded,0,0,5,4/5",
+            "1,-,NoActionNeeded,0,0,5,4/5",
+            "2,-,NoActionNeeded,0,0,5,4/5",
+            "3,-,NoActionNeeded,0,0,5,4/5",
+            "4,1,FullRecovery,4,3,5,4/5",
+            "5,-,NoActionNeeded,0,0,5,4/5",
+            "6,-,NoActionNeeded,0,0,5,4/5",
+        ]
+        assert metrics.kinds == {
+            (protocol.Outcome.NO_ACTION_NEEDED, 0, 0, 5): 6,
+            (protocol.Outcome.FULL_RECOVERY, 4, 3, 5): 1,
+        }
+
+    def test_repeated_report_is_read_once(self):
+        # a run of rounds carrying one report object reads its fields for its
+        # first row only, however long the run
+        sched = protocol.build_schedule(5, 1, 50)
+        shared = protocol.RecoveryReport({}, 0, 0, 5, protocol.Outcome.NO_ACTION_NEEDED)
+
+        def reads(rounds):
+            counted = collections.Counter()
+
+            class Counted:
+                def __getattr__(self, name):
+                    counted[name] += 1
+                    return getattr(shared, name)
+
+            report = Counted()
+            records = (protocol.RoundRecord(r, 0, frozenset(), report) for r in range(rounds))
+            render_report(records, sched, io.StringIO())
+            return counted
+
+        assert reads(1) and reads(50) == reads(1)
 
     def test_empty_stream_raises_value_error_after_the_header(self):
         sched = protocol.build_schedule(7, 3, 5)

@@ -1,5 +1,6 @@
 import dataclasses
 import functools
+import io
 import itertools
 import math
 import random
@@ -9,7 +10,8 @@ from types import SimpleNamespace
 
 import pytest
 
-from npcode import codes, gf2
+from npcode import codes, gf2, protocol
+from npcode.cli import render_report
 from npcode.codes import (
     ErasurePattern,
     bch_code,
@@ -831,6 +833,65 @@ class TestRunSimulation:
                 no_failures(),
                 5,
             )
+
+
+CLEAN_CODES = [single_parity_code(5), hamming_code(3), bch_code(15, 2), bch_code(31, 2)]
+CLEAN_IDS = ["parity5", "hamming3", "bch15", "bch31"]
+
+
+class TestCleanRounds:
+    """A round that loses no connection takes the run's one shared report
+    and never reaches recovery."""
+
+    @pytest.mark.parametrize("code", CLEAN_CODES, ids=CLEAN_IDS)
+    def test_clean_rounds_skip_recovery(self, code, monkeypatch):
+        # even rounds lose nothing, odd rounds lose one or two connections;
+        # recovery is patched before the run starts, so a call with an empty
+        # failed set raises
+        n, rounds = code.n, 4 * code.n
+        drawn = {t: random_failures(n, t, seed=8) for t in (1, 2)}
+
+        def failures(r):
+            return drawn[r % 4 // 2 + 1](r) if r % 2 else frozenset()
+
+        def recover_nonempty(code, offset, failed, codeword):
+            if not failed:
+                raise AssertionError(f"recovery called on a clean round at offset {offset}")
+            return recover_codeword(code, offset, failed, codeword)
+
+        monkeypatch.setattr(protocol, "recover_codeword", recover_nonempty)
+        sched = build_schedule(n, code.m, rounds)
+        records = list(simulate_rounds(Network.direct(n), code, sched, failures, rounds, seed=3))
+        monkeypatch.undo()
+        clean = [rec for rec in records if not rec.failed]
+        assert len(clean) == rounds // 2
+        assert all(rec.report is clean[0].report for rec in clean)
+        for rec in records:
+            assert rec.report == recover_codeword(code, rec.index % n, rec.failed, rec.codeword)
+        assert {rec.report.outcome for rec in records} >= {Outcome.NO_ACTION_NEEDED, Outcome.FULL_RECOVERY}
+
+    @pytest.mark.parametrize("code", CLEAN_CODES, ids=CLEAN_IDS)
+    def test_every_clean_model_gives_the_same_run(self, code):
+        n, rounds = code.n, 3 * code.n
+        sched = build_schedule(n, code.m, rounds)
+        runs = []
+        for model in (no_failures(), fixed_failures(()), random_failures(n, 0, seed=5)):
+            records = list(simulate_rounds(Network.direct(n), code, sched, model, rounds, seed=2))
+            out = io.StringIO()
+            render_report(iter(records), sched, out)
+            runs.append((records, out.getvalue()))
+        assert runs[0] == runs[1] == runs[2]
+        assert all(rec.report.outcome is Outcome.NO_ACTION_NEEDED for rec in runs[0][0])
+
+    def test_shared_report_is_read_only(self):
+        code = hamming_code(3)
+        sched = build_schedule(7, 3, 5)
+        records = list(simulate_rounds(Network.direct(7), code, sched, no_failures(), 5))
+        shared = records[0].report
+        assert all(rec.report is shared for rec in records)
+        with pytest.raises(TypeError):
+            shared.recovered[0] = 1
+        assert shared.recovered == {}
 
 
 class TestPackedEncode:
