@@ -17,7 +17,7 @@ from dataclasses import dataclass, fields
 from fractions import Fraction
 from pathlib import Path
 
-from . import codes, netmodel, protocol
+from . import codes, protocol
 from .codes import ProtectionCode
 
 
@@ -198,7 +198,7 @@ def _ratio(q: Fraction) -> str:
 FAILED_TEXTS_KEPT = protocol.DRAW_MEMO_SIZE
 
 
-def render_report(records, sched: protocol.Schedule, out) -> protocol.SimulationMetrics:
+def render_report(records, code: ProtectionCode, out) -> protocol.SimulationMetrics:
     """Write a fixed-order CSV to ``out``: one row per round as its record
     arrives, then a summary line; return the run's metrics.
 
@@ -207,7 +207,7 @@ def render_report(records, sched: protocol.Schedule, out) -> protocol.Simulation
     built from the rounds counted per row kind as the rows are written.
     """
     out.write("round,failed,outcome,queries,xor_ops,transmissions,capacity\n")
-    capacity = _ratio(Fraction(sched.n - sched.m, sched.n))
+    code_tail = f"{code.n},{_ratio(Fraction(code.n - code.m, code.n))}\n"  # n transmissions, capacity (n - m)/n
     # each failed set's text, and each row kind's text after it, is made once:
     # most rounds repeat an earlier set, and a run has few kinds. A kind's
     # entry is [its row tail, its rounds], so a round costs at most one lookup
@@ -225,15 +225,15 @@ def render_report(records, sched: protocol.Schedule, out) -> protocol.Simulation
                 texts.clear()
             failed = texts[rec.failed] = ";".join(str(c) for c in sorted(rec.failed)) or "-"
         if report is not last:
-            kind = (report.outcome, report.queries_sent, report.xor_operations, report.transmissions)
+            kind = (report.outcome, report.queries_sent, report.xor_operations)
             entry = kind_of(kind)
             if entry is None:
-                tail = f"{report.outcome.value},{report.queries_sent},{report.xor_operations},{report.transmissions},{capacity}\n"
+                tail = f"{report.outcome.value},{report.queries_sent},{report.xor_operations},{code_tail}"
                 entry = kinds[kind] = [tail, 0]
             last = report
         entry[1] += 1
         write(f"{rec.index},{failed},{entry[0]}")
-    metrics = protocol.SimulationMetrics(sched, {kind: entry[1] for kind, entry in kinds.items()})
+    metrics = protocol.SimulationMetrics(code.n, code.m, {kind: entry[1] for kind, entry in kinds.items()})
     outcomes = metrics.outcomes
     out.write(
         "summary,"
@@ -261,15 +261,14 @@ def cmd_simulate(args) -> int:
     model_params = {key: getattr(cfg, key) for row in FAILURE_MODELS.values() for key in row.keys}
     _require(f"{cfg.failure_model} failure model", model.keys, model_params)
     failures = model.build(code, cfg)
-    sched = protocol.build_schedule(code.n, code.m, cfg.rounds)
-    records = protocol.simulate_rounds(netmodel.Network.direct(code.n), code, sched, failures, cfg.rounds, seed=cfg.seed)
+    records = protocol.simulate_rounds(code, failures, cfg.rounds, seed=cfg.seed)
     # unread keys come last, so an input that a build rejects keeps its message
     _reject_unread(f"{cfg.code_family} family", family.keys, {key: getattr(cfg, key) for key in _FAMILY_KEYS})
     _reject_unread(f"{cfg.failure_model} failure model", model.keys, model_params)
     # the report file is opened only once every input has been checked
     out = args.out or cfg.out
     with Path(out).open("w") if out else contextlib.nullcontext(sys.stdout) as f:
-        render_report(records, sched, f)
+        render_report(records, code, f)
     return 0
 
 

@@ -3,8 +3,8 @@
 Each round, m of the n connections carry parity symbols and the role
 rotates so no connection permanently gives up capacity. Failures erase
 payloads in flight (positions are known to receivers); recovery solves the
-parity equations for the lost data symbols and accounts for the queries,
-XORs, and transmissions spent doing so.
+parity equations for the lost data symbols and accounts for the queries
+and XORs spent doing so.
 
 A round is one codeword packed into an int (bit j = coordinate j), and
 :func:`recover_codeword` is the one recovery path; :func:`encode_round`,
@@ -90,7 +90,6 @@ class RecoveryReport:
     recovered: Mapping[int, int]
     queries_sent: int
     xor_operations: int
-    transmissions: int
     outcome: Outcome
 
 
@@ -125,12 +124,9 @@ def recover_codeword(
     one reduction step per lost symbol. Only lost data symbols appear in the
     report; lost parity is not worth rebuilding.
     """
-    n = code.n
+    n, k, m = code.n, code.k, code.m
     if not 0 <= offset < n:
         raise ValueError(f"offset {offset} outside [0, {n})")
-    if not failed:
-        return RecoveryReport({}, 0, 0, n, _NO_ACTION_NEEDED)
-    k, m = code.k, code.m
     base = offset + m
     shift = offset if base <= n else 0
     lost = []  # (connection, coordinate) per failed data connection
@@ -147,7 +143,7 @@ def recover_codeword(
             lost.append((c, j))
             erased |= 1 << j
     if not lost:
-        return RecoveryReport({}, 0, 0, n, _NO_ACTION_NEEDED)
+        return RecoveryReport({}, 0, 0, _NO_ACTION_NEEDED)
 
     t = len(failed)
     queries = n - 1 if m == 1 and t == 1 else n - t - 1 if t < n else 0
@@ -155,11 +151,11 @@ def recover_codeword(
     try:
         word = plan.apply(codeword)
     except NoUniqueSolution:
-        return RecoveryReport({}, queries, 0, n, _UNRECOVERABLE)
+        return RecoveryReport({}, queries, 0, _UNRECOVERABLE)
     recovered = {}  # a loop: on 3.11 a comprehension builds a function each call
     for c, j in lost:
         recovered[c] = word >> j & 1
-    return RecoveryReport(recovered, queries, plan.ops, n, _FULL_RECOVERY)
+    return RecoveryReport(recovered, queries, plan.ops, _FULL_RECOVERY)
 
 
 def encode_round(
@@ -311,25 +307,26 @@ class RoundRecord:
 class SimulationMetrics:
     """Totals over the rounds of a run, folded by row kind.
 
-    A round's kind is the tuple (outcome, queries, xor_ops, transmissions) of
-    its report, and a run has few kinds, so the fold counts rounds per kind
-    in ``kinds`` and sums the totals over the kinds when they are read.
-    ``add`` folds one record; a caller that counted kinds itself passes the
-    counts to the constructor.
+    ``n`` and ``m`` are the code's. A round's kind is the tuple (outcome,
+    queries, xor_ops) of its report, and a run has few kinds, so the fold
+    counts rounds per kind in ``kinds`` and sums the totals over the kinds
+    when they are read. ``add`` folds one record; a caller that counted kinds
+    itself passes the counts to the constructor.
 
     A connection contributes working capacity in a round exactly when the
-    schedule gives it a data symbol, and every round gives m distinct
-    connections parity (``Schedule`` holds 1 <= m < n), so the average
-    capacity is (n - m)/n whatever rounds were folded. Failed links still
-    transmit (erasure happens in flight), so transmissions total rounds * n.
+    rotation gives it a data symbol, and every round gives m distinct
+    connections parity (a code holds 1 <= m < n), so the average capacity is
+    (n - m)/n whatever rounds were folded. Failed links still transmit
+    (erasure happens in flight), so transmissions total rounds * n.
     """
 
-    sched: Schedule
-    kinds: dict[tuple[Outcome, int, int, int], int] = field(default_factory=dict)
+    n: int
+    m: int
+    kinds: dict[tuple[Outcome, int, int], int] = field(default_factory=dict)
 
     def add(self, record: RoundRecord) -> None:
         report = record.report
-        kind = (report.outcome, report.queries_sent, report.xor_operations, report.transmissions)
+        kind = (report.outcome, report.queries_sent, report.xor_operations)
         self.kinds[kind] = self.kinds.get(kind, 0) + 1
 
     def _total(self, i: int) -> int:
@@ -349,7 +346,7 @@ class SimulationMetrics:
 
     @property
     def total_transmissions(self) -> int:
-        return self._total(3)
+        return self.rounds * self.n
 
     @property
     def outcomes(self) -> Counter[Outcome]:
@@ -367,7 +364,7 @@ class SimulationMetrics:
     @property
     def avg_capacity(self) -> Fraction:
         self._nonempty_rounds()  # an empty fold has no average
-        return Fraction(self.sched.n - self.sched.m, self.sched.n)
+        return Fraction(self.n - self.m, self.n)
 
     @property
     def recovery_rate(self) -> Fraction:
@@ -376,9 +373,7 @@ class SimulationMetrics:
 
 
 def simulate_rounds(
-    net: Network,
     code: ProtectionCode,
-    sched: Schedule,
     failure_model: Callable[[int], frozenset[int]],
     rounds: int,
     *,
@@ -395,18 +390,15 @@ def simulate_rounds(
     data's syndrome, read from the column tables the repair plans share:
     one lookup per 8 data bits.
     """
-    _require_fit(code, sched)
-    if net.n != code.n:
-        raise DimensionMismatch(f"network has {net.n} connections, code has n = {code.n}")
-    if not 1 <= rounds <= sched.rounds:
-        raise ValueError(f"rounds must be in [1, {sched.rounds}]")
+    if rounds < 1:
+        raise ValueError("rounds must be at least 1")
     n, k = code.n, code.k
     parity = gf2._column_tables(code.parity_check.row_words)[: (k + 7) // 8]
     # bound once per run: each round would otherwise look every one of them up
     getrandbits, syndrome = random.Random(seed).getrandbits, gf2.xor_rows_by_tables
     recover_one, record = recover_codeword, RoundRecord
     # read-only: a consumer that writes into it fails instead of changing later rounds
-    clean = RecoveryReport(types.MappingProxyType({}), 0, 0, n, _NO_ACTION_NEEDED)
+    clean = RecoveryReport(types.MappingProxyType({}), 0, 0, _NO_ACTION_NEEDED)
     for r in range(rounds):
         failed = failure_model(r)
         data = getrandbits(k)
@@ -423,8 +415,13 @@ def run_simulation(
     *,
     seed: int = 0,
 ) -> SimulationMetrics:
-    """Fold a full run into its :class:`SimulationMetrics`."""
-    metrics = SimulationMetrics(sched)
-    for record in simulate_rounds(net, code, sched, failure_model, rounds, seed=seed):
+    """Check ``net`` and ``sched`` against the code, then fold the run into its metrics."""
+    _require_fit(code, sched)
+    if net.n != code.n:
+        raise DimensionMismatch(f"network has {net.n} connections, code has n = {code.n}")
+    if not 1 <= rounds <= sched.rounds:
+        raise ValueError(f"rounds must be in [1, {sched.rounds}]")
+    metrics = SimulationMetrics(code.n, code.m)
+    for record in simulate_rounds(code, failure_model, rounds, seed=seed):
         metrics.add(record)
     return metrics

@@ -36,10 +36,12 @@ time over change time), and the three cases with the lowest such ratio.
 
 ``sim-grid`` is its simulate counterpart: five codes (parity n = 8, so
 m = 1; Hamming mu = 3; BCH [15,7], [31,21] and [63,51]), each under five
-failure models (none, fixed {0}, and random with t = 1, 2 and 3, seeded by
-S), each case R rounds of ``render_report(simulate_rounds(...))`` into a
-``StringIO``, timed and printed as the verify grid is. The two sides'
-report bytes must be equal.
+failure models (none, fixed {0}, and random with t = 1, 2 and 3), each case
+one ``npcode simulate`` of R rounds seeded by S, run through each side's
+``cli.main`` on a config of its own, as the timed workloads run, and timed
+and printed as the verify grid is. Every command must exit 0, and the two
+sides' outputs (exit code, stdout, stderr and report) must be
+byte-identical.
 """
 
 from __future__ import annotations
@@ -48,7 +50,6 @@ import argparse
 import dataclasses
 import gc
 import importlib.util
-import io
 import math
 import statistics
 import sys
@@ -142,33 +143,39 @@ def verify_cases(cli) -> list[tuple[str, object]]:
     ]
 
 
-def sim_cases(cli, rounds: int, seed: int) -> list[tuple[str, object]]:
-    """The simulate grid's (label, call), each code built by one side's
-    ``cli``; a call returns the report's text."""
-    codes, protocol = cli.codes, cli.protocol
-    built = {
-        "parity-n8": codes.single_parity_code(8),
-        "hamming-mu3": codes.hamming_code(3),
-        "bch-15-7": codes.bch_code(15, 2),
-        "bch-31-21": codes.bch_code(31, 2),
-        "bch-63-51": codes.bch_code(63, 2),
-    }
+SIM_CODES = {
+    "parity-n8": "code_family = parity\nn = 8\n",
+    "hamming-mu3": "code_family = hamming\nmu = 3\n",
+    "bch-15-7": "code_family = bch\nn = 15\ndesign_t = 2\n",
+    "bch-31-21": "code_family = bch\nn = 31\ndesign_t = 2\n",
+    "bch-63-51": "code_family = bch\nn = 63\ndesign_t = 2\n",
+}
+SIM_MODELS = {
+    "none": "failure_model = none\n",
+    "fixed0": "failure_model = fixed\nfailed = 0\n",
+    **{f"t{t}": f"failure_model = random\nt = {t}\n" for t in (1, 2, 3)},
+}
 
-    def report(code, failures):
-        sched = protocol.build_schedule(code.n, code.m, rounds)
-        net = cli.netmodel.Network.direct(code.n)
-        out = io.StringIO()
-        cli.render_report(protocol.simulate_rounds(net, code, sched, failures, rounds, seed=seed), sched, out)
-        return out.getvalue()
 
+def simulate(cli, argv: list[str], report: Path) -> workloads.Output:
+    """One side's ``npcode <argv>``, which must exit 0, and what it left behind."""
+    out = workloads.run_cli(cli, argv, report)
+    if out.exit_code != 0:
+        raise SystemExit(f"npcode {' '.join(argv)} exited {out.exit_code}: {out.stderr.strip()}")
+    return out
+
+
+def sim_cases(cli, rounds: int, seed: int, workdir: Path) -> list[tuple[str, object]]:
+    """The simulate grid's (label, call): each case's config is written to
+    ``workdir``, and a call is one side's ``npcode simulate`` of it."""
     cases = []
-    for name, code in built.items():
-        models = {
-            "none": protocol.no_failures(),
-            "fixed0": protocol.fixed_failures({0}),
-            **{f"t{t}": protocol.random_failures(code.n, t, seed) for t in (1, 2, 3)},
-        }
-        cases += [(f"{name}-{model}", lambda code=code, f=f: report(code, f)) for model, f in models.items()]
+    for code, code_keys in SIM_CODES.items():
+        for model, model_keys in SIM_MODELS.items():
+            label = f"{code}-{model}"
+            config, report = workdir / f"{label}.cfg", workdir / f"{label}.csv"
+            config.write_text(f"{code_keys}{model_keys}rounds = {rounds}\nseed = {seed}\n")
+            argv = ["simulate", str(config), "--out", str(report)]
+            cases.append((label, lambda argv=argv, report=report: simulate(cli, argv, report)))
     return cases
 
 
@@ -232,7 +239,11 @@ def main(argv: list[str] | None = None) -> int:
                 compare_cases(name, {side: verify_cases(cli) for side, cli in sides.items()}, args.pairs)
                 continue
             if name == "sim-grid":
-                cases = {side: sim_cases(cli, args.rounds, args.seed) for side, cli in sides.items()}
+                cases = {}
+                for side, cli in sides.items():
+                    workdir = Path(tmp) / name / side
+                    workdir.mkdir(parents=True)
+                    cases[side] = sim_cases(cli, args.rounds, args.seed, workdir)
                 compare_cases(name, cases, args.pairs)
                 continue
             wl = workloads.WORKLOADS[name]

@@ -189,11 +189,18 @@ MUTANTS = [
     Mutant(
         "fold-kind-without-xor-ops",
         "cli.py",
-        "            kind = (report.outcome, report.queries_sent, report.xor_operations, report.transmissions)\n"
+        "            kind = (report.outcome, report.queries_sent, report.xor_operations)\n"
         "            entry = kind_of(kind)",
-        "            kind = (report.outcome, report.queries_sent, 0, report.transmissions)\n"
+        "            kind = (report.outcome, report.queries_sent, 0)\n"
         "            entry = kind_of(kind)",
         ("tests/test_cli.py::TestReportSummary",),
+    ),
+    Mutant(
+        "transmissions-column-is-m",
+        "cli.py",
+        '    code_tail = f"{code.n},',
+        '    code_tail = f"{code.m},',
+        ("tests/test_cli.py::TestSimulate::test_report_bytes_pinned",),
     ),
     Mutant(
         "row-entry-kept-after-report-changes",
@@ -217,6 +224,13 @@ MUTANTS = [
         ("tests/test_protocol.py::TestCleanRounds", "tests/test_protocol.py::TestEndToEnd"),
     ),
     Mutant(
+        "run-simulation-fit-check-dropped",
+        "protocol.py",
+        "    _require_fit(code, sched)\n    if net.n != code.n:",
+        "    if net.n != code.n:",
+        ("tests/test_protocol.py::TestRunSimulation",),
+    ),
+    Mutant(
         "capacity-empty-check-dropped",
         "protocol.py",
         "        self._nonempty_rounds()  # an empty fold has no average\n",
@@ -226,8 +240,8 @@ MUTANTS = [
     Mutant(
         "capacity-is-parity-share",
         "protocol.py",
-        "        return Fraction(self.sched.n - self.sched.m, self.sched.n)",
-        "        return Fraction(self.sched.m, self.sched.n)",
+        "        return Fraction(self.n - self.m, self.n)",
+        "        return Fraction(self.m, self.n)",
         ("tests/test_protocol.py::TestRunSimulation",),
     ),
     Mutant(

@@ -623,11 +623,7 @@ class TestSimulate:
 
     def test_report_streams_rows(self):
         code = codes.hamming_code(3)
-        sched = protocol.build_schedule(code.n, code.m, 20)
-        records = protocol.simulate_rounds(
-            netmodel.Network.direct(code.n), code, sched,
-            protocol.random_failures(code.n, 2, 1), 20, seed=1,
-        )
+        records = protocol.simulate_rounds(code, protocol.random_failures(code.n, 2, 1), 20, seed=1)
         out = io.StringIO()
 
         def pulled():
@@ -637,7 +633,7 @@ class TestSimulate:
                     assert out.getvalue().splitlines()[-1].startswith(f"{rec.index - 1},")
                 yield rec
 
-        render_report(pulled(), sched, out)
+        render_report(pulled(), code, out)
         lines = out.getvalue().splitlines()
         assert len(lines) == 22  # header + 20 rounds + summary
         assert lines[-1].startswith("summary,rounds=20,")
@@ -747,12 +743,10 @@ SUMMARY_CONFIGS = {
 
 
 def simulation_inputs(text):
-    """The schedule and a fresh records stream of a config, as ``simulate`` builds them."""
+    """The code and the ``simulate_rounds`` arguments of a config, as ``simulate`` builds them."""
     cfg = parse_config(text)
     code = build_code(cfg.code_family, **{key: getattr(cfg, key) for key in cli.FAMILIES[cfg.code_family].keys})
-    sched = protocol.build_schedule(code.n, code.m, cfg.rounds)
-    args = (netmodel.Network.direct(code.n), code, sched, cli.FAILURE_MODELS[cfg.failure_model].build(code, cfg), cfg.rounds)
-    return sched, args, cfg.seed
+    return code, (code, cli.FAILURE_MODELS[cfg.failure_model].build(code, cfg), cfg.rounds), cfg.seed
 
 
 def summary_of(metrics):
@@ -795,10 +789,11 @@ class TestReportSummary:
 
     @pytest.mark.parametrize("name", sorted(SUMMARY_CONFIGS))
     def test_summary_is_run_simulations_fold(self, name):
-        sched, args, seed = simulation_inputs(SUMMARY_CONFIGS[name])
+        code, (_, failures, rounds), seed = simulation_inputs(SUMMARY_CONFIGS[name])
         out = io.StringIO()
-        rendered = render_report(protocol.simulate_rounds(*args, seed=seed), sched, out)
-        folded = protocol.run_simulation(*args, seed=seed)
+        rendered = render_report(protocol.simulate_rounds(code, failures, rounds, seed=seed), code, out)
+        sched = protocol.build_schedule(code.n, code.m, rounds)
+        folded = protocol.run_simulation(netmodel.Network.direct(code.n), code, sched, failures, rounds, seed=seed)
         assert rendered == folded
         assert out.getvalue().splitlines()[-1] == summary_of(folded)
 
@@ -807,22 +802,22 @@ class TestReportSummary:
         # indices 0, 2, 4, ...: the offsets a run reaches are not contiguous,
         # yet the report and add fold the same, and the capacity is still
         # (n - m)/n
-        sched, args, seed = simulation_inputs(SUMMARY_CONFIGS[name])
+        code, args, seed = simulation_inputs(SUMMARY_CONFIGS[name])
         records = list(protocol.simulate_rounds(*args, seed=seed))[::2]
-        rendered = render_report(iter(records), sched, io.StringIO())
-        added = protocol.SimulationMetrics(sched)
+        rendered = render_report(iter(records), code, io.StringIO())
+        added = protocol.SimulationMetrics(code.n, code.m)
         for rec in records:
             added.add(rec)
         assert rendered == added
-        assert rendered.avg_capacity == Fraction(sched.n - sched.m, sched.n)
+        assert rendered.avg_capacity == Fraction(code.n - code.m, code.n)
 
     def test_repeated_report_object_reuses_its_row(self):
         # one report object repeated, a distinct object of the same kind, one
         # of another kind, then the first object again: the rows, summary and
         # fold equal those of the same rounds each carrying its own copy
-        sched = protocol.build_schedule(5, 1, 8)
-        shared = protocol.RecoveryReport({}, 0, 0, 5, protocol.Outcome.NO_ACTION_NEEDED)
-        other = protocol.RecoveryReport({1: 1}, 4, 3, 5, protocol.Outcome.FULL_RECOVERY)
+        code = codes.single_parity_code(5)
+        shared = protocol.RecoveryReport({}, 0, 0, protocol.Outcome.NO_ACTION_NEEDED)
+        other = protocol.RecoveryReport({1: 1}, 4, 3, protocol.Outcome.FULL_RECOVERY)
         reports = [shared, shared, shared, dataclasses.replace(shared), other, shared, shared]
         failed = [frozenset({1}) if report is other else frozenset() for report in reports]
 
@@ -832,7 +827,7 @@ class TestReportSummary:
                 for r, (f, report) in enumerate(zip(failed, reports))
             )
             out = io.StringIO()
-            metrics = render_report(records, sched, out)
+            metrics = render_report(records, code, out)
             return out.getvalue(), metrics
 
         text, metrics = render(copy=False)
@@ -847,15 +842,15 @@ class TestReportSummary:
             "6,-,NoActionNeeded,0,0,5,4/5",
         ]
         assert metrics.kinds == {
-            (protocol.Outcome.NO_ACTION_NEEDED, 0, 0, 5): 6,
-            (protocol.Outcome.FULL_RECOVERY, 4, 3, 5): 1,
+            (protocol.Outcome.NO_ACTION_NEEDED, 0, 0): 6,
+            (protocol.Outcome.FULL_RECOVERY, 4, 3): 1,
         }
 
     def test_repeated_report_is_read_once(self):
         # a run of rounds carrying one report object reads its fields for its
         # first row only, however long the run
-        sched = protocol.build_schedule(5, 1, 50)
-        shared = protocol.RecoveryReport({}, 0, 0, 5, protocol.Outcome.NO_ACTION_NEEDED)
+        code = codes.single_parity_code(5)
+        shared = protocol.RecoveryReport({}, 0, 0, protocol.Outcome.NO_ACTION_NEEDED)
 
         def reads(rounds):
             counted = collections.Counter()
@@ -867,14 +862,14 @@ class TestReportSummary:
 
             report = Counted()
             records = (protocol.RoundRecord(r, 0, frozenset(), report) for r in range(rounds))
-            render_report(records, sched, io.StringIO())
+            render_report(records, code, io.StringIO())
             return counted
 
         assert reads(1) and reads(50) == reads(1)
 
     def test_empty_stream_raises_value_error_after_the_header(self):
-        sched = protocol.build_schedule(7, 3, 5)
+        code = codes.hamming_code(3)
         out = io.StringIO()
         with pytest.raises(ValueError, match="the fold is empty"):
-            render_report(iter(()), sched, out)
+            render_report(iter(()), code, out)
         assert out.getvalue() == "round,failed,outcome,queries,xor_ops,transmissions,capacity\n"

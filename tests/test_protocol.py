@@ -260,7 +260,8 @@ class TestRecover:
         assert report.outcome is Outcome.FULL_RECOVERY
         assert report.queries_sent == 4
         assert report.xor_operations == 3
-        assert report.transmissions == 5
+        one = run_simulation(Network.direct(5), single_parity_code(5), build_schedule(5, 1, 1), fixed_failures({2}), 1)
+        assert one.total_transmissions == 5
         assert report.recovered == {2: sent[2].payload}
 
     def test_single_parity_encoded_link_failure(self):
@@ -357,7 +358,7 @@ class TestRecover:
         monkeypatch.setattr(codes, "repair_plan", no_plan)
         n = code.n
         sched = build_schedule(n, code.m, n)
-        expected = RecoveryReport({}, 0, 0, n, Outcome.NO_ACTION_NEEDED)
+        expected = RecoveryReport({}, 0, 0, Outcome.NO_ACTION_NEEDED)
         for offset in range(n):
             parity = sched.scheduled(offset)
             for t in range(min(len(parity), 3) + 1):
@@ -382,7 +383,7 @@ class TestRecover:
         with pytest.raises(ValueError):
             recover(code, inject_failures(sent, frozenset({2})), scenario, sched, 0)
         with pytest.raises(ValueError):
-            next(simulate_rounds(Network.direct(5), code, sched, lambda r: scenario, 1))
+            next(simulate_rounds(code, lambda r: scenario, 1))
 
 
 @functools.cache
@@ -399,21 +400,21 @@ def uncached_report(code, offset, failed, codeword):
     conn_of = connection_of_coordinate(Schedule(n, code.m, n), offset)
     erased = [j for j, c in enumerate(conn_of) if c in failed]
     if all(j >= k for j in erased):
-        return RecoveryReport({}, 0, 0, n, Outcome.NO_ACTION_NEEDED)
+        return RecoveryReport({}, 0, 0, Outcome.NO_ACTION_NEEDED)
     t = len(failed)
     queries = n - 1 if code.m == 1 and t == 1 else max(0, n - t - 1)
     rows = code.parity_check.row_words
     try:
         word = erasure_fill_naive(entry_lists(rows, n), erased, [codeword >> j & 1 for j in range(n)])
     except NoUniqueSolution:
-        return RecoveryReport({}, queries, 0, n, Outcome.UNRECOVERABLE)
+        return RecoveryReport({}, queries, 0, Outcome.UNRECOVERABLE)
     # per row, one XOR per surviving term after the first; then one per row
     # combination while eliminating on the erased columns in ascending order
     survivors = ~sum(1 << j for j in erased)
     ops = sum(max(0, (w & survivors).bit_count() - 1) for w in rows)
     ops += gf2._eliminate(list(rows), erased)[2]
     recovered = {conn_of[j]: word[j] for j in erased if j < k}
-    return RecoveryReport(recovered, queries, ops, n, Outcome.FULL_RECOVERY)
+    return RecoveryReport(recovered, queries, ops, Outcome.FULL_RECOVERY)
 
 
 def corrupt(packets, c):
@@ -593,9 +594,7 @@ class TestEndToEnd:
         outcomes = set()
         for mask in range(1 << 7):
             failed = {c for c in range(7) if mask >> c & 1}
-            for rec in simulate_rounds(
-                Network.direct(7), code, sched, fixed_failures(failed), 7, seed=mask
-            ):
+            for rec in simulate_rounds(code, fixed_failures(failed), 7, seed=mask):
                 conn_of = connection_of_coordinate(sched, rec.index)
                 sent = [rec.codeword >> j & 1 for j in range(7)]
                 received = [None if conn_of[j] in failed else sent[j] for j in range(7)]
@@ -767,13 +766,9 @@ class TestRunSimulation:
 
     def test_deterministic_given_seed(self):
         def run():
-            net = Network.direct(7)
-            sched = build_schedule(7, 3, 30)
             return [
                 (rec.failed, rec.report.outcome, rec.codeword)
-                for rec in simulate_rounds(
-                    net, hamming_code(3), sched, random_failures(7, 2, seed=7), 30, seed=7
-                )
+                for rec in simulate_rounds(hamming_code(3), random_failures(7, 2, seed=7), 30, seed=7)
             ]
 
         assert run() == run()
@@ -783,11 +778,8 @@ class TestRunSimulation:
         # round alone and the record's codeword
         code = bch_code(15, 2)
         n, t, seed, rounds = code.n, 3, 6, 200
-        sched = build_schedule(n, code.m, rounds)
         outcomes = set()
-        for rec in simulate_rounds(
-            Network.direct(n), code, sched, random_failures(n, t, seed), rounds, seed=seed
-        ):
+        for rec in simulate_rounds(code, random_failures(n, t, seed), rounds, seed=seed):
             failed = random_failures(n, t, seed)(rec.index)
             assert failed == rec.failed
             report = recover_codeword(code, rec.index % n, failed, rec.codeword)
@@ -800,7 +792,7 @@ class TestRunSimulation:
     def test_empty_fold_raises_value_error(self):
         # averages over zero rounds are undefined: a ValueError naming the
         # empty fold, which the CLI reports, not a ZeroDivisionError
-        metrics = SimulationMetrics(build_schedule(5, 1, 10))
+        metrics = SimulationMetrics(5, 1)
         assert (metrics.rounds, metrics.queries, metrics.outcomes) == (0, 0, Counter())
         for name in ("avg_capacity", "recovery_rate"):
             with pytest.raises(ValueError, match="the fold is empty"):
@@ -810,19 +802,18 @@ class TestRunSimulation:
         # totals summed over the kinds equal sums over the records, and the
         # kind counts passed to the constructor give the same fold
         code = hamming_code(3)
-        sched = build_schedule(7, 3, 30)
-        args = (Network.direct(7), code, sched, random_failures(7, 2, seed=3), 30)
+        args = (code, random_failures(7, 2, seed=3), 30)
         reports = [rec.report for rec in simulate_rounds(*args)]
-        folded = run_simulation(*args)
+        folded = run_simulation(Network.direct(7), code, build_schedule(7, 3, 30), *args[1:])
         assert (folded.rounds, folded.queries, folded.xor_operations, folded.total_transmissions) == (
             30,
             sum(r.queries_sent for r in reports),
             sum(r.xor_operations for r in reports),
-            sum(r.transmissions for r in reports),
+            30 * 7,
         )
         assert folded.outcomes == Counter(r.outcome for r in reports)
         assert len(folded.outcomes) > 1 and len(folded.kinds) < 30
-        assert SimulationMetrics(sched, dict(folded.kinds)) == folded
+        assert SimulationMetrics(7, 3, dict(folded.kinds)) == folded
 
     def test_size_mismatch_rejected(self):
         with pytest.raises(DimensionMismatch):
@@ -833,6 +824,28 @@ class TestRunSimulation:
                 no_failures(),
                 5,
             )
+
+    # run_simulation is the one simulate entry that takes a Network and a
+    # Schedule, so it checks both against the code before folding
+
+    @pytest.mark.parametrize("n, m", [(8, 4), (7, 2), (7, 4), (8, 3)])
+    def test_schedule_that_does_not_fit_is_refused(self, n, m):
+        with pytest.raises(DimensionMismatch, match=rf"code \[7,4\] does not fit schedule \(n={n}, m={m}\)"):
+            run_simulation(Network.direct(7), hamming_code(3), build_schedule(n, m, 5), no_failures(), 5)
+
+    def test_rounds_past_the_schedule_are_refused(self):
+        code, sched = hamming_code(3), build_schedule(7, 3, 5)
+        with pytest.raises(ValueError, match=r"rounds must be in \[1, 5\]"):
+            run_simulation(Network.direct(7), code, sched, no_failures(), 6)
+        assert run_simulation(Network.direct(7), code, sched, no_failures(), 5).rounds == 5
+
+    @pytest.mark.parametrize("rounds", [0, -1])
+    def test_rounds_below_one_are_refused(self, rounds):
+        code = hamming_code(3)
+        with pytest.raises(ValueError, match=r"rounds must be in \[1, 5\]"):
+            run_simulation(Network.direct(7), code, build_schedule(7, 3, 5), no_failures(), rounds)
+        with pytest.raises(ValueError, match="rounds must be at least 1"):
+            next(simulate_rounds(code, no_failures(), rounds))
 
 
 CLEAN_CODES = [single_parity_code(5), hamming_code(3), bch_code(15, 2), bch_code(31, 2)]
@@ -860,8 +873,7 @@ class TestCleanRounds:
             return recover_codeword(code, offset, failed, codeword)
 
         monkeypatch.setattr(protocol, "recover_codeword", recover_nonempty)
-        sched = build_schedule(n, code.m, rounds)
-        records = list(simulate_rounds(Network.direct(n), code, sched, failures, rounds, seed=3))
+        records = list(simulate_rounds(code, failures, rounds, seed=3))
         monkeypatch.undo()
         clean = [rec for rec in records if not rec.failed]
         assert len(clean) == rounds // 2
@@ -873,20 +885,17 @@ class TestCleanRounds:
     @pytest.mark.parametrize("code", CLEAN_CODES, ids=CLEAN_IDS)
     def test_every_clean_model_gives_the_same_run(self, code):
         n, rounds = code.n, 3 * code.n
-        sched = build_schedule(n, code.m, rounds)
         runs = []
         for model in (no_failures(), fixed_failures(()), random_failures(n, 0, seed=5)):
-            records = list(simulate_rounds(Network.direct(n), code, sched, model, rounds, seed=2))
+            records = list(simulate_rounds(code, model, rounds, seed=2))
             out = io.StringIO()
-            render_report(iter(records), sched, out)
+            render_report(iter(records), code, out)
             runs.append((records, out.getvalue()))
         assert runs[0] == runs[1] == runs[2]
         assert all(rec.report.outcome is Outcome.NO_ACTION_NEEDED for rec in runs[0][0])
 
     def test_shared_report_is_read_only(self):
-        code = hamming_code(3)
-        sched = build_schedule(7, 3, 5)
-        records = list(simulate_rounds(Network.direct(7), code, sched, no_failures(), 5))
+        records = list(simulate_rounds(hamming_code(3), no_failures(), 5))
         shared = records[0].report
         assert all(rec.report is shared for rec in records)
         with pytest.raises(TypeError):
@@ -914,12 +923,9 @@ class TestPackedEncode:
     )
     def test_every_round_sends_the_codeword_of_its_data(self, code):
         rounds = 3 * code.n
-        sched = build_schedule(code.n, code.m, rounds)
         checks = code.parity_check.row_words
         sent = set()
-        for rec in simulate_rounds(
-            Network.direct(code.n), code, sched, random_failures(code.n, 1, seed=4), rounds, seed=4
-        ):
+        for rec in simulate_rounds(code, random_failures(code.n, 1, seed=4), rounds, seed=4):
             assert all((rec.codeword & h).bit_count() % 2 == 0 for h in checks)
             data = [rec.codeword >> j & 1 for j in range(code.k)]
             assert rec.codeword == encode(code, data).bits
