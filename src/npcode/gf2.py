@@ -2,8 +2,8 @@
 
 Vectors and matrices keep their entries packed into Python integers
 (bit ``j`` of a row word is column ``j``), so a row operation is a single
-XOR regardless of width.  Everything is immutable after construction and
-safe to share between threads.
+XOR regardless of width.  Both are frozen dataclasses, so immutability is
+enforced: assigning to a field raises, and values are safe to share.
 """
 
 from __future__ import annotations
@@ -11,6 +11,7 @@ from __future__ import annotations
 import functools
 import operator
 from collections.abc import Iterable, Iterator, Sequence
+from dataclasses import dataclass
 
 # The minimum-distance search enumerates 2^min(k, n - k) words, of the code
 # or of its dual; at the bound of 20 that is about 0.2 s of pure Python.
@@ -60,17 +61,19 @@ def _systematic_dual(words: Sequence[int], k: int, n: int) -> list[int]:
     return [w | 1 << (k + j) for j, w in enumerate(_columns([g >> k for g in words], n - k))]
 
 
+@dataclass(frozen=True, slots=True, init=False, repr=False)
 class BitVector:
-    """Immutable vector over {0, 1} with XOR addition."""
+    """Immutable vector over {0, 1} with XOR addition; ``bits`` holds entry i at bit i."""
 
-    __slots__ = ("_length", "_bits")
+    bits: int
+    _length: int
 
     def __init__(self, entries: Iterable[int]):
         bits, length = _pack(entries)
         if length == 0:
             raise ValueError("a vector must have at least one entry")
-        self._length = length
-        self._bits = bits
+        object.__setattr__(self, "bits", bits)
+        object.__setattr__(self, "_length", length)
 
     @classmethod
     def from_int(cls, bits: int, length: int) -> "BitVector":
@@ -80,13 +83,9 @@ class BitVector:
         if not 0 <= bits < (1 << length):
             raise ValueError("packed word does not fit the requested length")
         v = object.__new__(cls)
-        v._length = length
-        v._bits = bits
+        object.__setattr__(v, "bits", bits)
+        object.__setattr__(v, "_length", length)
         return v
-
-    @property
-    def bits(self) -> int:
-        return self._bits
 
     def to_tuple(self) -> tuple[int, ...]:
         return tuple(self)
@@ -99,30 +98,24 @@ class BitVector:
             i += self._length
         if not 0 <= i < self._length:
             raise IndexError("vector index out of range")
-        return (self._bits >> i) & 1
+        return (self.bits >> i) & 1
 
     def __iter__(self):
-        bits = self._bits
+        bits = self.bits
         for _ in range(self._length):
             yield bits & 1
             bits >>= 1
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, BitVector):
-            return NotImplemented
-        return self._length == other._length and self._bits == other._bits
-
-    def __hash__(self) -> int:
-        return hash((self._length, self._bits))
 
     def __repr__(self) -> str:
         return f"BitVector({list(self)!r})"
 
 
+@dataclass(frozen=True, slots=True, init=False, repr=False)
 class BitMatrix:
-    """Immutable dense matrix over {0, 1}, one packed word per row."""
+    """Immutable dense matrix over {0, 1}; ``row_words`` packs each row, bit j = column j."""
 
-    __slots__ = ("_nrows", "_ncols", "_words")
+    row_words: tuple[int, ...]
+    cols: int
 
     def __init__(self, rows: Iterable[Iterable[int]]):
         words: list[int] = []
@@ -136,12 +129,8 @@ class BitMatrix:
             words.append(word)
         if not words or not ncols:
             raise ValueError("a matrix must have at least one row and one column")
-        self._set(tuple(words), ncols)
-
-    def _set(self, words: tuple[int, ...], cols: int) -> None:
-        self._nrows = len(words)
-        self._ncols = cols
-        self._words = words
+        object.__setattr__(self, "row_words", tuple(words))
+        object.__setattr__(self, "cols", ncols)
 
     @classmethod
     def from_row_words(cls, words: Iterable[int], cols: int) -> "BitMatrix":
@@ -154,41 +143,35 @@ class BitMatrix:
             if not 0 <= w < limit:
                 raise ValueError("row word does not fit the requested width")
         m = object.__new__(cls)
-        m._set(words, cols)
+        object.__setattr__(m, "row_words", words)
+        object.__setattr__(m, "cols", cols)
         return m
 
     @property
     def rows(self) -> int:
-        return self._nrows
-
-    @property
-    def cols(self) -> int:
-        return self._ncols
-
-    @property
-    def row_words(self) -> tuple[int, ...]:
-        """Every packed row word, in row order."""
-        return self._words
+        return len(self.row_words)
 
     def __getitem__(self, ij: tuple[int, int]) -> int:
         i, j = ij
-        if not 0 <= j < self._ncols:
+        if not 0 <= i < len(self.row_words):
+            raise IndexError("row index out of range")
+        if not 0 <= j < self.cols:
             raise IndexError("column index out of range")
-        return (self._words[i] >> j) & 1
+        return (self.row_words[i] >> j) & 1
 
     def transpose(self) -> "BitMatrix":
         """The matrix whose row j is column j of this one (see :func:`_columns`)."""
-        return BitMatrix.from_row_words(_columns(self._words, self._ncols), self._nrows)
+        return BitMatrix.from_row_words(_columns(self.row_words, self.cols), self.rows)
 
     def is_zero(self) -> bool:
-        return not any(self._words)
+        return not any(self.row_words)
 
     def to_text(self) -> str:
         """Serialize as ``rows cols`` header plus one 0/1 line per row."""
         # bit j is character j: the binary form, padded and reversed
-        width = f"0{self._ncols}b"
-        lines = [f"{self._nrows} {self._ncols}"]
-        lines += (format(w, width)[::-1] for w in self._words)
+        width = f"0{self.cols}b"
+        lines = [f"{self.rows} {self.cols}"]
+        lines += (format(w, width)[::-1] for w in self.row_words)
         return "\n".join(lines) + "\n"
 
     @classmethod
@@ -210,16 +193,8 @@ class BitMatrix:
                 raise ValueError(f"malformed matrix row: {line!r}")
         return cls.from_row_words((int(line[::-1], 2) for line in lines[1:]), ncols)
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, BitMatrix):
-            return NotImplemented
-        return self._ncols == other._ncols and self._words == other._words
-
-    def __hash__(self) -> int:
-        return hash((self._ncols, self._words))
-
     def __repr__(self) -> str:
-        return f"<BitMatrix {self._nrows}x{self._ncols}>"
+        return f"<BitMatrix {self.rows}x{self.cols}>"
 
 
 def xor_rows(words: Sequence[int], selector: int) -> int:
@@ -233,12 +208,18 @@ def xor_rows(words: Sequence[int], selector: int) -> int:
     return acc
 
 
+def _span(rows: Iterable[int]) -> list[int]:
+    """The :func:`xor_rows` of every subset of ``rows``, indexed by the subset's bits."""
+    span = [0]
+    for row in rows:
+        span += [w ^ row for w in span]
+    return span
+
+
 def subset_tables(words: Sequence[int]) -> tuple[tuple[int, ...], ...]:
-    """Per group of 8 rows, the :func:`xor_rows` of every subset of the
-    group, indexed by the subset's bits: what :func:`xor_rows_by_tables`
-    reads (the method of Four Russians)."""
-    groups = (words[i : i + 8] for i in range(0, len(words), 8))
-    return tuple(tuple(xor_rows(g, s) for s in range(1 << len(g))) for g in groups)
+    """Per group of 8 rows, the :func:`_span` of the group: what
+    :func:`xor_rows_by_tables` reads (the method of Four Russians)."""
+    return tuple(tuple(_span(words[i : i + 8])) for i in range(0, len(words), 8))
 
 
 def xor_rows_by_tables(tables: Sequence[Sequence[int]], selector: int) -> int:
@@ -376,12 +357,10 @@ def solve_with_cost(
 
 def _span_weights(rows: Sequence[int], n: int) -> list[int]:
     """Weight histogram (index 0..n) of every XOR combination of the rows.
-    The span of the first 8 rows is listed once (at most 256 words); the
+    The :func:`_span` of the first 8 rows is listed once (at most 256 words); the
     combinations of the rest are walked in Gray-code order, each one XOR
     away from the last, and each is counted against every listed word."""
-    low = [0]
-    for row in rows[:8]:
-        low += [w ^ row for w in low]
+    low = _span(rows[:8])
     step = [0, *rows[8:]]  # step[b + 1] is row 8 + b; the first block takes no step
     hist = [0] * (n + 1)
     word = 0

@@ -303,15 +303,14 @@ class RoundRecord:
     report: RecoveryReport
 
 
-@dataclass
+@dataclass(frozen=True)
 class SimulationMetrics:
     """Totals over the rounds of a run, folded by row kind.
 
     ``n`` and ``m`` are the code's. A round's kind is the tuple (outcome,
-    queries, xor_ops) of its report, and a run has few kinds, so the fold
-    counts rounds per kind in ``kinds`` and sums the totals over the kinds
-    when they are read. ``add`` folds one record; a caller that counted kinds
-    itself passes the counts to the constructor.
+    queries, xor_ops) of its report, and a run has few kinds, so the caller
+    counts rounds per kind and passes the counts as ``kinds``; the totals are
+    summed over the kinds when they are read.
 
     A connection contributes working capacity in a round exactly when the
     rotation gives it a data symbol, and every round gives m distinct
@@ -323,11 +322,6 @@ class SimulationMetrics:
     n: int
     m: int
     kinds: dict[tuple[Outcome, int, int], int] = field(default_factory=dict)
-
-    def add(self, record: RoundRecord) -> None:
-        report = record.report
-        kind = (report.outcome, report.queries_sent, report.xor_operations)
-        self.kinds[kind] = self.kinds.get(kind, 0) + 1
 
     def _total(self, i: int) -> int:
         return sum(kind[i] * rounds for kind, rounds in self.kinds.items())
@@ -379,7 +373,7 @@ def simulate_rounds(
     *,
     seed: int = 0,
 ) -> Iterator[RoundRecord]:
-    """Drive encode -> fail -> recover one round at a time.
+    """Drive encode -> fail -> recover one round at a time (``rounds`` < 1 is refused at the call).
 
     Data symbols come from a stream seeded by ``seed``, so identical
     arguments replay identical rounds. Each round that loses a connection is
@@ -392,6 +386,10 @@ def simulate_rounds(
     """
     if rounds < 1:
         raise ValueError("rounds must be at least 1")
+    return _rounds(code, failure_model, rounds, seed)
+
+
+def _rounds(code: ProtectionCode, failure_model: Callable[[int], frozenset[int]], rounds: int, seed: int) -> Iterator[RoundRecord]:
     n, k = code.n, code.k
     parity = gf2._column_tables(code.parity_check.row_words)[: (k + 7) // 8]
     # bound once per run: each round would otherwise look every one of them up
@@ -415,13 +413,12 @@ def run_simulation(
     *,
     seed: int = 0,
 ) -> SimulationMetrics:
-    """Check ``net`` and ``sched`` against the code, then fold the run into its metrics."""
+    """Check ``net`` and ``sched`` against the code, then count the run's row kinds into its metrics."""
     _require_fit(code, sched)
     if net.n != code.n:
         raise DimensionMismatch(f"network has {net.n} connections, code has n = {code.n}")
     if not 1 <= rounds <= sched.rounds:
         raise ValueError(f"rounds must be in [1, {sched.rounds}]")
-    metrics = SimulationMetrics(code.n, code.m)
-    for record in simulate_rounds(code, failure_model, rounds, seed=seed):
-        metrics.add(record)
-    return metrics
+    reports = (rec.report for rec in simulate_rounds(code, failure_model, rounds, seed=seed))
+    kinds = Counter((r.outcome, r.queries_sent, r.xor_operations) for r in reports)
+    return SimulationMetrics(code.n, code.m, dict(kinds))

@@ -245,6 +245,13 @@ MUTANTS = [
         ("tests/test_protocol.py::TestRunSimulation",),
     ),
     Mutant(
+        "metrics-not-frozen",
+        "protocol.py",
+        "@dataclass(frozen=True)\nclass SimulationMetrics:",
+        "@dataclass\nclass SimulationMetrics:",
+        ("tests/test_protocol.py::TestRunSimulation", "tests/test_frozen_values.py"),
+    ),
+    Mutant(
         "walk-depth-t-2-skip-on-one-equal-pair",
         "codes.py",
         "len(set(later)) == len(later)",
@@ -327,6 +334,20 @@ MUTANTS = [
         "        and (size < 4 or len(pairs) == math.comb(n, 2))\n",
         "",
         VERIFY_TESTS,
+    ),
+    Mutant(
+        "matrix-not-frozen",
+        "gf2.py",
+        "@dataclass(frozen=True, slots=True, init=False, repr=False)\nclass BitMatrix:",
+        "@dataclass(slots=True, init=False, repr=False)\nclass BitMatrix:",
+        ("tests/test_gf2.py::TestFrozenValues", "tests/test_frozen_values.py"),
+    ),
+    Mutant(
+        "span-lists-one-row-too-few",
+        "gf2.py",
+        "    for row in rows:\n        span += [w ^ row for w in span]",
+        "    for row in rows[1:]:\n        span += [w ^ row for w in span]",
+        ("tests/test_gf2.py::TestSubsetTables", "tests/test_gf2.py::TestMinDistance"),
     ),
     Mutant(
         "span-split-drops-a-row",

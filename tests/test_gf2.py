@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 import random
@@ -118,6 +119,46 @@ class TestConstruction:
         assert (m.rows, m.cols) == (2, 3)
         assert m[0, 2] == 1 and m[1, 0] == 0
         assert m.transpose() == BitMatrix([[1, 0], [0, 1], [1, 1]])
+
+    def test_matrix_row_index_is_checked_as_the_column_is(self):
+        # no negative row reads from the end, and a row past the end is
+        # refused by name, not by the row tuple's own IndexError
+        m = BitMatrix([[1, 0, 1], [0, 1, 1]])
+        for i in (-1, -2, -3, 2, 3):
+            with pytest.raises(IndexError, match="^row index out of range$"):
+                m[i, 0]
+        for j in (-1, 3):
+            with pytest.raises(IndexError, match="^column index out of range$"):
+                m[0, j]
+        assert [m[i, j] for i in range(2) for j in range(3)] == [1, 0, 1, 0, 1, 1]
+
+
+class TestFrozenValues:
+    def test_fields_refuse_assignment(self):
+        v = BitVector([1, 0, 1])
+        m = BitMatrix([[1, 0], [0, 1]])
+        for value, name, new in ((v, "bits", 0), (v, "_length", 5), (m, "row_words", (0, 0)), (m, "cols", 3)):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(value, name, new)
+        assert (v.bits, len(v), m.row_words, m.cols, m.rows) == (0b101, 3, (1, 2), 2, 2)
+
+    def test_equal_contents_compare_and_hash_equal(self):
+        # every constructor builds the same value from the same contents
+        matrices = [
+            BitMatrix([[1, 0, 1], [0, 1, 1]]),
+            BitMatrix.from_row_words([0b101, 0b110], 3),
+            BitMatrix.from_text("2 3\n101\n011\n"),
+            BitMatrix([[1, 0], [0, 1], [1, 1]]).transpose(),
+        ]
+        identity = BitMatrix.from_row_words([1 << i for i in range(4)], 4)
+        vectors = [BitVector([1, 0, 1, 1]), BitVector.from_int(0b1101, 4), mat_vec_mul(identity, [1, 0, 1, 1])]
+        for group in (matrices, vectors):
+            assert all(x == group[0] and hash(x) == hash(group[0]) for x in group)
+            assert len(set(group)) == 1
+        # a value differs from one whose words match but whose width does not
+        assert BitMatrix.from_row_words([1], 1) != BitMatrix.from_row_words([1], 2)
+        assert BitVector.from_int(1, 1) != BitVector.from_int(1, 2)
+        assert BitVector([1]) != BitMatrix([[1]])
 
 
 class TestMatVecMul:

@@ -844,8 +844,16 @@ class TestRunSimulation:
         code = hamming_code(3)
         with pytest.raises(ValueError, match=r"rounds must be in \[1, 5\]"):
             run_simulation(Network.direct(7), code, build_schedule(7, 3, 5), no_failures(), rounds)
+        # refused at the call, before any round is pulled
         with pytest.raises(ValueError, match="rounds must be at least 1"):
-            next(simulate_rounds(code, no_failures(), rounds))
+            simulate_rounds(code, no_failures(), rounds)
+
+    def test_metrics_refuse_assignment(self):
+        metrics = run_simulation(Network.direct(7), hamming_code(3), build_schedule(7, 3, 5), no_failures(), 5)
+        for f in dataclasses.fields(metrics):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(metrics, f.name, getattr(metrics, f.name))
+        assert (metrics.n, metrics.m, metrics.kinds) == (7, 3, {(Outcome.NO_ACTION_NEEDED, 0, 0): 5})
 
 
 CLEAN_CODES = [single_parity_code(5), hamming_code(3), bch_code(15, 2), bch_code(31, 2)]
